@@ -13,6 +13,8 @@ The package splits into five layers:
 * ``cli``: experiment presets, config parsing, and CSV emission.
 """
 
+from types import ModuleType as _ModuleType
+
 from .commitment import (
     Commitment,
     CommitmentMismatch,
@@ -84,7 +86,6 @@ from .learning import (
 )
 from .simulation import (
     AttackProfile,
-    Battery,
     DEFAULT_CAPACITY,
     DefenseMode,
     DeviceConfig,
@@ -98,7 +99,6 @@ from .simulation import (
     SimResult,
     attacker_choose_tbb,
     attacker_maybe_quit,
-    drain,
     energy_conserved,
     run,
 )
@@ -116,4 +116,6 @@ from .cli import (
     run_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bind themselves as attributes on import; they are not API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .learning import SECONDS_PER_DAY, InvalidConfig
-from .protocol import NegotiationMode
 from .simulation import (
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
@@ -70,7 +69,6 @@ class ExperimentConfig:
     tbb_strength: float = 1.0
     r_strength: float = 0.0
     retry_cap: int = 16
-    variant: NegotiationMode = NegotiationMode.PROBE_COMMIT
 
     def __post_init__(self) -> None:
         if not self.experiment:
@@ -98,9 +96,6 @@ class ExperimentConfig:
                 raise InvalidConfig(f"{name} outside [0, 1]: {value}")
         if self.retry_cap < 0:
             raise InvalidConfig(f"retry cap cannot be negative: {self.retry_cap}")
-        if self.variant is NegotiationMode.STANDARD:
-            raise InvalidConfig("variant must be a commitment handshake; "
-                                "standard pairs get it automatically")
 
 
 @dataclass(frozen=True)
@@ -184,11 +179,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for value in cfg.grid:
         for mode in cfg.modes:
-            negotiation = cfg.variant if mode.uses_commitment else NegotiationMode.STANDARD
             days = []
             for offset in range(cfg.seeds):
-                result = run(build_devices(cfg, mode, value), mode=negotiation,
-                             horizon=horizon, seed=cfg.seed_base + offset)
+                result = run(build_devices(cfg, mode, value), horizon=horizon,
+                             seed=cfg.seed_base + offset)
                 depleted = result.device("victim").depletion_day
                 days.append(depleted if depleted is not None else float(cfg.horizon_days))
             stddev = statistics.stdev(days) if len(days) > 1 else 0.0
@@ -251,15 +245,6 @@ def _parse_schedule(text: str) -> Schedule:
                         f"'<period>/<duration>' in seconds: {text!r}")
 
 
-def _parse_variant(text: str) -> NegotiationMode:
-    if text == NegotiationMode.PROBE_COMMIT.value:
-        return NegotiationMode.PROBE_COMMIT
-    if text == NegotiationMode.INLINE_COMMIT.value:
-        return NegotiationMode.INLINE_COMMIT
-    raise InvalidConfig(f"variant must be '{NegotiationMode.PROBE_COMMIT.value}' or "
-                        f"'{NegotiationMode.INLINE_COMMIT.value}': {text!r}")
-
-
 _CONFIG_PARSERS = {
     "experiment": str,
     "device_count": int,
@@ -273,7 +258,6 @@ _CONFIG_PARSERS = {
     "tbb_strength": float,
     "r_strength": float,
     "retry_cap": int,
-    "variant": _parse_variant,
 }
 
 
@@ -332,10 +316,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="first seed of the consecutive block")
     parser.add_argument("--horizon-days", type=int, metavar="N",
                         help="simulated days per run")
-    parser.add_argument("--variant",
-                        choices=(NegotiationMode.PROBE_COMMIT.value,
-                                 NegotiationMode.INLINE_COMMIT.value),
-                        help="commitment handshake used by C and LC modes")
     parser.add_argument("--out", metavar="PATH",
                         help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
@@ -357,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed_base"] = args.seed_base
         if args.horizon_days is not None:
             overrides["horizon_days"] = args.horizon_days
-        if args.variant is not None:
-            overrides["variant"] = _parse_variant(args.variant)
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
         payload = emit_csv(run_experiment(cfg))

@@ -223,6 +223,11 @@ class DailyBucket:
     comm_seconds: int = 0
 
 
+# The counters a bucket holds and a profile totals over its window.
+_COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits",
+             "self_go_seconds", "comm_seconds")
+
+
 class PeerProfile:
     """Sliding 30-day window of interaction counters for one peer.
 
@@ -257,11 +262,8 @@ class PeerProfile:
         buckets = self._buckets
         while buckets and buckets[0].day <= cutoff:
             old = buckets.popleft()
-            self.negotiations -= old.negotiations
-            self.self_go_wins -= old.self_go_wins
-            self.peer_premature_quits -= old.peer_premature_quits
-            self.self_go_seconds -= old.self_go_seconds
-            self.comm_seconds -= old.comm_seconds
+            for name in _COUNTERS:
+                setattr(self, name, getattr(self, name) - getattr(old, name))
             self.version += 1
 
     def _bucket_for(self, day: int) -> DailyBucket:
@@ -323,24 +325,21 @@ class PeerProfile:
             fields = {}
             for item in line.split():
                 key, _, value = item.partition("=")
-                if not _ or not value.lstrip("-").isdigit():
+                if not _ or not value.isdigit():
                     raise InvalidConfig(f"line {lineno}: bad field {item!r}")
                 fields[key] = int(value)
             try:
                 bucket = DailyBucket(**_log_fields_to_bucket(fields))
             except TypeError as exc:
                 raise InvalidConfig(f"line {lineno}: {exc}") from exc
+            if bucket.self_go_seconds > bucket.comm_seconds:
+                raise InvalidConfig(f"line {lineno}: owner seconds {bucket.self_go_seconds} "
+                                    f"exceed session seconds {bucket.comm_seconds}")
             target = profile._bucket_for(bucket.day)
-            target.negotiations += bucket.negotiations
-            target.self_go_wins += bucket.self_go_wins
-            target.peer_premature_quits += bucket.peer_premature_quits
-            target.self_go_seconds += bucket.self_go_seconds
-            target.comm_seconds += bucket.comm_seconds
-            profile.negotiations += bucket.negotiations
-            profile.self_go_wins += bucket.self_go_wins
-            profile.peer_premature_quits += bucket.peer_premature_quits
-            profile.self_go_seconds += bucket.self_go_seconds
-            profile.comm_seconds += bucket.comm_seconds
+            for name in _COUNTERS:
+                amount = getattr(bucket, name)
+                setattr(target, name, getattr(target, name) + amount)
+                setattr(profile, name, getattr(profile, name) + amount)
             profile.version += 1
         return profile
 

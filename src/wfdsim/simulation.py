@@ -8,11 +8,12 @@ run is driven by a single seeded RNG and a single event heap, so equal
 configuration and seed reproduce the result byte for byte.
 
 Attackers manipulate the tie-breaker bit when initiating (standard
-negotiation only; commitment variants reduce manipulation to honest
-randomness) and may reject assigned owner roles by quitting prematurely
-and retrying.  Defending devices keep per-peer profiles and refuse to
-negotiate with peers classified as hostile, both when receiving a request
-and before accepting an owner role.
+negotiation only; a pair with a commitment-mode member XORs both
+declared bits, which reduces manipulation to honest randomness) and may
+reject assigned owner roles by quitting prematurely and retrying.
+Defending devices keep per-peer profiles and refuse to negotiate with
+peers classified as hostile, both when receiving a request and before
+accepting an owner role.
 
 Energy accounting is integer end to end: a device operates through each
 whole second it can fully fund and leaves service at the first second
@@ -36,12 +37,11 @@ from .learning import (
     FAIRNESS_THRESHOLD,
     Ignorance,
     InvalidConfig,
-    InvalidDuration,
     PeerProfile,
     assess,
     should_reject,
 )
-from .protocol import NegotiationMode, TieBreakerBit
+from .protocol import TieBreakerBit
 
 DEFAULT_CAPACITY = 365 * SECONDS_PER_DAY  # idle-rate units for a 365-day battery
 
@@ -100,41 +100,6 @@ class EnergyModel:
 
 
 DEFAULT_ENERGY = EnergyModel()
-
-
-@dataclass
-class Battery:
-    capacity: int = DEFAULT_CAPACITY
-    remaining: int | None = None
-    depleted_at: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.capacity
-        if self.capacity <= 0:
-            raise InvalidConfig(f"battery capacity must be positive: {self.capacity}")
-        if not 0 <= self.remaining <= self.capacity:
-            raise InvalidConfig(f"remaining charge outside [0, {self.capacity}]: {self.remaining}")
-
-
-def drain(battery: Battery, role: Role, duration: float, now: float = 0.0,
-          model: EnergyModel = DEFAULT_ENERGY) -> Battery:
-    """Drain for ``duration`` seconds in ``role``, clamping at empty.
-
-    The depletion instant is recorded by linear interpolation within the
-    segment the crossing happens in.
-    """
-    if duration < 0:
-        raise InvalidDuration(f"duration cannot be negative: {duration!r}")
-    rate = model.rate_for(role)
-    cost = rate * duration
-    if cost <= battery.remaining:
-        battery.remaining -= cost
-    else:
-        if battery.depleted_at is None and rate > 0:
-            battery.depleted_at = now + battery.remaining / rate
-        battery.remaining = 0
-    return battery
 
 
 @dataclass(frozen=True)
@@ -263,7 +228,6 @@ def energy_conserved(stats: DeviceStats, model: EnergyModel = DEFAULT_ENERGY) ->
 @dataclass(frozen=True)
 class SimResult:
     seed: int
-    mode: str
     horizon_seconds: int
     devices: tuple[DeviceStats, ...]
     sessions: tuple[tuple, ...]
@@ -277,7 +241,6 @@ class SimResult:
     def to_json(self) -> str:
         payload = {
             "seed": self.seed,
-            "mode": self.mode,
             "horizon_seconds": self.horizon_seconds,
             "devices": [dataclasses.asdict(d) for d in self.devices],
             "sessions": [list(s) for s in self.sessions],
@@ -347,11 +310,24 @@ class _Device:
         self.skips_busy = 0
         self.sessions_exhausted = 0
 
+    def profile(self, peer_id: str) -> PeerProfile:
+        """This device's profile of ``peer_id``, created on first use."""
+        prof = self.profiles.get(peer_id)
+        if prof is None:
+            prof = self.profiles[peer_id] = PeerProfile(peer_id)
+        return prof
+
+
+def _declared_bit(dev: _Device, rng: random.Random) -> int:
+    """Tie bit ``dev`` declares: its attack profile's choice, else fair."""
+    if dev.attack is not None:
+        return attacker_choose_tbb(dev.attack, rng)
+    return rng.getrandbits(1)
+
 
 class _Simulator:
-    def __init__(self, configs: list[DeviceConfig], mode: NegotiationMode,
-                 horizon: int, seed: int, energy: EnergyModel):
-        self.mode = mode
+    def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
+                 energy: EnergyModel):
         self.horizon = horizon
         self.seed = seed
         self.energy = energy
@@ -400,10 +376,7 @@ class _Simulator:
 
     def _record_negotiation(self, dev: _Device, peer: _Device, t: int,
                             self_was_go: bool, peer_quit: bool) -> None:
-        prof = dev.profiles.get(peer.id)
-        if prof is None:
-            prof = PeerProfile(peer.id)
-            dev.profiles[peer.id] = prof
+        prof = dev.profile(peer.id)
         day = t // SECONDS_PER_DAY
         prof.roll_to(day)
         if prof.negotiations == 0:
@@ -417,11 +390,7 @@ class _Simulator:
 
     def _record_group_time(self, dev: _Device, peer: _Device, t: int,
                            go_seconds: int, comm_seconds: int) -> None:
-        prof = dev.profiles.get(peer.id)
-        if prof is None:
-            prof = PeerProfile(peer.id)
-            dev.profiles[peer.id] = prof
-        prof.record_group_time(t // SECONDS_PER_DAY, go_seconds, comm_seconds)
+        dev.profile(peer.id).record_group_time(t // SECONDS_PER_DAY, go_seconds, comm_seconds)
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
@@ -490,34 +459,20 @@ class _Simulator:
         self._session(t, dev, peer)
 
     def _session(self, t: int, initiator: _Device, responder: _Device) -> None:
-        if initiator.defense.uses_commitment or responder.defense.uses_commitment:
-            variant = self.mode
-        else:
-            variant = NegotiationMode.STANDARD
+        committed = initiator.defense.uses_commitment or responder.defense.uses_commitment
         rng = self.rng
         rounds = 0
         quits = 0
         retries = 0
         while True:
             rounds += 1
-            if variant is NegotiationMode.STANDARD:
-                # intent values tie at zero, so the initiator's declared
-                # bit decides ownership outright
-                if initiator.attack is not None:
-                    effective = attacker_choose_tbb(initiator.attack, rng)
-                else:
-                    effective = rng.getrandbits(1)
-            else:
-                if initiator.attack is not None:
-                    bit_i = attacker_choose_tbb(initiator.attack, rng)
-                else:
-                    bit_i = rng.getrandbits(1)
-                if responder.attack is not None:
-                    bit_r = attacker_choose_tbb(responder.attack, rng)
-                else:
-                    bit_r = rng.getrandbits(1)
-                effective = bit_i ^ bit_r
-            if effective:
+            # intent values tie at zero, so the tie bit decides ownership:
+            # the initiator's declared bit alone, or under commitments the
+            # XOR of both parties' committed bits
+            bit = _declared_bit(initiator, rng)
+            if committed:
+                bit ^= _declared_bit(responder, rng)
+            if bit:
                 owner, member = initiator, responder
             else:
                 owner, member = responder, initiator
@@ -630,20 +585,18 @@ class _Simulator:
             ))
         return SimResult(
             seed=self.seed,
-            mode=self.mode.value,
             horizon_seconds=self.horizon,
             devices=tuple(stats),
             sessions=tuple(self.sessions),
         )
 
 
-def run(devices: list[DeviceConfig], mode: NegotiationMode = NegotiationMode.PROBE_COMMIT,
-        horizon: int = 400 * SECONDS_PER_DAY, seed: int = 0,
-        energy: EnergyModel = DEFAULT_ENERGY) -> SimResult:
+def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
+        seed: int = 0, energy: EnergyModel = DEFAULT_ENERGY) -> SimResult:
     """Simulate the device population until ``horizon`` seconds.
 
-    ``mode`` selects which commitment handshake defended pairs use; pairs
-    with no commitment-mode member always run the standard exchange.
+    A pair with a commitment-mode member breaks ties with the XOR of both
+    declared bits; any other pair takes the initiator's bit.
     """
     if len(devices) < 2:
         raise InvalidConfig("need at least 2 devices")
@@ -652,12 +605,6 @@ def run(devices: list[DeviceConfig], mode: NegotiationMode = NegotiationMode.PRO
         raise InvalidConfig(f"duplicate device ids: {ids}")
     if horizon <= 0:
         raise InvalidConfig(f"horizon must be positive: {horizon}")
-    if mode is NegotiationMode.STANDARD:
-        for cfg in devices:
-            if cfg.defense.uses_commitment:
-                raise InvalidConfig(
-                    f"{cfg.device_id} needs a commitment negotiation mode, got standard"
-                )
     if all(cfg.schedule is None for cfg in devices):
         raise InvalidConfig("no device has a schedule; nothing would ever happen")
-    return _Simulator(devices, mode, horizon, seed, energy).run()
+    return _Simulator(devices, horizon, seed, energy).run()

@@ -203,7 +203,6 @@ def test_criterion_7_commitment_fairness():
         ties = wins = 0
         for seed in range(SEEDS):
             result = run(victim_vs_attacker(defense, tbb),
-                         mode=NegotiationMode.PROBE_COMMIT,
                          horizon=horizon, seed=seed)
             victim = result.device("victim")
             ties += victim.tie_rounds
@@ -247,23 +246,21 @@ def test_criterion_7_commitment_fairness():
 def test_criterion_8_determinism_and_conservation():
     horizon = 40 * SECONDS_PER_DAY
     cases = [
-        (victim_vs_attacker(S, 1.0), NegotiationMode.STANDARD),
-        (victim_vs_attacker(L, 0.5, r=0.3), NegotiationMode.STANDARD),
-        ([DeviceConfig("a", defense=C, schedule=MINUTE_SCHEDULE),
-          DeviceConfig("b", defense=C, schedule=MINUTE_SCHEDULE)],
-         NegotiationMode.PROBE_COMMIT),
-        ([DeviceConfig("victim", defense=LC, schedule=HOUR_SCHEDULE),
-          DeviceConfig("mallory", schedule=HOUR_SCHEDULE,
-                       attack=AttackProfile(tbb_strength=1.0, r_strength=0.5)),
-          DeviceConfig("peer0", defense=LC, schedule=HOUR_SCHEDULE),
-          DeviceConfig("peer1", defense=LC, schedule=HOUR_SCHEDULE),
-          DeviceConfig("peer2", defense=LC, schedule=HOUR_SCHEDULE)],
-         NegotiationMode.INLINE_COMMIT),
+        victim_vs_attacker(S, 1.0),
+        victim_vs_attacker(L, 0.5, r=0.3),
+        [DeviceConfig("a", defense=C, schedule=MINUTE_SCHEDULE),
+         DeviceConfig("b", defense=C, schedule=MINUTE_SCHEDULE)],
+        [DeviceConfig("victim", defense=LC, schedule=HOUR_SCHEDULE),
+         DeviceConfig("mallory", schedule=HOUR_SCHEDULE,
+                      attack=AttackProfile(tbb_strength=1.0, r_strength=0.5)),
+         DeviceConfig("peer0", defense=LC, schedule=HOUR_SCHEDULE),
+         DeviceConfig("peer1", defense=LC, schedule=HOUR_SCHEDULE),
+         DeviceConfig("peer2", defense=LC, schedule=HOUR_SCHEDULE)],
     ]
     identical = conserved = checked_devices = 0
-    for configs, mode in cases:
-        first = run(configs, mode=mode, horizon=horizon, seed=11)
-        second = run(configs, mode=mode, horizon=horizon, seed=11)
+    for configs in cases:
+        first = run(configs, horizon=horizon, seed=11)
+        second = run(configs, horizon=horizon, seed=11)
         if first.to_json() == second.to_json():
             identical += 1
         for stats in first.devices:

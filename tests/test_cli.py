@@ -20,7 +20,6 @@ from wfdsim.cli import (
     run_experiment,
 )
 from wfdsim.learning import InvalidConfig
-from wfdsim.protocol import NegotiationMode
 from wfdsim.simulation import (
     DefenseMode,
     HOUR_SCHEDULE,
@@ -87,7 +86,6 @@ class TestConfigValidation:
         dict(r_strength=-0.2),
         dict(retry_cap=-1),
         dict(experiment=""),
-        dict(variant=NegotiationMode.STANDARD),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
@@ -205,7 +203,6 @@ class TestParseExperimentConfig:
         assert cfg.sweep == "tbb_strength"
         assert cfg.grid == STRENGTH_GRID
         assert cfg.seeds == 10
-        assert cfg.variant is NegotiationMode.PROBE_COMMIT
 
     def test_full_file(self):
         text = """\
@@ -222,15 +219,13 @@ schedule = hour
 tbb_strength = 1.0
 r_strength = 0.0
 retry_cap = 8
-variant = inline_commit
 """
         cfg = parse_experiment_config(text)
         assert cfg == ExperimentConfig(
             experiment="crowd", device_count=5, modes=(S, L),
             sweep="attacker_ratio", grid=(0.25, 0.5, 0.75), seeds=3,
             seed_base=100, horizon_days=30, schedule=HOUR_SCHEDULE,
-            tbb_strength=1.0, r_strength=0.0, retry_cap=8,
-            variant=NegotiationMode.INLINE_COMMIT)
+            tbb_strength=1.0, r_strength=0.0, retry_cap=8)
 
     def test_custom_schedule_spec(self):
         cfg = parse_experiment_config("schedule = 100/20\n")
@@ -243,7 +238,7 @@ variant = inline_commit
         ("just words", 1, "expected key=value"),
         ("modes = S,X", 1, "unknown defense mode"),
         ("schedule = sometimes", 1, "schedule must be"),
-        ("variant = standard", 1, "variant must be"),
+        ("variant = probe_commit", 1, "unknown key"),
         ("grid = 0.1,zap", 1, "comma-separated numbers"),
     ])
     def test_diagnostics_name_the_line(self, text, lineno, fragment):
@@ -303,6 +298,11 @@ class TestMain:
         cfg_path.write_text("device_count = 1\n")
         assert main(["--config", str(cfg_path)]) == 2
         assert "wfdsim:" in capsys.readouterr().err
+
+    def test_variant_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["--experiment", "var_tbb_strength", "--variant", "probe_commit"])
+        assert err.value.code == 2
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 2

@@ -1,0 +1,113 @@
+"""Golden digests: fixed seeds keep producing the same bytes.
+
+The determinism tests elsewhere only check that a run matches itself, so
+a change that moved every result the same way would pass them.  These
+pins catch it: SHA-256 of ``SimResult.to_json()`` for short runs that
+cover each defense mode, a quit-and-retry attacker, a ten-device hour
+population, a battery that dies mid-group and back-to-back owner groups,
+plus the ``emit_csv`` bytes of every preset at two seeds.  The preset
+horizons are short, so their victims outlive them and the CSV pins cover
+the sweep plumbing and the CSV format (presets of the same shape share a
+pin); the run pins cover behaviour.  A change meant to alter results
+updates the pins in the same commit and says why in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from wfdsim.cli import PRESET_NAMES, emit_csv, preset, run_experiment
+from wfdsim.learning import SECONDS_PER_DAY
+from wfdsim.simulation import (
+    AttackProfile,
+    DefenseMode,
+    DeviceConfig,
+    HOUR_SCHEDULE,
+    MINUTE_SCHEDULE,
+    Schedule,
+    run,
+)
+
+S, L = DefenseMode.STANDARD, DefenseMode.LEARNING
+C, LC = DefenseMode.COMMITMENT, DefenseMode.LEARNING_COMMITMENT
+
+
+def pair(defense, **attack):
+    return [DeviceConfig("victim", defense=defense),
+            DeviceConfig("attacker", schedule=MINUTE_SCHEDULE,
+                         attack=AttackProfile(**attack))]
+
+
+def crowd():
+    hostile = AttackProfile(tbb_strength=1.0, r_strength=0.3)
+    return ([DeviceConfig("victim", defense=L, schedule=HOUR_SCHEDULE)]
+            + [DeviceConfig(f"attacker{i}", schedule=HOUR_SCHEDULE, attack=hostile)
+               for i in range(3)]
+            + [DeviceConfig(f"peer{i}", defense=L, schedule=HOUR_SCHEDULE)
+               for i in range(6)])
+
+
+# name -> (devices, horizon in days, seed)
+RUNS = {
+    "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3, 1),
+    "learning": (pair(L, tbb_strength=0.8, r_strength=0.2), 3, 2),
+    "commitment": (pair(C, tbb_strength=0.8, r_strength=0.2), 3, 3),
+    "learning_commitment": (pair(LC, tbb_strength=0.8, r_strength=0.2), 3, 4),
+    "quit_and_retry": (pair(S, r_strength=1.0, retry_cap=2), 3, 5),
+    "hour_crowd": (crowd(), 40, 6),
+    # dies five seconds into an owner role, mid-group
+    "tiny_battery": ([DeviceConfig("frail", schedule=MINUTE_SCHEDULE, phase=0,
+                                   battery_capacity=3600),
+                      DeviceConfig("peer", schedule=MINUTE_SCHEDULE, phase=180)], 1, 7),
+    # owner from the first second to death at 365/11 days
+    "back_to_back_owner": ([DeviceConfig("victim"),
+                            DeviceConfig("attacker", schedule=Schedule(360, 360), phase=0,
+                                         attack=AttackProfile(tbb_strength=1.0))], 34, 8),
+}
+
+RUN_DIGESTS = {
+    "standard": "9cab31dd24edb6d82b0af7f34cc07fa4b9068d1ba6bb9f71f710d61f1ddfe911",
+    "learning": "631a00f7cd7929a2df2997866a6151fdd90f72764c60fe5e6037028367eda9de",
+    "commitment": "1685673aaa0b1d82376591eb6b648d075e3fd07ab0f1ce27f50ac3a1ce46fe84",
+    "learning_commitment": "b9627aa49c37fd36a1e8744331ad9ca54ec82d70f4472790c14acdc4fbe20fff",
+    "quit_and_retry": "e34a4f49db8412f0eec232f4f72cd5473c8a249aeb4a7b4acd49ea9dea4f6bba",
+    "hour_crowd": "b760aeb994a00c571060f52304a916d984d639344b64f73f3cd4e046beea3259",
+    "tiny_battery": "8c373489d22b370267509f0481a0100f7ff7a6c94308a1773eb242646aee9d79",
+    "back_to_back_owner": "cca04ddc95be0c1e4aee5bce7f8620076eecb3923983ca7706bd77a664838f57",
+}
+
+PRESET_HORIZON_DAYS = 2
+
+CSV_DIGESTS = {
+    "var_tbb_strength": "564834926ef961ff2f649c27279477436ceedba0595abcf65820bb20c8008956",
+    "var_r_strength": "564834926ef961ff2f649c27279477436ceedba0595abcf65820bb20c8008956",
+    "attacker_ratio_5": "4e4ccb460928f20626e22da0b5b210bcca1e939a7a689dcb0ed64fdad2d1c2fb",
+    "attacker_ratio_10": "4e4ccb460928f20626e22da0b5b210bcca1e939a7a689dcb0ed64fdad2d1c2fb",
+}
+
+
+def run_digest(name: str) -> str:
+    devices, horizon_days, seed = RUNS[name]
+    result = run(devices, horizon=horizon_days * SECONDS_PER_DAY, seed=seed)
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+def csv_digest(name: str) -> str:
+    cfg = dataclasses.replace(preset(name), seeds=2, horizon_days=PRESET_HORIZON_DAYS)
+    return hashlib.sha256(emit_csv(run_experiment(cfg))).hexdigest()
+
+
+def test_every_case_is_pinned():
+    assert RUN_DIGESTS.keys() == RUNS.keys()
+    assert CSV_DIGESTS.keys() == set(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_json_digest(name):
+    assert run_digest(name) == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_csv_digest(name):
+    assert csv_digest(name) == CSV_DIGESTS[name]

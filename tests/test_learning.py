@@ -274,6 +274,11 @@ class TestLogRoundtrip:
             PeerProfile.from_log("peer", "day=1 negotiations=two")
         with pytest.raises(InvalidConfig):
             PeerProfile.from_log("peer", "day=1 wibble=3")
+        with pytest.raises(InvalidConfig, match="line 2: bad field 'negotiations=-5'"):
+            PeerProfile.from_log("peer", "day=0 negotiations=1\n"
+                                         "day=0 negotiations=-5 go_seconds=-10 comm_seconds=4")
+        with pytest.raises(InvalidConfig, match="line 1: owner seconds 5 exceed session seconds 4"):
+            PeerProfile.from_log("peer", "day=0 negotiations=1 go_seconds=5 comm_seconds=4")
 
 
 class TestAssessment:

@@ -1,0 +1,41 @@
+"""Package surface: what ``wfdsim`` exports and what it imports."""
+
+import ast
+import sys
+import types
+from pathlib import Path
+
+import wfdsim
+
+PACKAGE_DIR = Path(wfdsim.__file__).parent
+
+
+def test_all_names_public_objects():
+    for name in wfdsim.__all__:
+        assert not isinstance(getattr(wfdsim, name), types.ModuleType), name
+    assert "Battery" not in wfdsim.__all__
+    assert "drain" not in wfdsim.__all__
+
+
+def test_all_covers_the_layer_entry_points():
+    for name in ("commit", "negotiate", "assess", "run", "run_experiment", "main"):
+        assert name in wfdsim.__all__
+
+
+def test_library_imports_only_the_standard_library():
+    # numpy and scipy happen to be installed next to the tests, so an
+    # import of them would work here and fail for users
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name}: imports {name}"

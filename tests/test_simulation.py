@@ -1,4 +1,4 @@
-"""Battery model, attacker behaviour, and the event-driven simulator."""
+"""Energy model, attacker behaviour, and the event-driven simulator."""
 
 import json
 import random
@@ -6,11 +6,10 @@ import statistics
 
 import pytest
 
-from wfdsim.learning import InvalidConfig, InvalidDuration, SECONDS_PER_DAY
-from wfdsim.protocol import NegotiationMode, TieBreakerBit
+from wfdsim.learning import InvalidConfig, SECONDS_PER_DAY
+from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
-    Battery,
     DEFAULT_CAPACITY,
     DEFAULT_RETRY_CAP,
     DefenseMode,
@@ -23,7 +22,6 @@ from wfdsim.simulation import (
     Schedule,
     attacker_choose_tbb,
     attacker_maybe_quit,
-    drain,
     energy_conserved,
     run,
 )
@@ -43,48 +41,6 @@ class TestEnergyModel:
             EnergyModel(base_rate=-1)
         with pytest.raises(InvalidConfig):
             EnergyModel(go_extra=-1)
-
-
-class TestDrain:
-    def test_idle_day(self):
-        b = Battery(capacity=DEFAULT_CAPACITY)
-        drain(b, Role.IDLE, SECONDS_PER_DAY)
-        assert b.remaining == DEFAULT_CAPACITY - SECONDS_PER_DAY
-        assert b.depleted_at is None
-
-    def test_owner_hour(self):
-        b = Battery(capacity=DEFAULT_CAPACITY)
-        drain(b, Role.GO, 3600)
-        assert DEFAULT_CAPACITY - b.remaining == 11 * 3600
-
-    def test_client_rate(self):
-        b = Battery(capacity=1000)
-        drain(b, Role.CLIENT, 100)
-        assert b.remaining == 800
-
-    def test_depletion_interpolates(self):
-        b = Battery(capacity=100)
-        drain(b, Role.GO, 60, now=500.0)
-        assert b.remaining == 0
-        assert b.depleted_at == pytest.approx(500.0 + 100 / 11)
-
-    def test_continuous_owner_life(self):
-        b = Battery(capacity=DEFAULT_CAPACITY)
-        drain(b, Role.GO, DEFAULT_CAPACITY)
-        assert b.depleted_at == pytest.approx(DEFAULT_CAPACITY / 11)
-        assert b.depleted_at / SECONDS_PER_DAY == pytest.approx(365 / 11)
-
-    def test_negative_duration(self):
-        with pytest.raises(InvalidDuration):
-            drain(Battery(capacity=10), Role.IDLE, -1)
-
-    def test_battery_validation(self):
-        with pytest.raises(InvalidConfig):
-            Battery(capacity=0)
-        with pytest.raises(InvalidConfig):
-            Battery(capacity=10, remaining=11)
-        with pytest.raises(InvalidConfig):
-            Battery(capacity=10, remaining=-1)
 
 
 class TestConfigValidation:
@@ -170,11 +126,6 @@ class TestRunValidation:
         with pytest.raises(InvalidConfig):
             run(two_device_configs(DefenseMode.STANDARD), horizon=0)
 
-    def test_commitment_defense_needs_commitment_mode(self):
-        with pytest.raises(InvalidConfig):
-            run(two_device_configs(DefenseMode.COMMITMENT),
-                mode=NegotiationMode.STANDARD)
-
     def test_someone_must_have_a_schedule(self):
         with pytest.raises(InvalidConfig):
             run([DeviceConfig("a"), DeviceConfig("b")])
@@ -183,8 +134,8 @@ class TestRunValidation:
 class TestDeterminism:
     def test_same_seed_reproduces_bytes(self):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.5, r=0.3)
-        a = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(5), seed=42)
-        b = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(5), seed=42)
+        a = run(cfgs, horizon=days(5), seed=42)
+        b = run(cfgs, horizon=days(5), seed=42)
         assert a.to_json() == b.to_json()
 
     def test_different_seed_differs(self):
@@ -193,13 +144,13 @@ class TestDeterminism:
             DeviceConfig("attacker", schedule=MINUTE_SCHEDULE,
                          attack=AttackProfile(tbb_strength=0.5)),
         ]
-        a = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(5), seed=1)
-        b = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(5), seed=2)
+        a = run(cfgs, horizon=days(5), seed=1)
+        b = run(cfgs, horizon=days(5), seed=2)
         assert a.to_json() != b.to_json()
 
     def test_json_is_parseable_and_complete(self):
         cfgs = two_device_configs(DefenseMode.STANDARD)
-        result = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(2), seed=0)
+        result = run(cfgs, horizon=days(2), seed=0)
         payload = json.loads(result.to_json())
         assert payload["seed"] == 0
         assert payload["horizon_seconds"] == days(2)
@@ -207,29 +158,26 @@ class TestDeterminism:
 
 
 class TestEnergyAccounting:
-    @pytest.mark.parametrize("cfgs,mode", [
-        ([DeviceConfig("a", defense=DefenseMode.COMMITMENT, schedule=MINUTE_SCHEDULE),
-          DeviceConfig("b", defense=DefenseMode.COMMITMENT, schedule=MINUTE_SCHEDULE)],
-         NegotiationMode.PROBE_COMMIT),
-        (two_device_configs(DefenseMode.LEARNING, tbb=1.0),
-         NegotiationMode.STANDARD),
-        ([DeviceConfig("v", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
-          DeviceConfig("m", schedule=HOUR_SCHEDULE,
-                       attack=AttackProfile(tbb_strength=1.0, r_strength=0.5)),
-          DeviceConfig("p1", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
-          DeviceConfig("p2", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
-          DeviceConfig("p3", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE)],
-         NegotiationMode.INLINE_COMMIT),
+    @pytest.mark.parametrize("cfgs", [
+        [DeviceConfig("a", defense=DefenseMode.COMMITMENT, schedule=MINUTE_SCHEDULE),
+         DeviceConfig("b", defense=DefenseMode.COMMITMENT, schedule=MINUTE_SCHEDULE)],
+        two_device_configs(DefenseMode.LEARNING, tbb=1.0),
+        [DeviceConfig("v", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
+         DeviceConfig("m", schedule=HOUR_SCHEDULE,
+                      attack=AttackProfile(tbb_strength=1.0, r_strength=0.5)),
+         DeviceConfig("p1", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
+         DeviceConfig("p2", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE),
+         DeviceConfig("p3", defense=DefenseMode.LEARNING_COMMITMENT, schedule=HOUR_SCHEDULE)],
     ])
-    def test_conservation_is_exact(self, cfgs, mode):
-        result = run(cfgs, mode=mode, horizon=days(20), seed=3)
+    def test_conservation_is_exact(self, cfgs):
+        result = run(cfgs, horizon=days(20), seed=3)
         for stats in result.devices:
             assert energy_conserved(stats)
             assert stats.remaining >= 0
 
     def test_alive_devices_account_every_second(self):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.5)
-        result = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(3), seed=0)
+        result = run(cfgs, horizon=days(3), seed=0)
         for stats in result.devices:
             assert stats.depletion_day is None
             total = stats.idle_seconds + stats.client_seconds + stats.go_seconds
@@ -237,7 +185,7 @@ class TestEnergyAccounting:
 
     def test_go_time_fraction_definition(self):
         cfgs = two_device_configs(DefenseMode.STANDARD)
-        result = run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(3), seed=0)
+        result = run(cfgs, horizon=days(3), seed=0)
         for stats in result.devices:
             total = stats.idle_seconds + stats.client_seconds + stats.go_seconds
             assert stats.go_time_fraction == pytest.approx(stats.go_seconds / total)
@@ -248,7 +196,7 @@ class TestEnergyAccounting:
                          battery_capacity=3600),
             DeviceConfig("peer", schedule=MINUTE_SCHEDULE, phase=180),
         ]
-        result = run(cfgs, mode=NegotiationMode.PROBE_COMMIT, horizon=days(1), seed=5)
+        result = run(cfgs, horizon=days(1), seed=5)
         frail = result.device("frail")
         # death strikes at the first second the current rate cannot fund,
         # so the residue is below the owner rate
@@ -262,23 +210,39 @@ class TestEnergyAccounting:
 
 
 class TestDepletionAnchors:
+    def test_depletion_instant_interpolates(self):
+        # owner from t=0 at 11 units/s: 9 whole seconds leave a residue of
+        # 1, so the reported instant is 100/11 s, not the 9 s boundary
+        cfgs = two_device_configs(DefenseMode.STANDARD)
+        cfgs[0] = DeviceConfig("victim", battery_capacity=100)
+        victim = run(cfgs, horizon=60, seed=0).device("victim")
+        assert (victim.go_seconds, victim.remaining) == (9, 1)
+        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(100 / 11)
+
+    def test_back_to_back_owner_groups(self):
+        # groups as long as the period keep the victim owner every second,
+        # so a 365-idle-day battery lasts 365/11 days
+        cfgs = [DeviceConfig("victim"),
+                DeviceConfig("attacker", schedule=Schedule(360, 360), phase=0,
+                             attack=AttackProfile(tbb_strength=1.0))]
+        victim = run(cfgs, horizon=days(34), seed=0).device("victim")
+        assert victim.idle_seconds == victim.client_seconds == 0
+        assert (victim.go_seconds, victim.remaining) == divmod(DEFAULT_CAPACITY, 11)
+        assert victim.depletion_day == pytest.approx(365 / 11)
+
     def test_forced_owner_baseline(self):
         # full-strength tie manipulation pins the victim as owner for one
         # minute in six; the closed-form depletion day is 136.875
         for seed in range(3):
             result = run(two_device_configs(DefenseMode.STANDARD),
-                         mode=NegotiationMode.STANDARD, horizon=days(150), seed=seed)
+                         horizon=days(150), seed=seed)
             assert result.device("victim").depletion_day == pytest.approx(136.875, abs=0.01)
 
     def test_defenses_outlast_standard(self):
         outcomes = {}
-        for defense, mode in [
-            (DefenseMode.STANDARD, NegotiationMode.STANDARD),
-            (DefenseMode.LEARNING, NegotiationMode.STANDARD),
-            (DefenseMode.COMMITMENT, NegotiationMode.PROBE_COMMIT),
-        ]:
+        for defense in (DefenseMode.STANDARD, DefenseMode.LEARNING, DefenseMode.COMMITMENT):
             result = run(two_device_configs(defense, tbb=0.5),
-                         mode=mode, horizon=days(400), seed=0)
+                         horizon=days(400), seed=0)
             stats = result.device("victim")
             outcomes[defense] = (400.0 if stats.depletion_day is None
                                  else stats.depletion_day)
@@ -287,7 +251,7 @@ class TestDepletionAnchors:
 
     def test_learning_rejects_persistent_attacker(self):
         result = run(two_device_configs(DefenseMode.LEARNING),
-                     mode=NegotiationMode.STANDARD, horizon=days(400), seed=0)
+                     horizon=days(400), seed=0)
         kinds = {row[1] for row in result.sessions}
         assert "rejected" in kinds
         victim = result.device("victim")
@@ -299,7 +263,7 @@ class TestDepletionAnchors:
 class TestPrematureQuits:
     def run_quitter(self, seed=0):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.0, r=1.0)
-        return run(cfgs, mode=NegotiationMode.STANDARD, horizon=days(30), seed=seed)
+        return run(cfgs, horizon=days(30), seed=seed)
 
     def test_quits_are_observed_by_victim(self):
         result = self.run_quitter()
@@ -330,7 +294,7 @@ class TestPrematureQuits:
 class TestSessionLog:
     def test_group_rows_carry_owner_and_rounds(self):
         result = run(two_device_configs(DefenseMode.STANDARD),
-                     mode=NegotiationMode.STANDARD, horizon=days(1), seed=0)
+                     horizon=days(1), seed=0)
         groups = [row for row in result.sessions if row[1] == "group"]
         assert groups
         for t, _, initiator, responder, owner, rounds, quits in groups:
@@ -341,12 +305,12 @@ class TestSessionLog:
 
     def test_timestamps_are_ordered(self):
         result = run(two_device_configs(DefenseMode.STANDARD, tbb=0.3, r=0.4),
-                     mode=NegotiationMode.STANDARD, horizon=days(5), seed=9)
+                     horizon=days(5), seed=9)
         times = [row[0] for row in result.sessions]
         assert times == sorted(times)
 
     def test_unknown_device_lookup_fails(self):
         result = run(two_device_configs(DefenseMode.STANDARD),
-                     mode=NegotiationMode.STANDARD, horizon=days(1), seed=0)
+                     horizon=days(1), seed=0)
         with pytest.raises(KeyError):
             result.device("nobody")
