@@ -335,7 +335,15 @@ class PeerProfile:
             if bucket.self_go_seconds > bucket.comm_seconds:
                 raise InvalidConfig(f"line {lineno}: owner seconds {bucket.self_go_seconds} "
                                     f"exceed session seconds {bucket.comm_seconds}")
-            target = profile._bucket_for(bucket.day)
+            for key, count in (("wins", bucket.self_go_wins),
+                               ("quits", bucket.peer_premature_quits)):
+                if count > bucket.negotiations:
+                    raise InvalidConfig(f"line {lineno}: {key} {count} "
+                                        f"exceed negotiations {bucket.negotiations}")
+            try:
+                target = profile._bucket_for(bucket.day)
+            except ClockRegression as exc:
+                raise InvalidConfig(f"line {lineno}: {exc}") from exc
             for name in _COUNTERS:
                 amount = getattr(bucket, name)
                 setattr(target, name, getattr(target, name) + amount)

@@ -35,10 +35,13 @@ from enum import Enum
 from .learning import (
     SECONDS_PER_DAY,
     FAIRNESS_THRESHOLD,
+    HistoryDepth,
     Ignorance,
     InvalidConfig,
     PeerProfile,
     assess,
+    history_depth,
+    peer_fairness,
     should_reject,
 )
 from .protocol import TieBreakerBit
@@ -249,10 +252,16 @@ class SimResult:
 
 
 # Event kinds, ordered so that at equal timestamps groups end before
-# deaths resolve and both precede new session ticks.
+# deaths resolve and both precede new session ticks.  An event is
+# ``(time, kind, seq, subject)``: ``seq`` is unique, so ``subject`` (the
+# device or group) never takes part in a comparison.
 _EV_GROUP_END = 0
 _EV_DEATH = 1
 _EV_TICK = 2
+
+# Roles inside the simulator, as indices into its rate table and each
+# device's role-seconds counters.
+_IDLE, _CLIENT, _GO = 0, 1, 2
 
 
 class _Group:
@@ -267,9 +276,8 @@ class _Group:
 
 class _Device:
     __slots__ = (
-        "index", "cfg", "id", "defense", "schedule", "attack",
-        "remaining", "capacity", "rate", "role", "last_update", "energy_version",
-        "idle_seconds", "client_seconds", "go_seconds",
+        "index", "cfg", "id", "uses_learning", "uses_commitment", "schedule", "attack",
+        "remaining", "capacity", "rate", "role", "last_update", "role_seconds",
         "alive", "depletion_time", "group",
         "profiles", "pair_start", "guard_cache", "flag_hold",
         "negotiations", "go_wins", "peer_quits_observed",
@@ -281,18 +289,16 @@ class _Device:
         self.index = index
         self.cfg = cfg
         self.id = cfg.device_id
-        self.defense = cfg.defense
+        self.uses_learning = cfg.defense.uses_learning
+        self.uses_commitment = cfg.defense.uses_commitment
         self.schedule = cfg.schedule
         self.attack = cfg.attack
         self.capacity = cfg.battery_capacity
         self.remaining = cfg.battery_capacity
         self.rate = 0
-        self.role = Role.IDLE
+        self.role = _IDLE
         self.last_update = 0
-        self.energy_version = 0
-        self.idle_seconds = 0
-        self.client_seconds = 0
-        self.go_seconds = 0
+        self.role_seconds = [0, 0, 0]   # indexed by role
         self.alive = True
         self.depletion_time: float | None = None
         self.group: _Group | None = None
@@ -326,26 +332,32 @@ def _declared_bit(dev: _Device, rng: random.Random) -> int:
 
 
 class _Simulator:
+    """One seeded run.
+
+    Group ends and ticks wait in a heap.  Deaths stay off it: ``deaths``
+    holds at most one pending death event per device, the one due before
+    its next known role change, so a role change replaces a death instead
+    of leaving a stale one behind.  A death event takes its ``seq`` from
+    the shared counter when it is scheduled, so events at one instant
+    resolve in scheduling order whichever store holds them.
+    """
+
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
                  energy: EnergyModel):
         self.horizon = horizon
         self.seed = seed
-        self.energy = energy
         self.rng = random.Random(seed)
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
         self.heap: list[tuple] = []
         self.seq = 0
-        self.groups: list[_Group] = []
+        self.deaths: dict[_Device, tuple] = {}
         self.sessions: list[tuple] = []
-        self.idle_rate = energy.rate_for(Role.IDLE)
-        self.client_rate = energy.rate_for(Role.CLIENT)
-        self.go_rate = energy.rate_for(Role.GO)
-        for dev in self.devices:
-            dev.rate = self.idle_rate
+        self.rates = (energy.rate_for(Role.IDLE), energy.rate_for(Role.CLIENT),
+                      energy.rate_for(Role.GO))
 
-    def _push(self, time: int, kind: int, a: int, b: int = 0) -> None:
+    def _push(self, time: int, kind: int, subject: _Device | _Group) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (time, kind, self.seq, a, b))
+        heapq.heappush(self.heap, (time, kind, self.seq, subject))
 
     def _advance(self, dev: _Device, now: int) -> None:
         dt = now - dev.last_update
@@ -354,43 +366,43 @@ class _Simulator:
         dev.remaining -= dev.rate * dt
         if dev.remaining < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={now}")
-        if dev.role is Role.IDLE:
-            dev.idle_seconds += dt
-        elif dev.role is Role.CLIENT:
-            dev.client_seconds += dt
-        else:
-            dev.go_seconds += dt
+        dev.role_seconds[dev.role] += dt
         dev.last_update = now
 
-    def _set_role(self, dev: _Device, now: int, role: Role, until: int | None = None) -> None:
+    def _set_role(self, dev: _Device, now: int, role: int, until: int | None = None) -> None:
         """Switch drain rate; schedule depletion if it can strike before
         ``until`` (the next known role change, default the horizon)."""
         self._advance(dev, now)
         dev.role = role
-        dev.rate = self.energy.rate_for(role)
-        dev.energy_version += 1
-        if dev.rate > 0:
-            die_at = now + dev.remaining // dev.rate
+        rate = dev.rate = self.rates[role]
+        if dev.alive and rate > 0:
+            die_at = now + dev.remaining // rate
             if die_at <= (self.horizon if until is None else until):
-                self._push(die_at, _EV_DEATH, dev.index, dev.energy_version)
+                self.seq += 1
+                self.deaths[dev] = (die_at, _EV_DEATH, self.seq, dev)
+                return
+        self.deaths.pop(dev, None)
 
     def _record_negotiation(self, dev: _Device, peer: _Device, t: int,
                             self_was_go: bool, peer_quit: bool) -> None:
-        prof = dev.profile(peer.id)
-        day = t // SECONDS_PER_DAY
-        prof.roll_to(day)
-        if prof.negotiations == 0:
-            dev.pair_start[peer.id] = t
-        prof.record_negotiation(day, self_was_go, peer_quit)
         dev.negotiations += 1
         if self_was_go:
             dev.go_wins += 1
         if peer_quit:
             dev.peer_quits_observed += 1
+        # only the learning guard reads peer profiles
+        if dev.uses_learning:
+            prof = dev.profile(peer.id)
+            day = t // SECONDS_PER_DAY
+            prof.roll_to(day)
+            if prof.negotiations == 0:
+                dev.pair_start[peer.id] = t
+            prof.record_negotiation(day, self_was_go, peer_quit)
 
     def _record_group_time(self, dev: _Device, peer: _Device, t: int,
                            go_seconds: int, comm_seconds: int) -> None:
-        dev.profile(peer.id).record_group_time(t // SECONDS_PER_DAY, go_seconds, comm_seconds)
+        if dev.uses_learning:
+            dev.profile(peer.id).record_group_time(t // SECONDS_PER_DAY, go_seconds, comm_seconds)
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
@@ -409,18 +421,25 @@ class _Simulator:
         if cached is not None and cached[0] == prof.version:
             result = cached[1]
         else:
-            assessment = assess(prof)
-            if assessment.ignorance is Ignorance.HIGH or not should_reject(assessment):
+            # high ignorance, or an owner-time share at or below the
+            # fairness threshold, rules rejection out whatever the
+            # posterior says, so the classifier runs only otherwise
+            if (history_depth(n) is HistoryDepth.INSUFFICIENT
+                    or peer_fairness(prof) <= FAIRNESS_THRESHOLD):
                 result = False
             else:
-                pf = assessment.peer_fairness
-                if assessment.ignorance is Ignorance.LOW:
-                    z = GUARD_Z_AMPLE
-                elif n < SPARSE_WINDOW_NEGOTIATIONS:
-                    z = GUARD_Z_SPARSE
+                assessment = assess(prof)
+                if not should_reject(assessment):
+                    result = False
                 else:
-                    z = GUARD_Z_LIMITED
-                result = pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD
+                    pf = assessment.peer_fairness
+                    if assessment.ignorance is Ignorance.LOW:
+                        z = GUARD_Z_AMPLE
+                    elif n < SPARSE_WINDOW_NEGOTIATIONS:
+                        z = GUARD_Z_SPARSE
+                    else:
+                        z = GUARD_Z_LIMITED
+                    result = pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD
             dev.guard_cache[peer.id] = (prof.version, result)
         if result:
             dev.flag_hold[peer.id] = now + FLAG_HOLD_SECONDS
@@ -431,25 +450,25 @@ class _Simulator:
             return
         nxt = t + dev.schedule.period
         if nxt < self.horizon:
-            self._push(nxt, _EV_TICK, dev.index)
+            self._push(nxt, _EV_TICK, dev)
         if dev.group is not None:
             dev.skips_busy += 1
             return
-        candidates = [d for d in self.devices if d is not dev]
-        if not candidates:
-            return
-        if len(candidates) == 1:
-            peer = candidates[0]
+        # a uniform pick among the other devices, skipping this one
+        devices = self.devices
+        if len(devices) == 2:
+            peer = devices[1 - dev.index]
         else:
-            peer = candidates[self.rng.randrange(len(candidates))]
-        if dev.defense.uses_learning and self._rejects(dev, peer, t):
+            i = self.rng.randrange(len(devices) - 1)
+            peer = devices[i + 1 if i >= dev.index else i]
+        if dev.uses_learning and self._rejects(dev, peer, t):
             dev.initiations_avoided += 1
             self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
             return
         if peer.group is not None or not peer.alive:
             dev.skips_busy += 1
             return
-        if peer.defense.uses_learning and self._rejects(peer, dev, t):
+        if peer.uses_learning and self._rejects(peer, dev, t):
             # a refused requester restarts the hold clock; only staying
             # away for a full window span earns a clean slate
             peer.flag_hold[dev.id] = t + FLAG_HOLD_SECONDS
@@ -459,7 +478,7 @@ class _Simulator:
         self._session(t, dev, peer)
 
     def _session(self, t: int, initiator: _Device, responder: _Device) -> None:
-        committed = initiator.defense.uses_commitment or responder.defense.uses_commitment
+        committed = initiator.uses_commitment or responder.uses_commitment
         rng = self.rng
         rounds = 0
         quits = 0
@@ -481,7 +500,7 @@ class _Simulator:
             owner.go_assignments += 1
             # a defending device re-checks the peer each time it is
             # assigned the owner role
-            if owner.defense.uses_learning and self._rejects(owner, member, t):
+            if owner.uses_learning and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
                 return
@@ -504,10 +523,9 @@ class _Simulator:
                 group = _Group(owner, member, t)
                 owner.group = group
                 member.group = group
-                self._set_role(owner, t, Role.GO, until=end)
-                self._set_role(member, t, Role.CLIENT, until=end)
-                self.groups.append(group)
-                self._push(end, _EV_GROUP_END, len(self.groups) - 1)
+                self._set_role(owner, t, _GO, until=end)
+                self._set_role(member, t, _CLIENT, until=end)
+                self._push(end, _EV_GROUP_END, group)
             self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
             return
 
@@ -518,20 +536,17 @@ class _Simulator:
         duration = t - group.start
         for dev in (group.go, group.client):
             dev.group = None
-            self._set_role(dev, t, Role.IDLE)
+            self._set_role(dev, t, _IDLE)
         if duration > 0:
             self._record_group_time(group.go, group.client, t, duration, duration)
             self._record_group_time(group.client, group.go, t, 0, duration)
 
-    def _death(self, t: int, dev: _Device, version: int) -> None:
-        if not dev.alive or version != dev.energy_version:
-            return
+    def _death(self, t: int, dev: _Device) -> None:
+        # the pending death is always current: the battery cannot fund
+        # the coming second
         self._advance(dev, t)
-        if dev.remaining >= dev.rate:
-            return
         dev.alive = False
-        dev.energy_version += 1
-        dev.depletion_time = t + (dev.remaining / dev.rate if dev.rate > 0 else 0.0)
+        dev.depletion_time = t + dev.remaining / dev.rate
         group = dev.group
         if group is not None:
             self._end_group(t, group)
@@ -540,39 +555,49 @@ class _Simulator:
         for dev in self.devices:
             # seed the idle-drain death event so even a silent device
             # depletes on schedule
-            self._set_role(dev, 0, Role.IDLE)
+            self._set_role(dev, 0, _IDLE)
             if dev.schedule is not None:
                 phase = dev.cfg.phase
                 if phase is None:
                     phase = self.rng.randrange(dev.schedule.period)
                 if phase < self.horizon:
-                    self._push(phase, _EV_TICK, dev.index)
+                    self._push(phase, _EV_TICK, dev)
         heap = self.heap
-        while heap:
-            t, kind, _seq, a, b = heapq.heappop(heap)
+        deaths = self.deaths
+        pop = heapq.heappop
+        while True:
+            death = min(deaths.values()) if deaths else None
+            if heap and (death is None or heap[0] < death):
+                t, kind, _seq, subject = pop(heap)
+            elif death is not None:
+                t, kind, _seq, subject = death
+                del deaths[subject]
+            else:
+                break
             if t > self.horizon:
                 break
             if kind == _EV_TICK:
-                self._tick(t, self.devices[a])
+                self._tick(t, subject)
             elif kind == _EV_GROUP_END:
-                self._end_group(t, self.groups[a])
+                self._end_group(t, subject)
             else:
-                self._death(t, self.devices[a], b)
+                self._death(t, subject)
         stats = []
         for dev in self.devices:
             if dev.alive:
                 self._advance(dev, self.horizon)
-            accounted = dev.idle_seconds + dev.client_seconds + dev.go_seconds
+            idle_seconds, client_seconds, go_seconds = dev.role_seconds
+            accounted = idle_seconds + client_seconds + go_seconds
             stats.append(DeviceStats(
                 device_id=dev.id,
                 battery_capacity=dev.capacity,
                 remaining=dev.remaining,
                 depletion_day=(None if dev.depletion_time is None
                                else dev.depletion_time / SECONDS_PER_DAY),
-                idle_seconds=dev.idle_seconds,
-                client_seconds=dev.client_seconds,
-                go_seconds=dev.go_seconds,
-                go_time_fraction=(dev.go_seconds / accounted if accounted else 0.0),
+                idle_seconds=idle_seconds,
+                client_seconds=client_seconds,
+                go_seconds=go_seconds,
+                go_time_fraction=(go_seconds / accounted if accounted else 0.0),
                 negotiations=dev.negotiations,
                 go_wins=dev.go_wins,
                 peer_quits_observed=dev.peer_quits_observed,

@@ -3,9 +3,14 @@
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wfdsim
 from wfdsim.cli import (
     ExperimentConfig,
     PRESET_NAMES,
@@ -329,3 +334,13 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             main(["--experiment", "var_nonsense"])
         assert err.value.code == 2
+
+    def test_module_form_runs_quietly(self):
+        env = dict(os.environ)
+        src = str(Path(wfdsim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "wfdsim", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "--experiment" in proc.stdout

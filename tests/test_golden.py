@@ -4,12 +4,13 @@ The determinism tests elsewhere only check that a run matches itself, so
 a change that moved every result the same way would pass them.  These
 pins catch it: SHA-256 of ``SimResult.to_json()`` for short runs that
 cover each defense mode, a quit-and-retry attacker, a ten-device hour
-population, a battery that dies mid-group and back-to-back owner groups,
-plus the ``emit_csv`` bytes of every preset at two seeds.  The preset
-horizons are short, so their victims outlive them and the CSV pins cover
-the sweep plumbing and the CSV format (presets of the same shape share a
-pin); the run pins cover behaviour.  A change meant to alter results
-updates the pins in the same commit and says why in CHANGES.md.
+population, a battery that dies mid-group, back-to-back owner groups and
+two deaths in the same second, plus the ``emit_csv`` bytes of every preset
+at two seeds.  The preset horizons are short, so their victims outlive
+them and the CSV pins cover the sweep plumbing and the CSV format (presets
+of the same shape share a pin); the run pins cover behaviour.  A change
+meant to alter results updates the pins in the same commit and says why in
+CHANGES.md.
 """
 
 import dataclasses
@@ -48,22 +49,35 @@ def crowd():
                for i in range(6)])
 
 
-# name -> (devices, horizon in days, seed)
+DAY = SECONDS_PER_DAY
+
+# Both batteries run out in second 10 of an owner/client group.  The
+# owner's death was scheduled first, so it resolves first: it ends the
+# group, the client drops to idle rate and lives one more second.  Had the
+# client's death resolved first, the client would read 10.5 s.
+SAME_SECOND_DEATHS = [
+    DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
+                 attack=AttackProfile(tbb_strength=1.0), battery_capacity=21),
+    DeviceConfig("owner", battery_capacity=115),
+]
+
+# name -> (devices, horizon in seconds, seed)
 RUNS = {
-    "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3, 1),
-    "learning": (pair(L, tbb_strength=0.8, r_strength=0.2), 3, 2),
-    "commitment": (pair(C, tbb_strength=0.8, r_strength=0.2), 3, 3),
-    "learning_commitment": (pair(LC, tbb_strength=0.8, r_strength=0.2), 3, 4),
-    "quit_and_retry": (pair(S, r_strength=1.0, retry_cap=2), 3, 5),
-    "hour_crowd": (crowd(), 40, 6),
+    "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 1),
+    "learning": (pair(L, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 2),
+    "commitment": (pair(C, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 3),
+    "learning_commitment": (pair(LC, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 4),
+    "quit_and_retry": (pair(S, r_strength=1.0, retry_cap=2), 3 * DAY, 5),
+    "hour_crowd": (crowd(), 40 * DAY, 6),
     # dies five seconds into an owner role, mid-group
     "tiny_battery": ([DeviceConfig("frail", schedule=MINUTE_SCHEDULE, phase=0,
                                    battery_capacity=3600),
-                      DeviceConfig("peer", schedule=MINUTE_SCHEDULE, phase=180)], 1, 7),
+                      DeviceConfig("peer", schedule=MINUTE_SCHEDULE, phase=180)], DAY, 7),
     # owner from the first second to death at 365/11 days
     "back_to_back_owner": ([DeviceConfig("victim"),
                             DeviceConfig("attacker", schedule=Schedule(360, 360), phase=0,
-                                         attack=AttackProfile(tbb_strength=1.0))], 34, 8),
+                                         attack=AttackProfile(tbb_strength=1.0))], 34 * DAY, 8),
+    "same_second_deaths": (SAME_SECOND_DEATHS, 200, 9),
 }
 
 RUN_DIGESTS = {
@@ -75,6 +89,7 @@ RUN_DIGESTS = {
     "hour_crowd": "b760aeb994a00c571060f52304a916d984d639344b64f73f3cd4e046beea3259",
     "tiny_battery": "8c373489d22b370267509f0481a0100f7ff7a6c94308a1773eb242646aee9d79",
     "back_to_back_owner": "cca04ddc95be0c1e4aee5bce7f8620076eecb3923983ca7706bd77a664838f57",
+    "same_second_deaths": "640b1f5574aaaad36dc6b97241d6531ef210cc8dd4484795c10c396c1fd2524b",
 }
 
 PRESET_HORIZON_DAYS = 2
@@ -88,8 +103,8 @@ CSV_DIGESTS = {
 
 
 def run_digest(name: str) -> str:
-    devices, horizon_days, seed = RUNS[name]
-    result = run(devices, horizon=horizon_days * SECONDS_PER_DAY, seed=seed)
+    devices, horizon, seed = RUNS[name]
+    result = run(devices, horizon=horizon, seed=seed)
     return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
@@ -106,6 +121,15 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_json_digest(name):
     assert run_digest(name) == RUN_DIGESTS[name]
+
+
+def test_same_second_deaths_resolve_in_scheduling_order():
+    result = run(SAME_SECOND_DEATHS, horizon=200, seed=9)
+    client, owner = result.device("client"), result.device("owner")
+    assert owner.depletion_day * DAY == pytest.approx(10 + 5 / 11)
+    assert (owner.go_seconds, owner.remaining) == (10, 5)
+    assert client.depletion_day * DAY == pytest.approx(11.0)
+    assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 1, 0)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -279,6 +279,15 @@ class TestLogRoundtrip:
                                          "day=0 negotiations=-5 go_seconds=-10 comm_seconds=4")
         with pytest.raises(InvalidConfig, match="line 1: owner seconds 5 exceed session seconds 4"):
             PeerProfile.from_log("peer", "day=0 negotiations=1 go_seconds=5 comm_seconds=4")
+        with pytest.raises(InvalidConfig, match="line 1: wins 5 exceed negotiations 1"):
+            PeerProfile.from_log("peer", "day=0 negotiations=1 wins=5")
+        with pytest.raises(InvalidConfig, match="line 2: quits 3 exceed negotiations 2"):
+            PeerProfile.from_log("peer", "day=0 negotiations=1 quits=1\n"
+                                         "day=0 negotiations=2 quits=3")
+
+    def test_import_rejects_days_out_of_order(self):
+        with pytest.raises(InvalidConfig, match="line 2: day 1 precedes current day 5"):
+            PeerProfile.from_log("peer", "day=5 negotiations=1\nday=1 negotiations=1")
 
 
 class TestAssessment:
