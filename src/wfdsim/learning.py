@@ -255,6 +255,8 @@ class PeerProfile:
 
     def roll_to(self, day: int) -> None:
         """Advance the window clock, expiring buckets older than 30 days."""
+        if day == self.current_day:
+            return   # buckets start at or after current_day: none can expire
         if day < self.current_day:
             raise ClockRegression(f"day {day} precedes current day {self.current_day}")
         self.current_day = day

@@ -178,6 +178,9 @@ class QuitDecision(Enum):
     QUIT_AND_STOP = "quit_and_stop"
 
 
+_TIE_BITS = (TieBreakerBit(0), TieBreakerBit(1))
+
+
 def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> TieBreakerBit:
     """Tie bit an attacker declares: the one making the peer owner, or fair.
 
@@ -186,8 +189,8 @@ def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> TieBreake
     choice is XORed with an independent honest bit and loses all bias.
     """
     if rng.random() < profile.tbb_strength:
-        return TieBreakerBit(0)
-    return TieBreakerBit(rng.getrandbits(1))
+        return _TIE_BITS[0]
+    return _TIE_BITS[rng.getrandbits(1)]
 
 
 def attacker_maybe_quit(profile: AttackProfile, retries_so_far: int,
@@ -323,12 +326,13 @@ class _Device:
             prof = self.profiles[peer_id] = PeerProfile(peer_id)
         return prof
 
-
-def _declared_bit(dev: _Device, rng: random.Random) -> int:
-    """Tie bit ``dev`` declares: its attack profile's choice, else fair."""
-    if dev.attack is not None:
-        return attacker_choose_tbb(dev.attack, rng)
-    return rng.getrandbits(1)
+    def learn_negotiation(self, peer_id: str, t: int, self_was_go: bool,
+                          peer_quit: bool) -> None:
+        prof = self.profile(peer_id)
+        prof.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
+        if prof.negotiations == 1:
+            # the window was empty: the pair's age starts again now
+            self.pair_start[peer_id] = t
 
 
 class _Simulator:
@@ -339,7 +343,13 @@ class _Simulator:
     its next known role change, so a role change replaces a death instead
     of leaving a stale one behind.  A death event takes its ``seq`` from
     the shared counter when it is scheduled, so events at one instant
-    resolve in scheduling order whichever store holds them.
+    resolve in scheduling order whichever store holds them.  The loop
+    keeps the earliest pending death, recomputed only after ``deaths`` changed.
+
+    A death that leaves one device alive, and not learning, decides the
+    run: its remaining ticks can only count as busy, so ``_finish_alone``
+    counts them, resolves its pending death and ends the loop.  A learning
+    survivor stays on the loop, as its guard still avoids a flagged dead peer.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -351,13 +361,10 @@ class _Simulator:
         self.heap: list[tuple] = []
         self.seq = 0
         self.deaths: dict[_Device, tuple] = {}
+        self.deaths_changed = True
         self.sessions: list[tuple] = []
         self.rates = (energy.rate_for(Role.IDLE), energy.rate_for(Role.CLIENT),
                       energy.rate_for(Role.GO))
-
-    def _push(self, time: int, kind: int, subject: _Device | _Group) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time, kind, self.seq, subject))
 
     def _advance(self, dev: _Device, now: int) -> None:
         dt = now - dev.last_update
@@ -380,29 +387,24 @@ class _Simulator:
             if die_at <= (self.horizon if until is None else until):
                 self.seq += 1
                 self.deaths[dev] = (die_at, _EV_DEATH, self.seq, dev)
+                self.deaths_changed = True
                 return
-        self.deaths.pop(dev, None)
+        if self.deaths.pop(dev, None) is not None:
+            self.deaths_changed = True
 
-    def _record_negotiation(self, dev: _Device, peer: _Device, t: int,
-                            self_was_go: bool, peer_quit: bool) -> None:
-        dev.negotiations += 1
-        if self_was_go:
-            dev.go_wins += 1
-        if peer_quit:
-            dev.peer_quits_observed += 1
+    def _record_negotiation(self, owner: _Device, member: _Device, t: int,
+                            owner_quit: bool) -> None:
+        """Count one negotiation that made ``owner`` the group owner."""
+        owner.negotiations += 1
+        owner.go_wins += 1
+        member.negotiations += 1
+        if owner_quit:
+            member.peer_quits_observed += 1
         # only the learning guard reads peer profiles
-        if dev.uses_learning:
-            prof = dev.profile(peer.id)
-            day = t // SECONDS_PER_DAY
-            prof.roll_to(day)
-            if prof.negotiations == 0:
-                dev.pair_start[peer.id] = t
-            prof.record_negotiation(day, self_was_go, peer_quit)
-
-    def _record_group_time(self, dev: _Device, peer: _Device, t: int,
-                           go_seconds: int, comm_seconds: int) -> None:
-        if dev.uses_learning:
-            dev.profile(peer.id).record_group_time(t // SECONDS_PER_DAY, go_seconds, comm_seconds)
+        if owner.uses_learning:
+            owner.learn_negotiation(member.id, t, True, False)
+        if member.uses_learning:
+            member.learn_negotiation(owner.id, t, False, owner_quit)
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
@@ -450,7 +452,8 @@ class _Simulator:
             return
         nxt = t + dev.schedule.period
         if nxt < self.horizon:
-            self._push(nxt, _EV_TICK, dev)
+            self.seq += 1
+            heapq.heappush(self.heap, (nxt, _EV_TICK, self.seq, dev))
         if dev.group is not None:
             dev.skips_busy += 1
             return
@@ -487,10 +490,13 @@ class _Simulator:
             rounds += 1
             # intent values tie at zero, so the tie bit decides ownership:
             # the initiator's declared bit alone, or under commitments the
-            # XOR of both parties' committed bits
-            bit = _declared_bit(initiator, rng)
+            # XOR of both parties' committed bits; an attacker declares
+            # its attack profile's choice, anyone else a fair bit
+            attack = initiator.attack
+            bit = rng.getrandbits(1) if attack is None else attacker_choose_tbb(attack, rng)
             if committed:
-                bit ^= _declared_bit(responder, rng)
+                attack = responder.attack
+                bit ^= rng.getrandbits(1) if attack is None else attacker_choose_tbb(attack, rng)
             if bit:
                 owner, member = initiator, responder
             else:
@@ -508,24 +514,21 @@ class _Simulator:
                 decision = attacker_maybe_quit(owner.attack, retries, rng)
                 if decision is not QuitDecision.ACCEPT:
                     quits += 1
-                    self._record_negotiation(owner, member, t, True, False)
-                    self._record_negotiation(member, owner, t, False, True)
+                    self._record_negotiation(owner, member, t, True)
                     if decision is QuitDecision.QUIT_AND_RETRY:
                         retries += 1
                         continue
                     initiator.sessions_exhausted += 1
                     self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
                     return
-            self._record_negotiation(owner, member, t, True, False)
-            self._record_negotiation(member, owner, t, False, False)
+            self._record_negotiation(owner, member, t, False)
             end = min(t + initiator.schedule.group_duration, self.horizon)
             if end > t:
-                group = _Group(owner, member, t)
-                owner.group = group
-                member.group = group
+                group = owner.group = member.group = _Group(owner, member, t)
                 self._set_role(owner, t, _GO, until=end)
                 self._set_role(member, t, _CLIENT, until=end)
-                self._push(end, _EV_GROUP_END, group)
+                self.seq += 1
+                heapq.heappush(self.heap, (end, _EV_GROUP_END, self.seq, group))
             self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
             return
 
@@ -533,13 +536,17 @@ class _Simulator:
         if not group.active:
             return
         group.active = False
+        go, client = group.go, group.client
+        go.group = client.group = None
+        self._set_role(go, t, _IDLE)
+        self._set_role(client, t, _IDLE)
         duration = t - group.start
-        for dev in (group.go, group.client):
-            dev.group = None
-            self._set_role(dev, t, _IDLE)
         if duration > 0:
-            self._record_group_time(group.go, group.client, t, duration, duration)
-            self._record_group_time(group.client, group.go, t, 0, duration)
+            day = t // SECONDS_PER_DAY
+            if go.uses_learning:
+                go.profile(client.id).record_group_time(day, duration, duration)
+            if client.uses_learning:
+                client.profile(go.id).record_group_time(day, 0, duration)
 
     def _death(self, t: int, dev: _Device) -> None:
         # the pending death is always current: the battery cannot fund
@@ -551,6 +558,17 @@ class _Simulator:
         if group is not None:
             self._end_group(t, group)
 
+    def _finish_alone(self, dev: _Device) -> None:
+        """Count the busy ticks of ``dev``, the one device left alive, and
+        resolve its pending death."""
+        death = self.deaths.pop(dev, None)
+        end = self.horizon if death is None else death[0]
+        for t, _kind, _seq, subject in self.heap:
+            if subject is dev:   # its one pending tick
+                dev.skips_busy += len(range(t, end, dev.schedule.period))
+        if death is not None:
+            self._death(end, dev)
+
     def run(self) -> SimResult:
         for dev in self.devices:
             # seed the idle-drain death event so even a silent device
@@ -561,17 +579,22 @@ class _Simulator:
                 if phase is None:
                     phase = self.rng.randrange(dev.schedule.period)
                 if phase < self.horizon:
-                    self._push(phase, _EV_TICK, dev)
+                    self.seq += 1
+                    heapq.heappush(self.heap, (phase, _EV_TICK, self.seq, dev))
         heap = self.heap
         deaths = self.deaths
         pop = heapq.heappop
+        death = None
         while True:
-            death = min(deaths.values()) if deaths else None
+            if self.deaths_changed:
+                self.deaths_changed = False
+                death = min(deaths.values()) if deaths else None
             if heap and (death is None or heap[0] < death):
                 t, kind, _seq, subject = pop(heap)
             elif death is not None:
                 t, kind, _seq, subject = death
                 del deaths[subject]
+                self.deaths_changed = True
             else:
                 break
             if t > self.horizon:
@@ -582,6 +605,10 @@ class _Simulator:
                 self._end_group(t, subject)
             else:
                 self._death(t, subject)
+                alive = [dev for dev in self.devices if dev.alive]
+                if len(alive) == 1 and not alive[0].uses_learning:
+                    self._finish_alone(alive[0])
+                    break
         stats = []
         for dev in self.devices:
             if dev.alive:

@@ -4,13 +4,14 @@ The determinism tests elsewhere only check that a run matches itself, so
 a change that moved every result the same way would pass them.  These
 pins catch it: SHA-256 of ``SimResult.to_json()`` for short runs that
 cover each defense mode, a quit-and-retry attacker, a ten-device hour
-population, a battery that dies mid-group, back-to-back owner groups and
-two deaths in the same second, plus the ``emit_csv`` bytes of every preset
-at two seeds.  The preset horizons are short, so their victims outlive
-them and the CSV pins cover the sweep plumbing and the CSV format (presets
-of the same shape share a pin); the run pins cover behaviour.  A change
-meant to alter results updates the pins in the same commit and says why in
-CHANGES.md.
+population, a battery that dies mid-group, back-to-back owner groups, two
+deaths in the same second and the ticks of a last live device (alone with
+no peer to reach, or still avoiding a dead one it flagged), plus the
+``emit_csv`` bytes of every preset at two seeds.  The preset horizons are
+short, so their victims outlive them and the CSV pins cover the sweep
+plumbing and the CSV format (presets of the same shape share a pin); the
+run pins cover behaviour.  A change meant to alter results updates the
+pins in the same commit and says why in CHANGES.md.
 """
 
 import dataclasses
@@ -61,6 +62,28 @@ SAME_SECOND_DEATHS = [
     DeviceConfig("owner", battery_capacity=115),
 ]
 
+# The last device alive keeps ticking.  Without learning every tick only
+# counts as busy: the attacker outlives its victim by days, and the
+# commitment device, one of four, draws a peer on every tick.  With
+# learning it keeps avoiding the attacker it flagged after both others die.
+LONE_ATTACKER = [
+    DeviceConfig("victim", battery_capacity=DAY // 2),
+    DeviceConfig("attacker", schedule=MINUTE_SCHEDULE, attack=AttackProfile(tbb_strength=1.0),
+                 battery_capacity=3 * DAY),
+]
+LAST_OF_FOUR = [
+    DeviceConfig("a", schedule=Schedule(600, 300), battery_capacity=DAY // 2),
+    DeviceConfig("b", schedule=Schedule(900, 120), battery_capacity=DAY // 3),
+    DeviceConfig("c", attack=AttackProfile(r_strength=0.5), battery_capacity=DAY // 4),
+    DeviceConfig("d", defense=C, schedule=MINUTE_SCHEDULE),
+]
+LEARNING_SURVIVOR = [
+    DeviceConfig("victim", defense=L, schedule=MINUTE_SCHEDULE),
+    DeviceConfig("attacker", schedule=MINUTE_SCHEDULE, attack=AttackProfile(tbb_strength=1.0),
+                 battery_capacity=2 * DAY),
+    DeviceConfig("bystander", battery_capacity=DAY),
+]
+
 # name -> (devices, horizon in seconds, seed)
 RUNS = {
     "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 1),
@@ -78,6 +101,9 @@ RUNS = {
                             DeviceConfig("attacker", schedule=Schedule(360, 360), phase=0,
                                          attack=AttackProfile(tbb_strength=1.0))], 34 * DAY, 8),
     "same_second_deaths": (SAME_SECOND_DEATHS, 200, 9),
+    "lone_attacker": (LONE_ATTACKER, 5 * DAY, 10),
+    "last_of_four": (LAST_OF_FOUR, 3 * DAY, 11),
+    "learning_survivor": (LEARNING_SURVIVOR, 6 * DAY, 12),
 }
 
 RUN_DIGESTS = {
@@ -90,6 +116,9 @@ RUN_DIGESTS = {
     "tiny_battery": "8c373489d22b370267509f0481a0100f7ff7a6c94308a1773eb242646aee9d79",
     "back_to_back_owner": "cca04ddc95be0c1e4aee5bce7f8620076eecb3923983ca7706bd77a664838f57",
     "same_second_deaths": "640b1f5574aaaad36dc6b97241d6531ef210cc8dd4484795c10c396c1fd2524b",
+    "lone_attacker": "be62274d6f8c188c2ab2bed324f5a83dd9f676e4609a0e4759af503b175d2f3d",
+    "last_of_four": "6be1437e33a55c0e1e4d787e30d2c24d77e5d4ce44644edcfdcc3b16f7b43822",
+    "learning_survivor": "93e350e5d78c55ab0051cd97d07296e247d4ed2986b123e804be21a40b3cee97",
 }
 
 PRESET_HORIZON_DAYS = 2
@@ -130,6 +159,18 @@ def test_same_second_deaths_resolve_in_scheduling_order():
     assert (owner.go_seconds, owner.remaining) == (10, 5)
     assert client.depletion_day * DAY == pytest.approx(11.0)
     assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 1, 0)
+
+
+def test_survivors_outlive_their_peers():
+    lone = run(LONE_ATTACKER, horizon=5 * DAY, seed=10)
+    assert lone.device("victim").depletion_day < 1
+    assert lone.device("attacker").depletion_day > 2
+    last = run(LAST_OF_FOUR, horizon=3 * DAY, seed=11)
+    assert max(last.device(i).depletion_day for i in "abc") < 1
+    assert last.device("d").depletion_day is None
+    learner = run(LEARNING_SURVIVOR, horizon=6 * DAY, seed=12)
+    last_death = max(learner.device(i).depletion_day for i in ("attacker", "bystander")) * DAY
+    assert any(t > last_death and kind == "avoided" for t, kind, *_ in learner.sessions)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

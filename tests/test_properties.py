@@ -1,4 +1,4 @@
-"""Simulator invariants checked on generated populations (Hypothesis).
+"""Simulator and peer-profile invariants on generated inputs (Hypothesis).
 
 Each example is a population of two to six devices with every defense and
 attack mix, schedules that include back-to-back groups
@@ -13,7 +13,16 @@ ten-hour pair age.  For every run:
   instants gives every device's owner and client seconds, so what one side
   of a pair spent as owner the other spent as client;
 * no device is ever in two groups at once;
-* session times never decrease.
+* session times never decrease;
+* every schedule instant a device lived to see is one tick: it either
+  counts as busy or starts a session the device initiated.
+
+Peer profiles take generated sequences of negotiation records, group-time
+records and clock rolls.  After each step the running totals equal the sum
+of the retained buckets, the exported log reads back as the same window,
+``version`` has risen exactly when the window changed, a roll to the
+current day changes nothing and a roll back in time raises
+``ClockRegression``.
 """
 
 import math
@@ -23,7 +32,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wfdsim.learning import SECONDS_PER_DAY  # noqa: E402
+from wfdsim.learning import (  # noqa: E402
+    SECONDS_PER_DAY,
+    WINDOW_DAYS,
+    ClockRegression,
+    PeerProfile,
+)
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
     DEFAULT_ENERGY,
@@ -115,3 +129,92 @@ def test_simulator_invariants(scenario):
         assert stats.client_seconds == client_seconds[device_id]
         ordered = sorted(spans[device_id])
         assert all(end <= start for (_, end), (start, _) in zip(ordered, ordered[1:]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_tick_ledger(scenario):
+    devices, horizon, seed, energy = scenario
+    result = run(devices, horizon=horizon, seed=seed, energy=energy)
+    for cfg in devices:
+        if cfg.schedule is None:
+            continue
+        stats = result.device(cfg.device_id)
+        initiated = sum(1 for session in result.sessions if session[2] == cfg.device_id)
+        ticks = stats.skips_busy + initiated
+        period = cfg.schedule.period
+        dead = stats.depletion_day is not None
+        end = death_second(stats) if dead else horizon
+        if cfg.phase is None:
+            # the drawn phase is unknown: the instants below ``end`` number
+            # ``end // period`` or one more
+            low, high = end // period, -(-end // period)
+        else:
+            low = high = len(range(cfg.phase, end, period))
+        # a group the device joins in the second it dies can kill it after
+        # that second's tick has run
+        if dead and any(t == end and kind == "group" and cfg.device_id in (initiator, responder)
+                        for t, kind, initiator, responder, *_ in result.sessions):
+            high += 1
+        assert low <= ticks <= high, (cfg, stats)
+
+
+COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits",
+            "self_go_seconds", "comm_seconds")
+
+day_steps = (st.sampled_from((0, 1, WINDOW_DAYS - 1, WINDOW_DAYS, WINDOW_DAYS + 1))
+             | st.integers(0, 45))
+
+profile_steps = st.lists(st.one_of(
+    st.tuples(st.just("negotiation"), day_steps, st.booleans(), st.booleans()),
+    st.tuples(st.just("group_time"), day_steps,
+              st.integers(0, 3600).flatmap(lambda comm: st.tuples(st.integers(0, comm),
+                                                                  st.just(comm)))),
+    st.tuples(st.just("roll"), day_steps),
+    st.tuples(st.just("regress"), st.integers(1, 40)),
+), max_size=60)
+
+
+def window(profile):
+    return profile.buckets(), tuple(getattr(profile, name) for name in COUNTERS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(profile_steps)
+def test_peer_profile_window(steps):
+    profile = PeerProfile("peer")
+    for kind, *args in steps:
+        before, version = window(profile), profile.version
+        if kind == "regress":
+            if args[0] > profile.current_day:
+                continue
+            with pytest.raises(ClockRegression):
+                profile.roll_to(profile.current_day - args[0])
+            with pytest.raises(ClockRegression):
+                profile.record_negotiation(profile.current_day - args[0], True, False)
+            assert (window(profile), profile.version) == (before, version)
+            continue
+        day = profile.current_day + args[0]
+        if kind == "negotiation":
+            profile.record_negotiation(day, *args[1:])
+            assert profile.version > version
+        elif kind == "group_time":
+            profile.record_group_time(day, *args[1])
+            assert profile.version > version
+        else:
+            profile.roll_to(day)
+            # only an expiry changes the window, and every expiry moves the version
+            expired = window(profile) != before
+            assert profile.version > version if expired else profile.version == version
+
+        buckets, totals = window(profile)
+        assert profile.current_day == day
+        assert all(day - WINDOW_DAYS < b.day <= day for b in buckets)
+        assert totals == tuple(sum(getattr(b, name) for b in buckets) for name in COUNTERS)
+
+        copy = PeerProfile.from_log("peer", profile.export_log())
+        assert window(copy) == (buckets, totals)
+
+        version = profile.version
+        profile.roll_to(day)
+        assert (window(profile), profile.version) == ((buckets, totals), version)
