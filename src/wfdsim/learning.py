@@ -19,6 +19,7 @@ fairness bound.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -176,6 +177,8 @@ class Cpt:
                     raise InvalidConfig(f"{depth.name}/{disposition.name}: need one entry per band")
                 if any(p < 0.0 for p in row):
                     raise InvalidConfig(f"{depth.name}/{disposition.name}: negative probability")
+                if not all(map(math.isfinite, row)):
+                    raise InvalidConfig(f"{depth.name}/{disposition.name}: non-finite probability")
                 if abs(sum(row) - 1.0) > _ROW_SUM_TOLERANCE:
                     raise InvalidConfig(f"{depth.name}/{disposition.name}: row sums to {sum(row)!r}")
 
@@ -198,8 +201,8 @@ def posterior(
     """
     if len(prior) != len(Disposition):
         raise DegenerateDistribution(f"prior needs {len(Disposition)} entries")
-    if any(p < 0.0 for p in prior) or sum(prior) <= 0.0:
-        raise DegenerateDistribution(f"prior must be non-negative with positive mass: {prior!r}")
+    if any(p < 0.0 for p in prior) or sum(prior) <= 0.0 or not all(map(math.isfinite, prior)):
+        raise DegenerateDistribution(f"prior must be finite, non-negative, with positive mass: {prior!r}")
     table = cpt.tables[features.depth]
     unnorm = []
     for disposition in Disposition:
@@ -461,6 +464,8 @@ def parse_classifier_config(text: str) -> tuple[Cpt, tuple[float, ...]]:
             values = [float(v) for v in value.split()]
         except ValueError as exc:
             raise InvalidConfig(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise InvalidConfig(f"line {lineno}: values must be finite")
         if key == "prior":
             if len(values) != len(Disposition):
                 raise InvalidConfig(f"line {lineno}: prior needs {len(Disposition)} values")

@@ -4,8 +4,12 @@ Devices follow fixed schedules: every ``period`` seconds a scheduled device
 initiates a session with a peer and, if negotiation settles, a group runs
 for ``group_duration`` seconds.  Energy drains by role (idle 1, client 2,
 owner 11 units/second) from a battery sized to last 365 idle days.  The
-run is driven by a single seeded RNG and a single event heap, so equal
-configuration and seed reproduce the result byte for byte.
+run is driven by a single seeded RNG, a heap of schedule ticks and at
+most one pending death per device; at one instant deaths resolve before
+ticks.  A group ends at its scheduled end without an event of its own:
+it is closed when one of its members is next touched, with the energy
+settled as of that end.  Equal configuration and seed reproduce the
+result byte for byte.
 
 Attackers manipulate the tie-breaker bit when initiating (standard
 negotiation only; a pair with a commitment-mode member XORs both
@@ -254,13 +258,10 @@ class SimResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# Event kinds, ordered so that at equal timestamps groups end before
-# deaths resolve and both precede new session ticks.  An event is
-# ``(time, kind, seq, subject)``: ``seq`` is unique, so ``subject`` (the
-# device or group) never takes part in a comparison.
-_EV_GROUP_END = 0
-_EV_DEATH = 1
-_EV_TICK = 2
+# Ticks and deaths are ``(time, seq, device)``: ``seq`` is unique, so the
+# device never takes part in a comparison.  ``_NO_DEATH`` stands for "no
+# death pending" and sorts after every event.
+_NO_DEATH = (math.inf, 0, None)
 
 # Roles inside the simulator, as indices into its rate table and each
 # device's role-seconds counters.
@@ -268,13 +269,13 @@ _IDLE, _CLIENT, _GO = 0, 1, 2
 
 
 class _Group:
-    __slots__ = ("go", "client", "start", "active")
+    __slots__ = ("go", "client", "start", "end")
 
-    def __init__(self, go: "_Device", client: "_Device", start: int):
+    def __init__(self, go: "_Device", client: "_Device", start: int, end: int):
         self.go = go
         self.client = client
         self.start = start
-        self.active = True
+        self.end = end
 
 
 class _Device:
@@ -338,13 +339,20 @@ class _Device:
 class _Simulator:
     """One seeded run.
 
-    Group ends and ticks wait in a heap.  Deaths stay off it: ``deaths``
-    holds at most one pending death event per device, the one due before
-    its next known role change, so a role change replaces a death instead
-    of leaving a stale one behind.  A death event takes its ``seq`` from
-    the shared counter when it is scheduled, so events at one instant
-    resolve in scheduling order whichever store holds them.  The loop
-    keeps the earliest pending death, recomputed only after ``deaths`` changed.
+    The heap holds only ticks.  Deaths stay off it: ``deaths`` holds at
+    most one pending death per device, and ``next_death`` the earliest of
+    them, kept as entries come and go.  At one instant deaths resolve
+    before ticks, and deaths among themselves in the order they were
+    scheduled: each takes its ``seq`` from the counter ticks use.
+
+    A group ends without an event of its own.  It carries its ``end``, and
+    the deaths scheduled for its members when it starts already assume
+    they turn idle there.  A group past its end is closed when something
+    next touches one of its members: a tick of either one, a tick that
+    picks either one as its peer, the death of either one, or the horizon.
+    Closing it then settles both members' energy up to ``end``, so the
+    late close changes no result.  A death before ``end`` cuts the group
+    short and reschedules the partner's death at the idle rate.
 
     A death that leaves one device alive, and not learning, decides the
     run: its remaining ticks can only count as busy, so ``_finish_alone``
@@ -358,10 +366,11 @@ class _Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
+        self.peer_bits = (len(configs) - 1).bit_length()
         self.heap: list[tuple] = []
         self.seq = 0
         self.deaths: dict[_Device, tuple] = {}
-        self.deaths_changed = True
+        self.next_death = _NO_DEATH
         self.sessions: list[tuple] = []
         self.rates = (energy.rate_for(Role.IDLE), energy.rate_for(Role.CLIENT),
                       energy.rate_for(Role.GO))
@@ -376,21 +385,36 @@ class _Simulator:
         dev.role_seconds[dev.role] += dt
         dev.last_update = now
 
-    def _set_role(self, dev: _Device, now: int, role: int, until: int | None = None) -> None:
-        """Switch drain rate; schedule depletion if it can strike before
-        ``until`` (the next known role change, default the horizon)."""
+    def _set_role(self, dev: _Device, now: int, role: int, end: int | None = None) -> None:
+        """Put ``dev`` in ``role`` from ``now`` until ``end`` (default the
+        horizon), idle after it, and schedule the one death this implies
+        up to the horizon in place of any pending one."""
         self._advance(dev, now)
         dev.role = role
         rate = dev.rate = self.rates[role]
-        if dev.alive and rate > 0:
-            die_at = now + dev.remaining // rate
-            if die_at <= (self.horizon if until is None else until):
-                self.seq += 1
-                self.deaths[dev] = (die_at, _EV_DEATH, self.seq, dev)
-                self.deaths_changed = True
+        if end is None:
+            end = self.horizon
+        die_at = self.horizon + 1
+        if dev.alive:
+            left = dev.remaining
+            idle = self.rates[_IDLE]
+            # a death due at ``end`` itself falls after the switch to idle
+            if rate > 0 and now + left // rate < end:
+                die_at = now + left // rate
+            elif idle > 0:
+                die_at = end + (left - rate * (end - now)) // idle
+        deaths = self.deaths
+        if die_at <= self.horizon:
+            self.seq += 1
+            entry = deaths[dev] = (die_at, self.seq, dev)
+            if entry < self.next_death:
+                self.next_death = entry
                 return
-        if self.deaths.pop(dev, None) is not None:
-            self.deaths_changed = True
+        else:
+            deaths.pop(dev, None)
+        if self.next_death[2] is dev:
+            # the earliest entry was this device's and is gone
+            self.next_death = min(deaths.values(), default=_NO_DEATH)
 
     def _record_negotiation(self, owner: _Device, member: _Device, t: int,
                             owner_quit: bool) -> None:
@@ -453,21 +477,32 @@ class _Simulator:
         nxt = t + dev.schedule.period
         if nxt < self.horizon:
             self.seq += 1
-            heapq.heappush(self.heap, (nxt, _EV_TICK, self.seq, dev))
-        if dev.group is not None:
-            dev.skips_busy += 1
-            return
+            heapq.heappush(self.heap, (nxt, self.seq, dev))
+        group = dev.group
+        if group is not None:
+            if t < group.end:
+                dev.skips_busy += 1
+                return
+            self._end_group(group)
         # a uniform pick among the other devices, skipping this one
         devices = self.devices
-        if len(devices) == 2:
+        n = len(devices) - 1
+        if n == 1:
             peer = devices[1 - dev.index]
         else:
-            i = self.rng.randrange(len(devices) - 1)
+            # what randrange(n) draws, from the same bits, without its wrapper
+            getrandbits = self.rng.getrandbits
+            i = getrandbits(self.peer_bits)
+            while i >= n:
+                i = getrandbits(self.peer_bits)
             peer = devices[i + 1 if i >= dev.index else i]
         if dev.uses_learning and self._rejects(dev, peer, t):
             dev.initiations_avoided += 1
             self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
             return
+        group = peer.group
+        if group is not None and group.end <= t:
+            self._end_group(group)
         if peer.group is not None or not peer.alive:
             dev.skips_busy += 1
             return
@@ -524,25 +559,26 @@ class _Simulator:
             self._record_negotiation(owner, member, t, False)
             end = min(t + initiator.schedule.group_duration, self.horizon)
             if end > t:
-                group = owner.group = member.group = _Group(owner, member, t)
-                self._set_role(owner, t, _GO, until=end)
-                self._set_role(member, t, _CLIENT, until=end)
-                self.seq += 1
-                heapq.heappush(self.heap, (end, _EV_GROUP_END, self.seq, group))
+                owner.group = member.group = _Group(owner, member, t, end)
+                self._set_role(owner, t, _GO, end)
+                self._set_role(member, t, _CLIENT, end)
             self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
             return
 
-    def _end_group(self, t: int, group: _Group) -> None:
-        if not group.active:
-            return
-        group.active = False
+    def _end_group(self, group: _Group) -> None:
+        """Close ``group`` at its ``end``: both members turn idle there, as
+        their pending deaths already assume."""
         go, client = group.go, group.client
         go.group = client.group = None
-        self._set_role(go, t, _IDLE)
-        self._set_role(client, t, _IDLE)
-        duration = t - group.start
+        end = group.end
+        idle = self.rates[_IDLE]
+        for dev in (go, client):
+            self._advance(dev, end)
+            dev.role = _IDLE
+            dev.rate = idle
+        duration = end - group.start
         if duration > 0:
-            day = t // SECONDS_PER_DAY
+            day = end // SECONDS_PER_DAY
             if go.uses_learning:
                 go.profile(client.id).record_group_time(day, duration, duration)
             if client.uses_learning:
@@ -551,19 +587,25 @@ class _Simulator:
     def _death(self, t: int, dev: _Device) -> None:
         # the pending death is always current: the battery cannot fund
         # the coming second
+        group = dev.group
+        if group is not None and group.end <= t:
+            self._end_group(group)
+            group = None
         self._advance(dev, t)
         dev.alive = False
         dev.depletion_time = t + dev.remaining / dev.rate
-        group = dev.group
         if group is not None:
-            self._end_group(t, group)
+            # cut short: the partner's pending death assumed the group ran on
+            group.end = t
+            self._end_group(group)
+            self._set_role(group.client if dev is group.go else group.go, t, _IDLE)
 
     def _finish_alone(self, dev: _Device) -> None:
         """Count the busy ticks of ``dev``, the one device left alive, and
         resolve its pending death."""
         death = self.deaths.pop(dev, None)
         end = self.horizon if death is None else death[0]
-        for t, _kind, _seq, subject in self.heap:
+        for t, _seq, subject in self.heap:
             if subject is dev:   # its one pending tick
                 dev.skips_busy += len(range(t, end, dev.schedule.period))
         if death is not None:
@@ -580,37 +622,30 @@ class _Simulator:
                     phase = self.rng.randrange(dev.schedule.period)
                 if phase < self.horizon:
                     self.seq += 1
-                    heapq.heappush(self.heap, (phase, _EV_TICK, self.seq, dev))
+                    heapq.heappush(self.heap, (phase, self.seq, dev))
         heap = self.heap
         deaths = self.deaths
         pop = heapq.heappop
-        death = None
         while True:
-            if self.deaths_changed:
-                self.deaths_changed = False
-                death = min(deaths.values()) if deaths else None
-            if heap and (death is None or heap[0] < death):
-                t, kind, _seq, subject = pop(heap)
-            elif death is not None:
-                t, kind, _seq, subject = death
-                del deaths[subject]
-                self.deaths_changed = True
-            else:
-                break
-            if t > self.horizon:
-                break
-            if kind == _EV_TICK:
-                self._tick(t, subject)
-            elif kind == _EV_GROUP_END:
-                self._end_group(t, subject)
-            else:
-                self._death(t, subject)
+            death = self.next_death
+            if heap and heap[0][0] < death[0]:
+                t, _seq, dev = pop(heap)
+                self._tick(t, dev)
+            elif death is not _NO_DEATH:
+                t, _seq, dev = death
+                del deaths[dev]
+                self.next_death = min(deaths.values(), default=_NO_DEATH)
+                self._death(t, dev)
                 alive = [dev for dev in self.devices if dev.alive]
                 if len(alive) == 1 and not alive[0].uses_learning:
                     self._finish_alone(alive[0])
                     break
+            else:
+                break
         stats = []
         for dev in self.devices:
+            if dev.group is not None:
+                self._end_group(dev.group)
             if dev.alive:
                 self._advance(dev, self.horizon)
             idle_seconds, client_seconds, go_seconds = dev.role_seconds

@@ -1,6 +1,7 @@
 """Peer profiling, feature extraction, and the disposition classifier."""
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -143,6 +144,14 @@ class TestPosterior:
         with pytest.raises(DegenerateDistribution):
             posterior(fv, prior=(-0.1, 0.3, 0.3, 0.3, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_priors_rejected(self, bad):
+        # NaN passes every comparison check and would make the whole
+        # posterior NaN, so no peer would ever classify as hostile
+        fv = FeatureVector(Band.LOW, Band.LOW, Band.LOW, HistoryDepth.AMPLE)
+        with pytest.raises(DegenerateDistribution):
+            posterior(fv, prior=(bad, 0.2, 0.45, 0.1, 0.1))
+
 
 class TestCptValidation:
     def test_default_is_valid(self):
@@ -169,6 +178,12 @@ class TestCptValidation:
         )
         with pytest.raises(InvalidConfig):
             Cpt(bad)
+
+    def test_nan_probability(self):
+        tables = [list(table) for table in DEFAULT_CPT.tables]
+        tables[HistoryDepth.AMPLE][Disposition.FAIR] = (math.nan,) * 5
+        with pytest.raises(InvalidConfig, match="AMPLE/FAIR: non-finite"):
+            Cpt(tuple(map(tuple, tables)))
 
 
 class TestPeerProfileWindow:
@@ -383,6 +398,16 @@ class TestClassifierConfig:
     def test_negative_prior_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_classifier_config("prior = -1 1 1 1 1")
+
+    @pytest.mark.parametrize("text", [
+        "prior = nan 0.2 0.45 0.1 0.1",
+        "prior = inf 0.2 0.45 0.1 0.1",
+        "cpt.ample.fair = nan nan nan nan nan",
+        "cpt.ample.fair = 0.2 0.2 0.2 0.2 nan",
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(InvalidConfig, match="line 2: values must be finite"):
+            parse_classifier_config("# override\n" + text)
 
     def test_row_override_must_still_sum_to_one(self):
         with pytest.raises(InvalidConfig):

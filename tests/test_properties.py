@@ -23,6 +23,13 @@ of the retained buckets, the exported log reads back as the same window,
 ``version`` has risen exactly when the window changed, a roll to the
 current day changes nothing and a roll back in time raises
 ``ClockRegression``.
+
+The codecs take generated vendor IEs, attribute lists and commitment
+openings, which decode back to themselves, and arbitrary or damaged bytes,
+which either decode and re-encode to the same bytes or raise a
+``ValueError`` subclass.  The classifier's posterior sums to one and does
+not change when the prior is scaled, and a written classifier config
+reads back as the tables and prior it was written from.
 """
 
 import math
@@ -32,11 +39,29 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
 from wfdsim.learning import (  # noqa: E402
+    DEFAULT_CPT,
     SECONDS_PER_DAY,
     WINDOW_DAYS,
+    Band,
     ClockRegression,
+    Cpt,
+    Disposition,
+    FeatureVector,
+    HistoryDepth,
     PeerProfile,
+    format_classifier_config,
+    parse_classifier_config,
+    posterior,
+)
+from wfdsim.protocol import (  # noqa: E402
+    VENDOR_IE_MAX_PAYLOAD,
+    P2pAttribute,
+    VendorIe,
+    decode_vendor_ie,
+    encode_p2p_attributes,
+    parse_p2p_attributes,
 )
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
@@ -218,3 +243,94 @@ def test_peer_profile_window(steps):
         version = profile.version
         profile.roll_to(day)
         assert (window(profile), profile.version) == ((buckets, totals), version)
+
+
+# codecs: generated valid frames round-trip; any bytes decode and re-encode
+# to themselves, or raise a ValueError subclass
+
+vendor_ies = st.builds(
+    VendorIe, st.integers(0, 0xFF), st.binary(min_size=3, max_size=3), st.integers(0, 0xFF),
+    st.binary(max_size=VENDOR_IE_MAX_PAYLOAD))
+attribute_lists = st.lists(
+    st.builds(P2pAttribute, st.integers(0, 0xFF), st.binary(max_size=300)), max_size=5)
+openings = st.builds(
+    Opening, st.binary(min_size=NONCE_LEN, max_size=NONCE_LEN), st.integers(0, 15),
+    st.integers(0, 1))
+
+
+@st.composite
+def damaged(draw, frames):
+    """A valid encoding, then cut, extended or with one byte changed."""
+    data = bytearray(draw(frames))
+    how = draw(st.sampled_from(("cut", "extend", "poke")))
+    if how == "cut":
+        del data[draw(st.integers(0, len(data))):]
+    elif how == "extend":
+        data += draw(st.binary(min_size=1, max_size=8))
+    elif data:
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 0xFF))
+    return bytes(data)
+
+
+CODECS = {
+    "vendor_ie": (vendor_ies.map(VendorIe.encode), decode_vendor_ie, VendorIe.encode),
+    "p2p_attributes": (attribute_lists.map(encode_p2p_attributes), parse_p2p_attributes,
+                       encode_p2p_attributes),
+    "opening": (openings.map(Opening.encode), decode_opening, Opening.encode),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(vendor_ies, attribute_lists, openings)
+def test_valid_frames_round_trip(ie, attrs, opening):
+    assert decode_vendor_ie(ie.encode()) == ie
+    assert parse_p2p_attributes(encode_p2p_attributes(attrs)) == attrs
+    assert decode_opening(opening.encode()) == opening
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_any_bytes_decode_exactly_or_raise_value_error(codec):
+    frames, decode, encode = CODECS[codec]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.binary(max_size=80) | damaged(frames))
+    def check(data):
+        try:
+            decoded = decode(data)
+        except ValueError:
+            return
+        assert encode(decoded) == data
+
+    check()
+
+
+# classifier: the posterior is a distribution that ignores the prior's
+# scale, and the config text reads back as the tables it was written from
+
+feature_vectors = st.builds(FeatureVector, st.sampled_from(Band), st.sampled_from(Band),
+                            st.sampled_from(Band), st.sampled_from(HistoryDepth))
+# Prior weights stop at 1e-6: near the subnormal range the likelihood
+# product loses precision, and at 5e-324 it underflows to zero and
+# ``posterior`` raises DegenerateDistribution (a known limit, not checked here).
+priors = st.tuples(*[st.just(0.0) | st.floats(1e-6, 1e6)] * len(Disposition)).filter(any)
+rows = st.lists(st.floats(0.01, 1.0), min_size=len(Band), max_size=len(Band)).map(
+    lambda weights: tuple(w / sum(weights) for w in weights))
+cpts = st.lists(rows, min_size=len(Disposition) * len(HistoryDepth),
+                max_size=len(Disposition) * len(HistoryDepth)).map(
+    lambda flat: Cpt(tuple(tuple(flat[i:i + len(Disposition)])
+                           for i in range(0, len(flat), len(Disposition)))))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(feature_vectors, st.just(DEFAULT_CPT) | cpts, priors, st.floats(1e-3, 1e3))
+def test_posterior_is_a_scale_free_distribution(fv, cpt, prior, scale):
+    post = posterior(fv, cpt, prior)
+    assert math.fsum(post) == pytest.approx(1.0, abs=1e-12)
+    assert all(p >= 0.0 for p in post)
+    assert posterior(fv, cpt, tuple(scale * p for p in prior)) == pytest.approx(post, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cpts, priors)
+def test_classifier_config_round_trips(cpt, prior):
+    assert parse_classifier_config(format_classifier_config(cpt, prior)) == (cpt, prior)

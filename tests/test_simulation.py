@@ -1,5 +1,6 @@
 """Energy model, attacker behaviour, and the event-driven simulator."""
 
+import dataclasses
 import json
 import random
 import statistics
@@ -218,6 +219,30 @@ class TestDepletionAnchors:
         victim = run(cfgs, horizon=60, seed=0).device("victim")
         assert (victim.go_seconds, victim.remaining) == (9, 1)
         assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(100 / 11)
+
+    def test_owner_death_due_at_group_end_falls_to_idle_rate(self):
+        # 665 units fund exactly the 60 owner seconds of the first group
+        # (665 // 11 == 60) and leave 5: the group's end comes first, so the
+        # victim lives 5 more seconds at the idle rate instead of dying at
+        # 60 + 5/11 s
+        cfgs = two_device_configs(DefenseMode.STANDARD)
+        cfgs[0] = DeviceConfig("victim", battery_capacity=665)
+        victim = run(cfgs, horizon=300, seed=0).device("victim")
+        assert (victim.go_seconds, victim.idle_seconds, victim.remaining) == (60, 5, 0)
+        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(65.0)
+
+    def test_death_mid_group_recomputes_partner_death(self):
+        # the victim dies 9 s into its first owner group; the attacker, a
+        # client until then, would have had 80 units left at the group's
+        # end and died at 140 s, but drops to idle at 9 s with 182 left
+        cfgs = two_device_configs(DefenseMode.STANDARD)
+        cfgs[0] = DeviceConfig("victim", battery_capacity=100)
+        cfgs[1] = dataclasses.replace(cfgs[1], battery_capacity=200)
+        result = run(cfgs, horizon=300, seed=0)
+        victim, attacker = result.device("victim"), result.device("attacker")
+        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(100 / 11)
+        assert (attacker.client_seconds, attacker.idle_seconds, attacker.remaining) == (9, 182, 0)
+        assert attacker.depletion_day * SECONDS_PER_DAY == pytest.approx(191.0)
 
     def test_back_to_back_owner_groups(self):
         # groups as long as the period keep the victim owner every second,
