@@ -201,14 +201,18 @@ def posterior(
     """
     if len(prior) != len(Disposition):
         raise DegenerateDistribution(f"prior needs {len(Disposition)} entries")
-    if any(p < 0.0 for p in prior) or sum(prior) <= 0.0 or not all(map(math.isfinite, prior)):
+    mass = sum(prior)
+    if any(p < 0.0 for p in prior) or mass <= 0.0 or not all(map(math.isfinite, prior)):
         raise DegenerateDistribution(f"prior must be finite, non-negative, with positive mass: {prior!r}")
+    if mass == math.inf:   # finite weights whose sum overflows: an eighth of each does not
+        prior, mass = [p / 8 for p in prior], sum(p / 8 for p in prior)
     table = cpt.tables[features.depth]
     unnorm = []
     for disposition in Disposition:
         row = table[disposition]
+        # normalising the prior first keeps tiny weights from underflowing
         unnorm.append(
-            prior[disposition] * row[features.self_go] * row[features.peer_quit] * row[features.go_time]
+            prior[disposition] / mass * row[features.self_go] * row[features.peer_quit] * row[features.go_time]
         )
     total = sum(unnorm)
     if total <= 0.0:

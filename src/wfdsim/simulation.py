@@ -48,7 +48,6 @@ from .learning import (
     peer_fairness,
     should_reject,
 )
-from .protocol import TieBreakerBit
 
 DEFAULT_CAPACITY = 365 * SECONDS_PER_DAY  # idle-rate units for a 365-day battery
 
@@ -182,10 +181,7 @@ class QuitDecision(Enum):
     QUIT_AND_STOP = "quit_and_stop"
 
 
-_TIE_BITS = (TieBreakerBit(0), TieBreakerBit(1))
-
-
-def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> TieBreakerBit:
+def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> int:
     """Tie bit an attacker declares: the one making the peer owner, or fair.
 
     Forcing only works where the declared bit decides the tie (standard
@@ -193,8 +189,8 @@ def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> TieBreake
     choice is XORed with an independent honest bit and loses all bias.
     """
     if rng.random() < profile.tbb_strength:
-        return _TIE_BITS[0]
-    return _TIE_BITS[rng.getrandbits(1)]
+        return 0
+    return rng.getrandbits(1)
 
 
 def attacker_maybe_quit(profile: AttackProfile, retries_so_far: int,
@@ -358,10 +354,11 @@ class _Simulator:
     run: its remaining ticks can only count as busy, so ``_finish_alone``
     counts them, resolves its pending death and ends the loop.  A learning
     survivor stays on the loop, as its guard still avoids a flagged dead peer.
+    ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
-                 energy: EnergyModel):
+                 energy: EnergyModel, log_sessions: bool):
         self.horizon = horizon
         self.seed = seed
         self.rng = random.Random(seed)
@@ -371,7 +368,7 @@ class _Simulator:
         self.seq = 0
         self.deaths: dict[_Device, tuple] = {}
         self.next_death = _NO_DEATH
-        self.sessions: list[tuple] = []
+        self.sessions: list[tuple] | None = [] if log_sessions else None
         self.rates = (energy.rate_for(Role.IDLE), energy.rate_for(Role.CLIENT),
                       energy.rate_for(Role.GO))
 
@@ -498,7 +495,8 @@ class _Simulator:
             peer = devices[i + 1 if i >= dev.index else i]
         if dev.uses_learning and self._rejects(dev, peer, t):
             dev.initiations_avoided += 1
-            self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
+            if self.sessions is not None:
+                self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
             return
         group = peer.group
         if group is not None and group.end <= t:
@@ -511,7 +509,8 @@ class _Simulator:
             # away for a full window span earns a clean slate
             peer.flag_hold[dev.id] = t + FLAG_HOLD_SECONDS
             peer.rejections_issued += 1
-            self.sessions.append((t, "rejected", dev.id, peer.id, "", 0, 0))
+            if self.sessions is not None:
+                self.sessions.append((t, "rejected", dev.id, peer.id, "", 0, 0))
             return
         self._session(t, dev, peer)
 
@@ -543,7 +542,8 @@ class _Simulator:
             # assigned the owner role
             if owner.uses_learning and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
-                self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
+                if self.sessions is not None:
+                    self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
                 return
             if owner.attack is not None and owner.attack.r_strength > 0.0:
                 decision = attacker_maybe_quit(owner.attack, retries, rng)
@@ -554,7 +554,8 @@ class _Simulator:
                         retries += 1
                         continue
                     initiator.sessions_exhausted += 1
-                    self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
+                    if self.sessions is not None:
+                        self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
                     return
             self._record_negotiation(owner, member, t, False)
             end = min(t + initiator.schedule.group_duration, self.horizon)
@@ -562,7 +563,8 @@ class _Simulator:
                 owner.group = member.group = _Group(owner, member, t, end)
                 self._set_role(owner, t, _GO, end)
                 self._set_role(member, t, _CLIENT, end)
-            self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
+            if self.sessions is not None:
+                self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
             return
 
     def _end_group(self, group: _Group) -> None:
@@ -674,16 +676,18 @@ class _Simulator:
             seed=self.seed,
             horizon_seconds=self.horizon,
             devices=tuple(stats),
-            sessions=tuple(self.sessions),
+            sessions=() if self.sessions is None else tuple(self.sessions),
         )
 
 
 def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
-        seed: int = 0, energy: EnergyModel = DEFAULT_ENERGY) -> SimResult:
+        seed: int = 0, energy: EnergyModel = DEFAULT_ENERGY,
+        log_sessions: bool = False) -> SimResult:
     """Simulate the device population until ``horizon`` seconds.
 
     A pair with a commitment-mode member breaks ties with the XOR of both
-    declared bits; any other pair takes the initiator's bit.
+    declared bits; any other pair takes the initiator's bit.  The session
+    log is recorded only with ``log_sessions=True``; otherwise ``sessions`` is ``()``.
     """
     if len(devices) < 2:
         raise InvalidConfig("need at least 2 devices")
@@ -694,4 +698,4 @@ def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
         raise InvalidConfig(f"horizon must be positive: {horizon}")
     if all(cfg.schedule is None for cfg in devices):
         raise InvalidConfig("no device has a schedule; nothing would ever happen")
-    return _Simulator(devices, horizon, seed, energy).run()
+    return _Simulator(devices, horizon, seed, energy, log_sessions).run()

@@ -133,7 +133,7 @@ CSV_DIGESTS = {
 
 def run_digest(name: str) -> str:
     devices, horizon, seed = RUNS[name]
-    result = run(devices, horizon=horizon, seed=seed)
+    result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
     return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
@@ -153,7 +153,7 @@ def test_run_json_digest(name):
 
 
 def test_same_second_deaths_resolve_in_scheduling_order():
-    result = run(SAME_SECOND_DEATHS, horizon=200, seed=9)
+    result = run(SAME_SECOND_DEATHS, horizon=200, seed=9, log_sessions=True)
     client, owner = result.device("client"), result.device("owner")
     assert owner.depletion_day * DAY == pytest.approx(10 + 5 / 11)
     assert (owner.go_seconds, owner.remaining) == (10, 5)
@@ -162,13 +162,13 @@ def test_same_second_deaths_resolve_in_scheduling_order():
 
 
 def test_survivors_outlive_their_peers():
-    lone = run(LONE_ATTACKER, horizon=5 * DAY, seed=10)
+    lone = run(LONE_ATTACKER, horizon=5 * DAY, seed=10, log_sessions=True)
     assert lone.device("victim").depletion_day < 1
     assert lone.device("attacker").depletion_day > 2
-    last = run(LAST_OF_FOUR, horizon=3 * DAY, seed=11)
+    last = run(LAST_OF_FOUR, horizon=3 * DAY, seed=11, log_sessions=True)
     assert max(last.device(i).depletion_day for i in "abc") < 1
     assert last.device("d").depletion_day is None
-    learner = run(LEARNING_SURVIVOR, horizon=6 * DAY, seed=12)
+    learner = run(LEARNING_SURVIVOR, horizon=6 * DAY, seed=12, log_sessions=True)
     last_death = max(learner.device(i).depletion_day for i in ("attacker", "bystander")) * DAY
     assert any(t > last_death and kind == "avoided" for t, kind, *_ in learner.sessions)
 

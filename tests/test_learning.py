@@ -125,6 +125,14 @@ class TestPosterior:
         doubled = tuple(2 * p for p in DEFAULT_PRIOR)
         assert posterior(fv) == pytest.approx(posterior(fv, prior=doubled), abs=1e-15)
 
+    @pytest.mark.parametrize("weight", [5e-324, 1e308])
+    def test_extreme_prior_matches_its_normal_scale(self, weight):
+        # unnormalised, subnormal weights make every likelihood product
+        # underflow to zero; huge ones make the prior's sum overflow
+        for depth, sg, pq, gt in itertools.product(HistoryDepth, Band, Band, Band):
+            fv = FeatureVector(sg, pq, gt, depth)
+            assert posterior(fv, prior=(weight,) * 5) == posterior(fv, prior=(0.2,) * 5)
+
     def test_hostility_rises_with_owner_share(self):
         def mass(sg, gt):
             p = posterior(FeatureVector(sg, Band.LOW, gt, HistoryDepth.AMPLE))

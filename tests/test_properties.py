@@ -15,7 +15,9 @@ ten-hour pair age.  For every run:
 * no device is ever in two groups at once;
 * session times never decrease;
 * every schedule instant a device lived to see is one tick: it either
-  counts as busy or starts a session the device initiated.
+  counts as busy or starts a session the device initiated;
+* the session log only observes: a run without it has an empty log and
+  otherwise gives the same statistics and JSON as the logged run.
 
 Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
@@ -32,12 +34,13 @@ not change when the prior is scaled, and a written classifier config
 reads back as the tables and prior it was written from.
 """
 
+import json
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
 from wfdsim.learning import (  # noqa: E402
@@ -120,7 +123,7 @@ def death_second(stats):
 @given(scenarios())
 def test_simulator_invariants(scenario):
     devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy)
+    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
     by_id = {stats.device_id: stats for stats in result.devices}
     duration = {cfg.device_id: cfg.schedule.group_duration
                 for cfg in devices if cfg.schedule is not None}
@@ -160,7 +163,7 @@ def test_simulator_invariants(scenario):
 @given(scenarios())
 def test_tick_ledger(scenario):
     devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy)
+    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
     for cfg in devices:
         if cfg.schedule is None:
             continue
@@ -182,6 +185,35 @@ def test_tick_ledger(scenario):
                         for t, kind, initiator, responder, *_ in result.sessions):
             high += 1
         assert low <= ticks <= high, (cfg, stats)
+
+
+# A two-day population whose log holds every session kind, so each counter
+# bumped beside a log entry is compared at least once.
+EVERY_SESSION_KIND = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60)),
+     DeviceConfig("d1", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60),
+                  attack=AttackProfile(r_strength=1.0, retry_cap=3)),
+     DeviceConfig("d2", defense=DefenseMode.COMMITMENT, schedule=Schedule(900, 300),
+                  attack=AttackProfile(r_strength=1.0, retry_cap=3))],
+    2 * SECONDS_PER_DAY, 396, DEFAULT_ENERGY)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+@example(EVERY_SESSION_KIND)
+def test_session_log_only_observes(scenario):
+    devices, horizon, seed, energy = scenario
+    bare = run(devices, horizon=horizon, seed=seed, energy=energy)
+    logged = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
+    assert bare.sessions == ()
+    assert bare.devices == logged.devices
+
+    def without_log(result):
+        payload = json.loads(result.to_json())
+        del payload["sessions"]
+        return payload
+
+    assert without_log(bare) == without_log(logged)
 
 
 COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits",
@@ -309,10 +341,10 @@ def test_any_bytes_decode_exactly_or_raise_value_error(codec):
 
 feature_vectors = st.builds(FeatureVector, st.sampled_from(Band), st.sampled_from(Band),
                             st.sampled_from(Band), st.sampled_from(HistoryDepth))
-# Prior weights stop at 1e-6: near the subnormal range the likelihood
-# product loses precision, and at 5e-324 it underflows to zero and
-# ``posterior`` raises DegenerateDistribution (a known limit, not checked here).
-priors = st.tuples(*[st.just(0.0) | st.floats(1e-6, 1e6)] * len(Disposition)).filter(any)
+# Prior weights run down to the smallest subnormal, 5e-324: ``posterior``
+# normalises the prior before the likelihood product, so tiny weights
+# neither underflow nor lose precision.
+priors = st.tuples(*[st.just(0.0) | st.floats(5e-324, 1e6)] * len(Disposition)).filter(any)
 rows = st.lists(st.floats(0.01, 1.0), min_size=len(Band), max_size=len(Band)).map(
     lambda weights: tuple(w / sum(weights) for w in weights))
 cpts = st.lists(rows, min_size=len(Disposition) * len(HistoryDepth),
@@ -322,12 +354,15 @@ cpts = st.lists(rows, min_size=len(Disposition) * len(HistoryDepth),
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(feature_vectors, st.just(DEFAULT_CPT) | cpts, priors, st.floats(1e-3, 1e3))
-def test_posterior_is_a_scale_free_distribution(fv, cpt, prior, scale):
+@given(feature_vectors, st.just(DEFAULT_CPT) | cpts, priors, st.integers(0, 60))
+def test_posterior_is_a_scale_free_distribution(fv, cpt, prior, doublings):
     post = posterior(fv, cpt, prior)
     assert math.fsum(post) == pytest.approx(1.0, abs=1e-12)
     assert all(p >= 0.0 for p in post)
-    assert posterior(fv, cpt, tuple(scale * p for p in prior)) == pytest.approx(post, rel=1e-12)
+    # scaling by a power of two keeps every ratio exact, subnormal weights
+    # included; read the other way round it scales the prior down
+    scaled = tuple(p * 2.0 ** doublings for p in prior)
+    assert posterior(fv, cpt, scaled) == pytest.approx(post, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -135,8 +135,8 @@ class TestRunValidation:
 class TestDeterminism:
     def test_same_seed_reproduces_bytes(self):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.5, r=0.3)
-        a = run(cfgs, horizon=days(5), seed=42)
-        b = run(cfgs, horizon=days(5), seed=42)
+        a = run(cfgs, horizon=days(5), seed=42, log_sessions=True)
+        b = run(cfgs, horizon=days(5), seed=42, log_sessions=True)
         assert a.to_json() == b.to_json()
 
     def test_different_seed_differs(self):
@@ -197,7 +197,7 @@ class TestEnergyAccounting:
                          battery_capacity=3600),
             DeviceConfig("peer", schedule=MINUTE_SCHEDULE, phase=180),
         ]
-        result = run(cfgs, horizon=days(1), seed=5)
+        result = run(cfgs, horizon=days(1), seed=5, log_sessions=True)
         frail = result.device("frail")
         # death strikes at the first second the current rate cannot fund,
         # so the residue is below the owner rate
@@ -276,7 +276,7 @@ class TestDepletionAnchors:
 
     def test_learning_rejects_persistent_attacker(self):
         result = run(two_device_configs(DefenseMode.LEARNING),
-                     horizon=days(400), seed=0)
+                     horizon=days(400), seed=0, log_sessions=True)
         kinds = {row[1] for row in result.sessions}
         assert "rejected" in kinds
         victim = result.device("victim")
@@ -288,7 +288,7 @@ class TestDepletionAnchors:
 class TestPrematureQuits:
     def run_quitter(self, seed=0):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.0, r=1.0)
-        return run(cfgs, horizon=days(30), seed=seed)
+        return run(cfgs, horizon=days(30), seed=seed, log_sessions=True)
 
     def test_quits_are_observed_by_victim(self):
         result = self.run_quitter()
@@ -319,7 +319,7 @@ class TestPrematureQuits:
 class TestSessionLog:
     def test_group_rows_carry_owner_and_rounds(self):
         result = run(two_device_configs(DefenseMode.STANDARD),
-                     horizon=days(1), seed=0)
+                     horizon=days(1), seed=0, log_sessions=True)
         groups = [row for row in result.sessions if row[1] == "group"]
         assert groups
         for t, _, initiator, responder, owner, rounds, quits in groups:
@@ -330,7 +330,7 @@ class TestSessionLog:
 
     def test_timestamps_are_ordered(self):
         result = run(two_device_configs(DefenseMode.STANDARD, tbb=0.3, r=0.4),
-                     horizon=days(5), seed=9)
+                     horizon=days(5), seed=9, log_sessions=True)
         times = [row[0] for row in result.sessions]
         assert times == sorted(times)
 
