@@ -17,7 +17,6 @@ from types import ModuleType as _ModuleType
 
 from .commitment import (
     Commitment,
-    CommitmentMismatch,
     Opening,
     coin_flip,
     commit,
@@ -25,7 +24,6 @@ from .commitment import (
     preimage,
     random_nonce,
     verify,
-    verify_or_raise,
 )
 from .protocol import (
     AbortPhase,
@@ -77,9 +75,7 @@ from .learning import (
     assess,
     discretize_share,
     features,
-    format_classifier_config,
     history_depth,
-    parse_classifier_config,
     peer_fairness,
     posterior,
     should_reject,
@@ -93,12 +89,9 @@ from .simulation import (
     EnergyModel,
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
-    QuitDecision,
-    Role,
     Schedule,
     SimResult,
     attacker_choose_tbb,
-    attacker_maybe_quit,
     energy_conserved,
     run,
 )

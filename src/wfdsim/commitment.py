@@ -21,10 +21,6 @@ DIGEST_LEN = 32
 OPENING_LEN = NONCE_LEN + 2
 
 
-class CommitmentMismatch(Exception):
-    """An opening does not reproduce the digest it claims to open."""
-
-
 @dataclass(frozen=True)
 class Commitment:
     digest: bytes
@@ -72,11 +68,6 @@ def commit(nonce: bytes, intent: int, tie_bit: int) -> Commitment:
 def verify(commitment: Commitment, opening: Opening) -> bool:
     expected = hashlib.sha256(opening.encode()).digest()
     return expected == commitment.digest
-
-
-def verify_or_raise(commitment: Commitment, opening: Opening) -> None:
-    if not verify(commitment, opening):
-        raise CommitmentMismatch("opening does not match commitment digest")
 
 
 def coin_flip(bit_a: int, bit_b: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 WINDOW_DAYS = 30
@@ -53,7 +53,7 @@ class DegenerateDistribution(ValueError):
 
 
 class InvalidConfig(ValueError):
-    """Malformed classifier configuration text."""
+    """An invalid configuration value."""
 
 
 class Band(IntEnum):
@@ -181,9 +181,6 @@ class Cpt:
                     raise InvalidConfig(f"{depth.name}/{disposition.name}: non-finite probability")
                 if abs(sum(row) - 1.0) > _ROW_SUM_TOLERANCE:
                     raise InvalidConfig(f"{depth.name}/{disposition.name}: row sums to {sum(row)!r}")
-
-    def row(self, depth: HistoryDepth, disposition: Disposition) -> tuple[float, ...]:
-        return self.tables[depth][disposition]
 
 
 DEFAULT_CPT = Cpt((_CPT_INSUFFICIENT, _CPT_LIMITED, _CPT_AMPLE))
@@ -313,70 +310,6 @@ class PeerProfile:
     def buckets(self) -> list[DailyBucket]:
         return list(self._buckets)
 
-    def export_log(self) -> str:
-        """One line per retained bucket, oldest first, for offline rechecking."""
-        lines = []
-        for b in self._buckets:
-            lines.append(
-                f"day={b.day} negotiations={b.negotiations} wins={b.self_go_wins} "
-                f"quits={b.peer_premature_quits} go_seconds={b.self_go_seconds} "
-                f"comm_seconds={b.comm_seconds}"
-            )
-        return "\n".join(lines)
-
-    @classmethod
-    def from_log(cls, peer_id: str, text: str) -> "PeerProfile":
-        profile = cls(peer_id)
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = {}
-            for item in line.split():
-                key, _, value = item.partition("=")
-                if not _ or not value.isdigit():
-                    raise InvalidConfig(f"line {lineno}: bad field {item!r}")
-                fields[key] = int(value)
-            try:
-                bucket = DailyBucket(**_log_fields_to_bucket(fields))
-            except TypeError as exc:
-                raise InvalidConfig(f"line {lineno}: {exc}") from exc
-            if bucket.self_go_seconds > bucket.comm_seconds:
-                raise InvalidConfig(f"line {lineno}: owner seconds {bucket.self_go_seconds} "
-                                    f"exceed session seconds {bucket.comm_seconds}")
-            for key, count in (("wins", bucket.self_go_wins),
-                               ("quits", bucket.peer_premature_quits)):
-                if count > bucket.negotiations:
-                    raise InvalidConfig(f"line {lineno}: {key} {count} "
-                                        f"exceed negotiations {bucket.negotiations}")
-            try:
-                target = profile._bucket_for(bucket.day)
-            except ClockRegression as exc:
-                raise InvalidConfig(f"line {lineno}: {exc}") from exc
-            for name in _COUNTERS:
-                amount = getattr(bucket, name)
-                setattr(target, name, getattr(target, name) + amount)
-                setattr(profile, name, getattr(profile, name) + amount)
-            profile.version += 1
-        return profile
-
-
-def _log_fields_to_bucket(fields: dict[str, int]) -> dict[str, int]:
-    mapping = {
-        "day": "day",
-        "negotiations": "negotiations",
-        "wins": "self_go_wins",
-        "quits": "peer_premature_quits",
-        "go_seconds": "self_go_seconds",
-        "comm_seconds": "comm_seconds",
-    }
-    out = {}
-    for key, value in fields.items():
-        if key not in mapping:
-            raise InvalidConfig(f"unknown field {key!r}")
-        out[mapping[key]] = value
-    return out
-
 
 def peer_fairness(profile: PeerProfile) -> float:
     """Share of communication time this device spent as owner; 0 when unknown."""
@@ -431,70 +364,3 @@ def assess(
 def should_reject(assessment: PeerAssessment) -> bool:
     """Reject a hostile peer only while it is actually treating us unfairly."""
     return assessment.is_attacker and assessment.peer_fairness > FAIRNESS_THRESHOLD
-
-
-_DEPTH_TOKENS = {
-    "insufficient": HistoryDepth.INSUFFICIENT,
-    "limited": HistoryDepth.LIMITED,
-    "ample": HistoryDepth.AMPLE,
-}
-
-_DISPOSITION_TOKENS = {
-    "strong_attacker": Disposition.STRONG_ATTACKER,
-    "medium_attacker": Disposition.MEDIUM_ATTACKER,
-    "fair": Disposition.FAIR,
-    "better_than_average": Disposition.BETTER_THAN_AVERAGE,
-    "altruist": Disposition.ALTRUIST,
-}
-
-
-def parse_classifier_config(text: str) -> tuple[Cpt, tuple[float, ...]]:
-    """Parse ``key = v1 v2 ...`` lines, overriding the built-in tables.
-
-    Recognised keys are ``prior`` and ``cpt.<depth>.<disposition>``; ``#``
-    starts a comment.  Unknown keys and malformed rows raise InvalidConfig.
-    """
-    tables = [list(map(list, table)) for table in DEFAULT_CPT.tables]
-    prior = list(DEFAULT_PRIOR)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise InvalidConfig(f"line {lineno}: expected 'key = values'")
-        key = key.strip()
-        try:
-            values = [float(v) for v in value.split()]
-        except ValueError as exc:
-            raise InvalidConfig(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise InvalidConfig(f"line {lineno}: values must be finite")
-        if key == "prior":
-            if len(values) != len(Disposition):
-                raise InvalidConfig(f"line {lineno}: prior needs {len(Disposition)} values")
-            prior = values
-            continue
-        parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "cpt":
-            raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-        depth = _DEPTH_TOKENS.get(parts[1])
-        disposition = _DISPOSITION_TOKENS.get(parts[2])
-        if depth is None or disposition is None:
-            raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-        if len(values) != len(Band):
-            raise InvalidConfig(f"line {lineno}: row needs {len(Band)} values")
-        tables[depth][disposition] = values
-    cpt = Cpt(tuple(tuple(tuple(row) for row in table) for table in tables))
-    if any(p < 0.0 for p in prior) or sum(prior) <= 0.0:
-        raise InvalidConfig(f"prior must be non-negative with positive mass: {prior!r}")
-    return cpt, tuple(prior)
-
-
-def format_classifier_config(cpt: Cpt = DEFAULT_CPT, prior: tuple[float, ...] = DEFAULT_PRIOR) -> str:
-    lines = ["prior = " + " ".join(repr(p) for p in prior)]
-    for depth_token, depth in _DEPTH_TOKENS.items():
-        for disposition_token, disposition in _DISPOSITION_TOKENS.items():
-            row = cpt.row(depth, disposition)
-            lines.append(f"cpt.{depth_token}.{disposition_token} = " + " ".join(repr(p) for p in row))
-    return "\n".join(lines) + "\n"

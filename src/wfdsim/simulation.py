@@ -79,12 +79,6 @@ GUARD_Z_AMPLE = 3.0
 FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
 
 
-class Role(Enum):
-    IDLE = "idle"
-    CLIENT = "client"
-    GO = "go"
-
-
 @dataclass(frozen=True)
 class EnergyModel:
     """Per-second drain rates: base always applies, extras stack by role."""
@@ -97,12 +91,11 @@ class EnergyModel:
         if self.base_rate < 0 or self.client_extra < 0 or self.go_extra < 0:
             raise InvalidConfig("energy rates cannot be negative")
 
-    def rate_for(self, role: Role) -> int:
-        if role is Role.IDLE:
-            return self.base_rate
-        if role is Role.CLIENT:
-            return self.base_rate + self.client_extra
-        return self.base_rate + self.go_extra
+    @property
+    def rates(self) -> tuple[int, int, int]:
+        """Drain per second when idle, as client and as owner."""
+        return (self.base_rate, self.base_rate + self.client_extra,
+                self.base_rate + self.go_extra)
 
 
 DEFAULT_ENERGY = EnergyModel()
@@ -175,12 +168,6 @@ class DeviceConfig:
                 raise InvalidConfig(f"{self.device_id}: phase outside [0, period)")
 
 
-class QuitDecision(Enum):
-    ACCEPT = "accept"
-    QUIT_AND_RETRY = "quit_and_retry"
-    QUIT_AND_STOP = "quit_and_stop"
-
-
 def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> int:
     """Tie bit an attacker declares: the one making the peer owner, or fair.
 
@@ -191,16 +178,6 @@ def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> int:
     if rng.random() < profile.tbb_strength:
         return 0
     return rng.getrandbits(1)
-
-
-def attacker_maybe_quit(profile: AttackProfile, retries_so_far: int,
-                        rng: random.Random) -> QuitDecision:
-    """Decide whether an attacker assigned the owner role walks out."""
-    if rng.random() >= profile.r_strength:
-        return QuitDecision.ACCEPT
-    if retries_so_far < profile.retry_cap:
-        return QuitDecision.QUIT_AND_RETRY
-    return QuitDecision.QUIT_AND_STOP
 
 
 @dataclass(frozen=True)
@@ -225,9 +202,8 @@ class DeviceStats:
 
 
 def energy_conserved(stats: DeviceStats, model: EnergyModel = DEFAULT_ENERGY) -> bool:
-    spent = (model.rate_for(Role.IDLE) * stats.idle_seconds
-             + model.rate_for(Role.CLIENT) * stats.client_seconds
-             + model.rate_for(Role.GO) * stats.go_seconds)
+    idle, client, go = model.rates
+    spent = idle * stats.idle_seconds + client * stats.client_seconds + go * stats.go_seconds
     return stats.battery_capacity - stats.remaining == spent
 
 
@@ -369,8 +345,7 @@ class _Simulator:
         self.deaths: dict[_Device, tuple] = {}
         self.next_death = _NO_DEATH
         self.sessions: list[tuple] | None = [] if log_sessions else None
-        self.rates = (energy.rate_for(Role.IDLE), energy.rate_for(Role.CLIENT),
-                      energy.rate_for(Role.GO))
+        self.rates = energy.rates
 
     def _advance(self, dev: _Device, now: int) -> None:
         dt = now - dev.last_update
@@ -545,18 +520,19 @@ class _Simulator:
                 if self.sessions is not None:
                     self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
                 return
-            if owner.attack is not None and owner.attack.r_strength > 0.0:
-                decision = attacker_maybe_quit(owner.attack, retries, rng)
-                if decision is not QuitDecision.ACCEPT:
-                    quits += 1
-                    self._record_negotiation(owner, member, t, True)
-                    if decision is QuitDecision.QUIT_AND_RETRY:
-                        retries += 1
-                        continue
-                    initiator.sessions_exhausted += 1
-                    if self.sessions is not None:
-                        self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
-                    return
+            # an attacker assigned the owner role may walk out, and retries
+            # until its cap is spent
+            attack = owner.attack
+            if attack is not None and attack.r_strength > 0.0 and rng.random() < attack.r_strength:
+                quits += 1
+                self._record_negotiation(owner, member, t, True)
+                if retries < attack.retry_cap:
+                    retries += 1
+                    continue
+                initiator.sessions_exhausted += 1
+                if self.sessions is not None:
+                    self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
+                return
             self._record_negotiation(owner, member, t, False)
             end = min(t + initiator.schedule.group_duration, self.horizon)
             if end > t:

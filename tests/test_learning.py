@@ -27,9 +27,7 @@ from wfdsim.learning import (
     assess,
     discretize_share,
     features,
-    format_classifier_config,
     history_depth,
-    parse_classifier_config,
     peer_fairness,
     posterior,
     should_reject,
@@ -165,7 +163,7 @@ class TestCptValidation:
     def test_default_is_valid(self):
         for depth in HistoryDepth:
             for disposition in Disposition:
-                row = DEFAULT_CPT.row(depth, disposition)
+                row = DEFAULT_CPT.tables[depth][disposition]
                 assert len(row) == 5
                 assert abs(sum(row) - 1.0) <= 1e-9
 
@@ -271,48 +269,6 @@ class TestPeerProfileWindow:
             assert p.comm_seconds == sum(r[5] for r in live)
 
 
-class TestLogRoundtrip:
-    def build(self):
-        p = PeerProfile("peer")
-        p.record_negotiation(3, True, False)
-        p.record_negotiation(5, False, True)
-        p.record_group_time(5, 120, 300)
-        p.record_negotiation(20, True, False)
-        return p
-
-    def test_export_import_identity(self):
-        p = self.build()
-        q = PeerProfile.from_log("peer", p.export_log())
-        assert q.buckets() == p.buckets()
-        for field in ("negotiations", "self_go_wins", "peer_premature_quits",
-                      "self_go_seconds", "comm_seconds", "current_day"):
-            assert getattr(q, field) == getattr(p, field)
-
-    def test_import_ignores_blank_lines(self):
-        q = PeerProfile.from_log("peer", "\n\nday=1 negotiations=2 wins=1\n\n")
-        assert q.negotiations == 2
-
-    def test_import_rejects_bad_field(self):
-        with pytest.raises(InvalidConfig):
-            PeerProfile.from_log("peer", "day=1 negotiations=two")
-        with pytest.raises(InvalidConfig):
-            PeerProfile.from_log("peer", "day=1 wibble=3")
-        with pytest.raises(InvalidConfig, match="line 2: bad field 'negotiations=-5'"):
-            PeerProfile.from_log("peer", "day=0 negotiations=1\n"
-                                         "day=0 negotiations=-5 go_seconds=-10 comm_seconds=4")
-        with pytest.raises(InvalidConfig, match="line 1: owner seconds 5 exceed session seconds 4"):
-            PeerProfile.from_log("peer", "day=0 negotiations=1 go_seconds=5 comm_seconds=4")
-        with pytest.raises(InvalidConfig, match="line 1: wins 5 exceed negotiations 1"):
-            PeerProfile.from_log("peer", "day=0 negotiations=1 wins=5")
-        with pytest.raises(InvalidConfig, match="line 2: quits 3 exceed negotiations 2"):
-            PeerProfile.from_log("peer", "day=0 negotiations=1 quits=1\n"
-                                         "day=0 negotiations=2 quits=3")
-
-    def test_import_rejects_days_out_of_order(self):
-        with pytest.raises(InvalidConfig, match="line 2: day 1 precedes current day 5"):
-            PeerProfile.from_log("peer", "day=5 negotiations=1\nday=1 negotiations=1")
-
-
 class TestAssessment:
     def hostile_profile(self, n=120):
         p = PeerProfile("mallory")
@@ -363,60 +319,3 @@ class TestAssessment:
         relaxed = assess(p, attacker_mass_threshold=0.99)
         assert not relaxed.is_attacker
         assert 0.0 < ATTACKER_MASS_THRESHOLD < 1.0
-
-
-class TestClassifierConfig:
-    def test_format_parse_roundtrip(self):
-        cpt, prior = parse_classifier_config(format_classifier_config())
-        assert cpt == DEFAULT_CPT
-        assert prior == DEFAULT_PRIOR
-
-    def test_override_single_row(self):
-        text = "cpt.ample.altruist = 0.5 0.2 0.1 0.1 0.1\n"
-        cpt, prior = parse_classifier_config(text)
-        assert cpt.row(HistoryDepth.AMPLE, Disposition.ALTRUIST) == (0.5, 0.2, 0.1, 0.1, 0.1)
-        assert cpt.row(HistoryDepth.AMPLE, Disposition.FAIR) == \
-            DEFAULT_CPT.row(HistoryDepth.AMPLE, Disposition.FAIR)
-        assert prior == DEFAULT_PRIOR
-
-    def test_override_prior(self):
-        cpt, prior = parse_classifier_config("prior = 1 1 1 1 1\n")
-        assert prior == (1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# comment\n\nprior = 0.2 0.2 0.2 0.2 0.2  # trailing\n"
-        _, prior = parse_classifier_config(text)
-        assert prior == (0.2,) * 5
-
-    @pytest.mark.parametrize("text,fragment", [
-        ("wibble = 1 2 3", "unknown key"),
-        ("cpt.ample.wizard = 0.2 0.2 0.2 0.2 0.2", "unknown key"),
-        ("cpt.never.fair = 0.2 0.2 0.2 0.2 0.2", "unknown key"),
-        ("prior = 0.5 0.5", "needs 5 values"),
-        ("cpt.ample.fair = 0.5 0.5", "needs 5 values"),
-        ("prior = a b c d e", "could not convert"),
-        ("just a line", "expected"),
-    ])
-    def test_diagnostics_carry_line_numbers(self, text, fragment):
-        with pytest.raises(InvalidConfig) as err:
-            parse_classifier_config(text)
-        assert "line 1" in str(err.value)
-        assert fragment in str(err.value)
-
-    def test_negative_prior_rejected(self):
-        with pytest.raises(InvalidConfig):
-            parse_classifier_config("prior = -1 1 1 1 1")
-
-    @pytest.mark.parametrize("text", [
-        "prior = nan 0.2 0.45 0.1 0.1",
-        "prior = inf 0.2 0.45 0.1 0.1",
-        "cpt.ample.fair = nan nan nan nan nan",
-        "cpt.ample.fair = 0.2 0.2 0.2 0.2 nan",
-    ])
-    def test_non_finite_values_rejected(self, text):
-        with pytest.raises(InvalidConfig, match="line 2: values must be finite"):
-            parse_classifier_config("# override\n" + text)
-
-    def test_row_override_must_still_sum_to_one(self):
-        with pytest.raises(InvalidConfig):
-            parse_classifier_config("cpt.ample.fair = 0.9 0.2 0.1 0.1 0.1")

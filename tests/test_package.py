@@ -13,8 +13,11 @@ PACKAGE_DIR = Path(wfdsim.__file__).parent
 def test_all_names_public_objects():
     for name in wfdsim.__all__:
         assert not isinstance(getattr(wfdsim, name), types.ModuleType), name
-    assert "Battery" not in wfdsim.__all__
-    assert "drain" not in wfdsim.__all__
+    removed = ("Battery", "drain", "CommitmentMismatch", "verify_or_raise",
+               "parse_classifier_config", "format_classifier_config", "Role",
+               "QuitDecision", "attacker_maybe_quit")
+    for name in removed:
+        assert name not in wfdsim.__all__, name
 
 
 def test_all_covers_the_layer_entry_points():

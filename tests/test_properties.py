@@ -54,8 +54,6 @@ from wfdsim.learning import (  # noqa: E402
     FeatureVector,
     HistoryDepth,
     PeerProfile,
-    format_classifier_config,
-    parse_classifier_config,
     posterior,
 )
 from wfdsim.protocol import (  # noqa: E402
@@ -269,9 +267,6 @@ def test_peer_profile_window(steps):
         assert all(day - WINDOW_DAYS < b.day <= day for b in buckets)
         assert totals == tuple(sum(getattr(b, name) for b in buckets) for name in COUNTERS)
 
-        copy = PeerProfile.from_log("peer", profile.export_log())
-        assert window(copy) == (buckets, totals)
-
         version = profile.version
         profile.roll_to(day)
         assert (window(profile), profile.version) == ((buckets, totals), version)
@@ -363,9 +358,3 @@ def test_posterior_is_a_scale_free_distribution(fv, cpt, prior, doublings):
     # included; read the other way round it scales the prior down
     scaled = tuple(p * 2.0 ** doublings for p in prior)
     assert posterior(fv, cpt, scaled) == pytest.approx(post, rel=1e-12)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(cpts, priors)
-def test_classifier_config_round_trips(cpt, prior):
-    assert parse_classifier_config(format_classifier_config(cpt, prior)) == (cpt, prior)
