@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from random import Random
 
 import pytest
@@ -61,12 +62,12 @@ ORACLE_TABLES = {
 ORACLE_PRIOR = (0.15, 0.20, 0.45, 0.10, 0.10)
 
 
-def oracle_posterior(fv: FeatureVector) -> tuple[float, ...]:
-    table = ORACLE_TABLES[fv.depth]
+def oracle_posterior(fv: FeatureVector, tables=ORACLE_TABLES, prior=ORACLE_PRIOR) -> tuple[float, ...]:
+    table = tables[fv.depth]
     joint = []
     for d in range(5):
         row = table[d]
-        joint.append(ORACLE_PRIOR[d] * row[fv.self_go] * row[fv.peer_quit] * row[fv.go_time])
+        joint.append(prior[d] * row[fv.self_go] * row[fv.peer_quit] * row[fv.go_time])
     total = sum(joint)
     return tuple(j / total for j in joint)
 
@@ -150,7 +151,7 @@ class TestPosterior:
         with pytest.raises(DegenerateDistribution):
             posterior(fv, prior=(-0.1, 0.3, 0.3, 0.3, 0.2))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_priors_rejected(self, bad):
         # NaN passes every comparison check and would make the whole
         # posterior NaN, so no peer would ever classify as hostile
@@ -190,6 +191,52 @@ class TestCptValidation:
         tables[HistoryDepth.AMPLE][Disposition.FAIR] = (math.nan,) * 5
         with pytest.raises(InvalidConfig, match="AMPLE/FAIR: non-finite"):
             Cpt(tuple(map(tuple, tables)))
+
+    @staticmethod
+    def tables_with(depth, disposition, row):
+        tables = [list(table) for table in DEFAULT_CPT.tables]
+        tables[depth][disposition] = row
+        return tuple(map(tuple, tables))
+
+    @pytest.mark.parametrize("tables,message", [
+        (DEFAULT_CPT.tables[:2], "need one table per history depth, got 2"),
+        (DEFAULT_CPT.tables + DEFAULT_CPT.tables[:1], "need one table per history depth, got 4"),
+        (DEFAULT_CPT.tables[:1] + (DEFAULT_CPT.tables[1][:4],) + DEFAULT_CPT.tables[2:],
+         "LIMITED: need one row per disposition"),
+    ], ids=["two-tables", "four-tables", "four-rows"])
+    def test_shape_diagnostics(self, tables, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            Cpt(tables)
+
+    @pytest.mark.parametrize("row,message", [
+        ((0.5, 0.5, 0.0, 0.0), "need one entry per band"),
+        ((0.5, 0.2, 0.1, 0.1, 0.1, 0.0), "need one entry per band"),
+        ((1.2, -0.2, 0.0, 0.0, 0.0), "negative probability"),
+        ((-math.inf, 0.2, 0.2, 0.2, 0.2), "negative probability"),
+        ((math.inf, 0.2, 0.2, 0.2, 0.2), "non-finite probability"),
+        ((0.2, 0.2, 0.2, 0.2, math.nan), "non-finite probability"),
+        ((0.9, 0.2, 0.1, 0.1, 0.1), "row sums to 1.4"),
+        ((0.2, 0.2, 0.2, 0.2, 0.2 + 1e-8), "row sums to 1.00000001"),
+    ], ids=["short", "long", "negative", "minus-inf", "inf", "nan", "sum-high", "sum-off-by-1e-8"])
+    def test_row_diagnostics_name_the_row(self, row, message):
+        with pytest.raises(InvalidConfig, match=re.escape(f"LIMITED/ALTRUIST: {message}")):
+            Cpt(self.tables_with(HistoryDepth.LIMITED, Disposition.ALTRUIST, row))
+
+    def test_row_sum_within_tolerance_is_accepted(self):
+        row = (0.2, 0.2, 0.2, 0.2, 0.2 + 1e-10)
+        assert Cpt(self.tables_with(HistoryDepth.LIMITED, Disposition.ALTRUIST, row)).tables[1][4] == row
+
+    @pytest.mark.parametrize("depth", list(HistoryDepth), ids=lambda d: d.name)
+    def test_custom_row_drives_the_posterior(self, depth):
+        # a replaced row changes the posterior at its own depth only
+        uniform = (0.2,) * 5
+        cpt = Cpt(self.tables_with(depth, Disposition.FAIR, uniform))
+        tables = dict(ORACLE_TABLES)
+        tables[depth] = tuple(uniform if d is Disposition.FAIR else row
+                              for d, row in zip(Disposition, ORACLE_TABLES[depth]))
+        for other, sg, pq, gt in itertools.product(HistoryDepth, Band, Band, Band):
+            fv = FeatureVector(sg, pq, gt, other)
+            assert posterior(fv, cpt) == pytest.approx(oracle_posterior(fv, tables), abs=1e-12)
 
 
 class TestPeerProfileWindow:
@@ -243,6 +290,37 @@ class TestPeerProfileWindow:
             p.record_group_time(0, -1, 10)
         with pytest.raises(InvalidDuration):
             p.record_group_time(0, 20, 10)
+
+    @staticmethod
+    def snapshot(p):
+        return (p.current_day, p.version, p.buckets(),
+                [getattr(p, name) for name in ("negotiations", "self_go_wins", "peer_premature_quits",
+                                               "self_go_seconds", "comm_seconds")])
+
+    @pytest.mark.parametrize("go_s,comm_s", [(-1, 10), (0, -1), (-5, -1), (20, 10)])
+    def test_rejected_durations_leave_profile_unchanged(self, go_s, comm_s):
+        # validation runs before the clock rolls or a bucket is opened
+        p = PeerProfile("peer")
+        p.record_negotiation(1, True, False)
+        p.record_group_time(1, 30, 60)
+        before = self.snapshot(p)
+        with pytest.raises(InvalidDuration):
+            p.record_group_time(WINDOW_DAYS + 5, go_s, comm_s)
+        assert self.snapshot(p) == before
+
+    @pytest.mark.parametrize("record", [
+        lambda p, day: p.record_negotiation(day, True, True),
+        lambda p, day: p.record_group_time(day, 10, 20),
+    ], ids=["negotiation", "group_time"])
+    def test_records_for_an_earlier_day_are_refused(self, record):
+        p = PeerProfile("peer")
+        p.record_negotiation(5, False, False)
+        before = self.snapshot(p)
+        with pytest.raises(ClockRegression, match="day 4 precedes current day 5"):
+            record(p, 4)
+        assert self.snapshot(p) == before
+        record(p, 5)
+        assert p.current_day == 5 and len(p.buckets()) == 1
 
     def test_window_totals_match_naive_recompute(self):
         rng = Random(1234)
@@ -313,6 +391,16 @@ class TestAssessment:
         assert a.is_attacker
         assert a.peer_fairness == 0.6
         assert not should_reject(a)
+
+    def test_custom_cpt_and_prior_reach_the_posterior(self):
+        flat = Cpt(tuple(tuple((0.2,) * 5 for _ in Disposition) for _ in HistoryDepth))
+        prior = (1.0, 1.0, 1.0, 1.0, 4.0)
+        a = assess(self.hostile_profile(), cpt=flat, prior=prior)
+        # flat likelihoods leave the normalised prior as the posterior
+        assert a.posterior == pytest.approx((0.125, 0.125, 0.125, 0.125, 0.5), abs=1e-15)
+        assert not a.is_attacker
+        b = assess(self.hostile_profile(), prior=prior)
+        assert b.posterior == pytest.approx(oracle_posterior(b.features, prior=prior), abs=1e-12)
 
     def test_attacker_mass_threshold_is_strict(self):
         p = self.hostile_profile()

@@ -53,6 +53,7 @@ from wfdsim.learning import (  # noqa: E402
     Disposition,
     FeatureVector,
     HistoryDepth,
+    InvalidConfig,
     PeerProfile,
     posterior,
 )
@@ -332,7 +333,7 @@ def test_any_bytes_decode_exactly_or_raise_value_error(codec):
 
 
 # classifier: the posterior is a distribution that ignores the prior's
-# scale, and the config text reads back as the tables it was written from
+# scale, and a table whose one entry moves off its row's sum is refused
 
 feature_vectors = st.builds(FeatureVector, st.sampled_from(Band), st.sampled_from(Band),
                             st.sampled_from(Band), st.sampled_from(HistoryDepth))
@@ -358,3 +359,13 @@ def test_posterior_is_a_scale_free_distribution(fv, cpt, prior, doublings):
     # included; read the other way round it scales the prior down
     scaled = tuple(p * 2.0 ** doublings for p in prior)
     assert posterior(fv, cpt, scaled) == pytest.approx(post, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cpts, st.sampled_from(HistoryDepth), st.sampled_from(Disposition), st.sampled_from(Band),
+       st.floats(1e-6, 0.5) | st.floats(-0.5, -1e-6))
+def test_cpt_refuses_a_row_moved_off_its_sum(cpt, depth, disposition, band, delta):
+    tables = [[list(row) for row in table] for table in cpt.tables]
+    tables[depth][disposition][band] += delta
+    with pytest.raises(InvalidConfig, match=f"{depth.name}/{disposition.name}: "):
+        Cpt(tuple(tuple(map(tuple, table)) for table in tables))
