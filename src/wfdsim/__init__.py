@@ -66,7 +66,6 @@ from .learning import (
     Disposition,
     FeatureVector,
     HistoryDepth,
-    Ignorance,
     InvalidConfig,
     InvalidDuration,
     OutOfRange,

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .learning import SECONDS_PER_DAY, InvalidConfig
 from .simulation import (
+    DEFAULT_RETRY_CAP,
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
     AttackProfile,
@@ -33,46 +34,33 @@ from .simulation import (
     run,
 )
 
-PRESET_NAMES = (
-    "var_tbb_strength",
-    "var_r_strength",
-    "attacker_ratio_5",
-    "attacker_ratio_10",
-)
-
 _SWEEPS = ("tbb_strength", "r_strength", "attacker_ratio")
 
 STRENGTH_GRID = tuple(round(i / 10, 1) for i in range(11))
 RATIO_GRID = (0.25, 0.5, 0.75)
 
-_ALL_MODES = (
-    DefenseMode.STANDARD,
-    DefenseMode.LEARNING,
-    DefenseMode.COMMITMENT,
-    DefenseMode.LEARNING_COMMITMENT,
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a grid of attack parameters crossed with defense modes."""
+    """One sweep: a grid of attack parameters crossed with defense modes.
 
-    experiment: str
-    device_count: int
-    modes: tuple[DefenseMode, ...]
-    sweep: str
-    grid: tuple[float, ...]
+    The defaults are the ``var_tbb_strength`` preset; the other presets,
+    config files and command-line flags override them.
+    """
+
+    device_count: int = 2
+    modes: tuple[DefenseMode, ...] = tuple(DefenseMode)
+    sweep: str = "tbb_strength"
+    grid: tuple[float, ...] = STRENGTH_GRID
     seeds: int = 10
     seed_base: int = 0
     horizon_days: int = 400
     schedule: Schedule = MINUTE_SCHEDULE
     tbb_strength: float = 1.0
     r_strength: float = 0.0
-    retry_cap: int = 16
+    retry_cap: int = DEFAULT_RETRY_CAP
 
     def __post_init__(self) -> None:
-        if not self.experiment:
-            raise InvalidConfig("experiment label cannot be empty")
         if self.device_count < 2:
             raise InvalidConfig(f"need at least 2 devices: {self.device_count}")
         if not self.modes:
@@ -90,12 +78,23 @@ class ExperimentConfig:
             raise InvalidConfig(f"need at least 1 seed: {self.seeds}")
         if self.horizon_days < 1:
             raise InvalidConfig(f"horizon must be at least a day: {self.horizon_days}")
-        for name in ("tbb_strength", "r_strength"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfig(f"{name} outside [0, 1]: {value}")
-        if self.retry_cap < 0:
-            raise InvalidConfig(f"retry cap cannot be negative: {self.retry_cap}")
+        # the sweep overwrites one of these in every cell, but a bad value
+        # fails here all the same
+        AttackProfile(self.tbb_strength, self.r_strength, self.retry_cap)
+
+
+_RATIO_SWEEP = dict(modes=(DefenseMode.STANDARD, DefenseMode.LEARNING),
+                    sweep="attacker_ratio", grid=RATIO_GRID, schedule=HOUR_SCHEDULE)
+
+# preset name -> overrides of ExperimentConfig's defaults
+_PRESETS: dict[str, dict[str, object]] = {
+    "var_tbb_strength": {},
+    "var_r_strength": dict(sweep="r_strength", tbb_strength=0.5),
+    "attacker_ratio_5": dict(_RATIO_SWEEP, device_count=5),
+    "attacker_ratio_10": dict(_RATIO_SWEEP, device_count=10),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,10 @@ class ResultRow:
 
 def preset(name: str) -> ExperimentConfig:
     """Built-in experiment configuration by name."""
-    if name == "var_tbb_strength":
-        return ExperimentConfig(experiment=name, device_count=2, modes=_ALL_MODES,
-                                sweep="tbb_strength", grid=STRENGTH_GRID,
-                                schedule=MINUTE_SCHEDULE)
-    if name == "var_r_strength":
-        return ExperimentConfig(experiment=name, device_count=2, modes=_ALL_MODES,
-                                sweep="r_strength", grid=STRENGTH_GRID,
-                                schedule=MINUTE_SCHEDULE, tbb_strength=0.5)
-    if name in ("attacker_ratio_5", "attacker_ratio_10"):
-        count = 5 if name.endswith("_5") else 10
-        return ExperimentConfig(experiment=name, device_count=count,
-                                modes=(DefenseMode.STANDARD, DefenseMode.LEARNING),
-                                sweep="attacker_ratio", grid=RATIO_GRID,
-                                schedule=HOUR_SCHEDULE, tbb_strength=1.0)
-    raise InvalidConfig(f"unknown experiment preset {name!r}, "
-                        f"expected one of {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise InvalidConfig(f"unknown experiment preset {name!r}, "
+                            f"expected one of {PRESET_NAMES}")
+    return ExperimentConfig(**_PRESETS[name])  # type: ignore[arg-type]
 
 
 def build_devices(cfg: ExperimentConfig, mode: DefenseMode,
@@ -246,7 +233,6 @@ def _parse_schedule(text: str) -> Schedule:
 
 
 _CONFIG_PARSERS = {
-    "experiment": str,
     "device_count": int,
     "modes": _parse_modes,
     "sweep": str,
@@ -264,8 +250,8 @@ _CONFIG_PARSERS = {
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Build a configuration from key=value lines.
 
-    Unset keys fall back to a two-device tie-bit sweep over all four
-    defense modes.  ``#`` starts a comment; keys may not repeat.
+    Unset keys keep ``ExperimentConfig``'s defaults, which are the
+    ``var_tbb_strength`` preset.  ``#`` starts a comment; keys may not repeat.
     """
     overrides: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -288,15 +274,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise InvalidConfig(f"line {lineno}: {exc}") from None
         except ValueError:
             raise InvalidConfig(f"line {lineno}: bad value for {key}: {value!r}") from None
-    settings: dict[str, object] = {
-        "experiment": "custom",
-        "device_count": 2,
-        "modes": _ALL_MODES,
-        "sweep": "tbb_strength",
-        "grid": STRENGTH_GRID,
-    }
-    settings.update(overrides)
-    return ExperimentConfig(**settings)  # type: ignore[arg-type]
+    return ExperimentConfig(**overrides)  # type: ignore[arg-type]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,16 +307,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg = preset(args.experiment)
         overrides: dict[str, object] = {}
-        if args.modes is not None:
-            overrides["modes"] = _parse_modes(args.modes)
-        if args.seeds is not None:
-            overrides["seeds"] = args.seeds
-        if args.seed_base is not None:
-            overrides["seed_base"] = args.seed_base
-        if args.horizon_days is not None:
-            overrides["horizon_days"] = args.horizon_days
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        for name in ("modes", "seeds", "seed_base", "horizon_days"):
+            value = getattr(args, name)
+            if value is not None:
+                overrides[name] = _parse_modes(value) if name == "modes" else value
+        cfg = dataclasses.replace(cfg, **overrides)
         payload = emit_csv(run_experiment(cfg))
     except InvalidConfig as exc:
         print(f"wfdsim: {exc}", file=sys.stderr)

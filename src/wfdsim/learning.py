@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 WINDOW_DAYS = 30
 SECONDS_PER_DAY = 86400
@@ -92,19 +92,6 @@ def history_depth(negotiations: int) -> HistoryDepth:
     if negotiations < 100:
         return HistoryDepth.LIMITED
     return HistoryDepth.AMPLE
-
-
-class Ignorance(Enum):
-    HIGH = "high"
-    MEDIUM = "medium"
-    LOW = "low"
-
-
-_IGNORANCE_BY_DEPTH = {
-    HistoryDepth.INSUFFICIENT: Ignorance.HIGH,
-    HistoryDepth.LIMITED: Ignorance.MEDIUM,
-    HistoryDepth.AMPLE: Ignorance.LOW,
-}
 
 
 class Disposition(IntEnum):
@@ -336,7 +323,6 @@ class PeerAssessment:
     features: FeatureVector
     posterior: tuple[float, ...]
     peer_fairness: float
-    ignorance: Ignorance
     is_attacker: bool
     window_negotiations: int
 
@@ -355,7 +341,6 @@ def assess(
         features=f,
         posterior=post,
         peer_fairness=peer_fairness(profile),
-        ignorance=_IGNORANCE_BY_DEPTH[f.depth],
         is_attacker=mass > attacker_mass_threshold,
         window_negotiations=profile.negotiations,
     )

@@ -40,7 +40,6 @@ from .learning import (
     SECONDS_PER_DAY,
     FAIRNESS_THRESHOLD,
     HistoryDepth,
-    Ignorance,
     InvalidConfig,
     PeerProfile,
     assess,
@@ -419,7 +418,7 @@ class _Simulator:
         if cached is not None and cached[0] == prof.version:
             result = cached[1]
         else:
-            # high ignorance, or an owner-time share at or below the
+            # an insufficient history, or an owner-time share at or below the
             # fairness threshold, rules rejection out whatever the
             # posterior says, so the classifier runs only otherwise
             if (history_depth(n) is HistoryDepth.INSUFFICIENT
@@ -431,7 +430,7 @@ class _Simulator:
                     result = False
                 else:
                     pf = assessment.peer_fairness
-                    if assessment.ignorance is Ignorance.LOW:
+                    if assessment.features.depth is HistoryDepth.AMPLE:
                         z = GUARD_Z_AMPLE
                     elif n < SPARSE_WINDOW_NEGOTIATIONS:
                         z = GUARD_Z_SPARSE

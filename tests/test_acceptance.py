@@ -56,7 +56,7 @@ def verdict(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def sweep(modes, sweep_var, grid, **overrides):
-    settings = dict(experiment="acceptance", device_count=2, modes=modes,
+    settings = dict(device_count=2, modes=modes,
                     sweep=sweep_var, grid=grid, seeds=SEEDS,
                     horizon_days=HORIZON_DAYS, schedule=MINUTE_SCHEDULE)
     settings.update(overrides)

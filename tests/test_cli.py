@@ -37,44 +37,52 @@ C, LC = DefenseMode.COMMITMENT, DefenseMode.LEARNING_COMMITMENT
 
 
 def quick_config(**overrides):
-    settings = dict(experiment="quick", device_count=2, modes=(S, L),
+    settings = dict(device_count=2, modes=(S, L),
                     sweep="tbb_strength", grid=(0.0, 1.0), seeds=1,
                     horizon_days=2)
     settings.update(overrides)
     return ExperimentConfig(**settings)
 
 
+STRENGTH_PAIR = dict(
+    device_count=2, modes=(S, L, C, LC),
+    grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    seeds=10, seed_base=0, horizon_days=400, schedule=MINUTE_SCHEDULE,
+    r_strength=0.0, retry_cap=16)
+RATIO_CROWD = dict(
+    modes=(S, L), sweep="attacker_ratio", grid=(0.25, 0.5, 0.75),
+    seeds=10, seed_base=0, horizon_days=400, schedule=HOUR_SCHEDULE,
+    tbb_strength=1.0, r_strength=0.0, retry_cap=16)
+
+# every setting of every preset
+PRESET_FIELDS = {
+    "var_tbb_strength": dict(STRENGTH_PAIR, sweep="tbb_strength", tbb_strength=1.0),
+    "var_r_strength": dict(STRENGTH_PAIR, sweep="r_strength", tbb_strength=0.5),
+    "attacker_ratio_5": dict(RATIO_CROWD, device_count=5),
+    "attacker_ratio_10": dict(RATIO_CROWD, device_count=10),
+}
+
+
 class TestPresets:
-    def test_names_round_trip(self):
-        for name in PRESET_NAMES:
-            assert preset(name).experiment == name
+    def test_every_setting_is_pinned(self):
+        assert tuple(PRESET_FIELDS) == PRESET_NAMES
+        settings = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for fields in PRESET_FIELDS.values():
+            assert set(fields) == settings
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_settings(self, name):
+        cfg = preset(name)
+        assert {key: getattr(cfg, key) for key in PRESET_FIELDS[name]} == PRESET_FIELDS[name]
+
+    def test_defaults_are_the_tie_bit_sweep(self):
+        assert preset("var_tbb_strength") == ExperimentConfig()
+        assert STRENGTH_GRID == PRESET_FIELDS["var_tbb_strength"]["grid"]
+        assert RATIO_GRID == PRESET_FIELDS["attacker_ratio_5"]["grid"]
 
     def test_unknown_preset(self):
         with pytest.raises(InvalidConfig):
             preset("var_nonsense")
-
-    def test_tie_bit_sweep(self):
-        cfg = preset("var_tbb_strength")
-        assert cfg.device_count == 2
-        assert cfg.sweep == "tbb_strength"
-        assert cfg.grid == STRENGTH_GRID
-        assert len(cfg.grid) == 11
-        assert cfg.modes == (S, L, C, LC)
-        assert cfg.schedule == MINUTE_SCHEDULE
-
-    def test_quit_sweep_fixes_tie_bit_strength(self):
-        cfg = preset("var_r_strength")
-        assert cfg.sweep == "r_strength"
-        assert cfg.tbb_strength == 0.5
-
-    def test_ratio_sweeps(self):
-        for name, count in [("attacker_ratio_5", 5), ("attacker_ratio_10", 10)]:
-            cfg = preset(name)
-            assert cfg.device_count == count
-            assert cfg.grid == RATIO_GRID
-            assert cfg.modes == (S, L)
-            assert cfg.schedule == HOUR_SCHEDULE
-            assert cfg.tbb_strength == 1.0
 
 
 class TestConfigValidation:
@@ -90,7 +98,6 @@ class TestConfigValidation:
         dict(tbb_strength=1.2),
         dict(r_strength=-0.2),
         dict(retry_cap=-1),
-        dict(experiment=""),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
@@ -201,18 +208,11 @@ class TestEmitCsv:
 
 class TestParseExperimentConfig:
     def test_defaults(self):
-        cfg = parse_experiment_config("")
-        assert cfg.experiment == "custom"
-        assert cfg.device_count == 2
-        assert cfg.modes == (S, L, C, LC)
-        assert cfg.sweep == "tbb_strength"
-        assert cfg.grid == STRENGTH_GRID
-        assert cfg.seeds == 10
+        assert parse_experiment_config("") == preset("var_tbb_strength")
 
     def test_full_file(self):
         text = """\
 # crowd experiment, small
-experiment = crowd
 device_count = 5
 modes = S,L
 sweep = attacker_ratio
@@ -227,7 +227,7 @@ retry_cap = 8
 """
         cfg = parse_experiment_config(text)
         assert cfg == ExperimentConfig(
-            experiment="crowd", device_count=5, modes=(S, L),
+            device_count=5, modes=(S, L),
             sweep="attacker_ratio", grid=(0.25, 0.5, 0.75), seeds=3,
             seed_base=100, horizon_days=30, schedule=HOUR_SCHEDULE,
             tbb_strength=1.0, r_strength=0.0, retry_cap=8)
@@ -244,6 +244,7 @@ retry_cap = 8
         ("modes = S,X", 1, "unknown defense mode"),
         ("schedule = sometimes", 1, "schedule must be"),
         ("variant = probe_commit", 1, "unknown key"),
+        ("experiment = crowd", 1, "unknown key"),
         ("grid = 0.1,zap", 1, "comma-separated numbers"),
     ])
     def test_diagnostics_name_the_line(self, text, lineno, fragment):
@@ -285,7 +286,7 @@ class TestMain:
         out = tmp_path / "out.csv"
         assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
         expected = emit_csv(run_experiment(quick_config(
-            experiment="custom", modes=(S,))))
+            modes=(S,))))
         assert out.read_bytes() == expected
 
     def test_flag_overrides_config_file(self, tmp_path):
@@ -295,7 +296,7 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--seed-base", "7",
                      "--out", str(out)]) == 0
         expected = emit_csv(run_experiment(quick_config(
-            experiment="custom", modes=(S,), grid=(0.0,), seed_base=7)))
+            modes=(S,), grid=(0.0,), seed_base=7)))
         assert out.read_bytes() == expected
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

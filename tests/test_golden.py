@@ -7,11 +7,14 @@ cover each defense mode, a quit-and-retry attacker, a ten-device hour
 population, a battery that dies mid-group, back-to-back owner groups, two
 deaths in the same second and the ticks of a last live device (alone with
 no peer to reach, or still avoiding a dead one it flagged), plus the
-``emit_csv`` bytes of every preset at two seeds.  The preset horizons are
-short, so their victims outlive them and the CSV pins cover the sweep
-plumbing and the CSV format (presets of the same shape share a pin); the
-run pins cover behaviour.  A change meant to alter results updates the
-pins in the same commit and says why in CHANGES.md.
+``emit_csv`` bytes of every preset at two seeds.  Those preset horizons
+are short, so their victims outlive them and the pins cover the sweep
+plumbing and the CSV format (presets of the same shape share a pin).  A
+second set of preset pins runs each preset at its own 400-day horizon on
+a slice small enough to be quick, where every victim depletes, so the
+pins also tell the presets' populations, schedules and attacks apart.
+The run pins cover behaviour.  A change meant to alter results updates
+the pins in the same commit and says why in CHANGES.md.
 """
 
 import dataclasses
@@ -131,6 +134,22 @@ CSV_DIGESTS = {
 }
 
 
+# preset -> overrides that keep its 400-day horizon but shrink the sweep
+DEPLETION_SLICES = {
+    "var_tbb_strength": dict(grid=(0.5,), modes=(S, C), seeds=1),
+    "var_r_strength": dict(grid=(0.0, 1.0), modes=(S,), seeds=1),
+    "attacker_ratio_5": dict(seeds=2),
+    "attacker_ratio_10": dict(seeds=2),
+}
+
+DEPLETION_DIGESTS = {
+    "var_tbb_strength": "27d3b965ee4aee4b60035c9daa6bbe8756769b1bfaf995870d26c8f4a5050bd4",
+    "var_r_strength": "6c15df89242864dc3a0db99e08384cf21046b9f8def8912d4a9e8868053771c9",
+    "attacker_ratio_5": "401bbd10feaf07960f0223734b6af30f0771ef5251547bb52a63154576bbba9a",
+    "attacker_ratio_10": "5b84a004665c5998596daf36a0ce9dd2683a1ede2109df881cedf91df85d0b77",
+}
+
+
 def run_digest(name: str) -> str:
     devices, horizon, seed = RUNS[name]
     result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
@@ -145,6 +164,7 @@ def csv_digest(name: str) -> str:
 def test_every_case_is_pinned():
     assert RUN_DIGESTS.keys() == RUNS.keys()
     assert CSV_DIGESTS.keys() == set(PRESET_NAMES)
+    assert DEPLETION_SLICES.keys() == DEPLETION_DIGESTS.keys() == set(PRESET_NAMES)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -176,3 +196,12 @@ def test_survivors_outlive_their_peers():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_csv_digest(name):
     assert csv_digest(name) == CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_depletion_digest(name):
+    cfg = dataclasses.replace(preset(name), **DEPLETION_SLICES[name])
+    rows = run_experiment(cfg)
+    # a censored cell reads the horizon and would hide a change in the preset
+    assert all(day < cfg.horizon_days for row in rows for day in row.seed_days)
+    assert hashlib.sha256(emit_csv(rows)).hexdigest() == DEPLETION_DIGESTS[name]

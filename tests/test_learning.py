@@ -19,7 +19,6 @@ from wfdsim.learning import (
     Disposition,
     FeatureVector,
     HistoryDepth,
-    Ignorance,
     InvalidConfig,
     InvalidDuration,
     OutOfRange,
@@ -365,7 +364,6 @@ class TestAssessment:
     def test_saturated_attacker_is_flagged(self):
         a = assess(self.hostile_profile())
         assert a.features.depth is HistoryDepth.AMPLE
-        assert a.ignorance is Ignorance.LOW
         assert a.is_attacker
         assert a.peer_fairness == 1.0
         assert should_reject(a)
@@ -377,7 +375,7 @@ class TestAssessment:
 
     def test_thin_history_means_high_ignorance(self):
         a = assess(self.hostile_profile(n=5))
-        assert a.ignorance is Ignorance.HIGH
+        assert a.features.depth is HistoryDepth.INSUFFICIENT
         assert a.window_negotiations == 5
 
     def test_hostile_but_currently_fair_is_tolerated(self):

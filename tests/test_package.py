@@ -15,7 +15,7 @@ def test_all_names_public_objects():
         assert not isinstance(getattr(wfdsim, name), types.ModuleType), name
     removed = ("Battery", "drain", "CommitmentMismatch", "verify_or_raise",
                "parse_classifier_config", "format_classifier_config", "Role",
-               "QuitDecision", "attacker_maybe_quit")
+               "QuitDecision", "attacker_maybe_quit", "Ignorance")
     for name in removed:
         assert name not in wfdsim.__all__, name
 
