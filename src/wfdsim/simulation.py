@@ -6,10 +6,8 @@ for ``group_duration`` seconds.  Energy drains by role (idle 1, client 2,
 owner 11 units/second) from a battery sized to last 365 idle days.  The
 run is driven by a single seeded RNG, a heap of schedule ticks and at
 most one pending death per device; at one instant deaths resolve before
-ticks.  A group ends at its scheduled end without an event of its own:
-it is closed when one of its members is next touched, with the energy
-settled as of that end.  Equal configuration and seed reproduce the
-result byte for byte.
+ticks.  A group ends at its scheduled end without an event of its own.
+Equal configuration and seed reproduce the result byte for byte.
 
 Attackers manipulate the tie-breaker bit when initiating (standard
 negotiation only; a pair with a commitment-mode member XORs both
@@ -19,11 +17,16 @@ Defending devices keep per-peer profiles and refuse to negotiate with
 peers classified as hostile, both when receiving a request and before
 accepting an owner role.
 
-Energy accounting is integer end to end: a device operates through each
-whole second it can fully fund and leaves service at the first second
-boundary it cannot, keeping ``capacity - remaining`` exactly equal to the
-rate-weighted role seconds.  The reported depletion instant interpolates
-the sub-second remainder.
+Energy accounting is an integer ledger.  Every device drains the idle
+rate every second; a group books its members' extra drain and client or
+owner seconds for its whole span when it starts, so the energy left at
+second ``t`` is ``capacity - idle * t - spent``.  A death mid-group gives
+both members back what was booked past it.  A device operates through
+each whole second it can fully fund and leaves service at the first
+second boundary it cannot; its idle seconds are the seconds it lived less
+its client and owner seconds, keeping ``capacity - remaining`` exactly
+equal to the rate-weighted role seconds.  The reported depletion instant
+interpolates the sub-second remainder at the rate of the role it held.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class _Group:
 class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_learning", "uses_commitment", "schedule", "attack",
-        "remaining", "capacity", "rate", "role", "last_update", "role_seconds",
+        "remaining", "capacity", "spent", "role_seconds",
         "alive", "depletion_time", "group",
         "profiles", "pair_start", "guard_cache", "flag_hold",
         "negotiations", "go_wins", "peer_quits_observed",
@@ -269,11 +272,9 @@ class _Device:
         self.schedule = cfg.schedule
         self.attack = cfg.attack
         self.capacity = cfg.battery_capacity
-        self.remaining = cfg.battery_capacity
-        self.rate = 0
-        self.role = _IDLE
-        self.last_update = 0
-        self.role_seconds = [0, 0, 0]   # indexed by role
+        self.remaining = cfg.battery_capacity   # settled when the device stops
+        self.spent = 0                  # drain booked beyond the idle rate
+        self.role_seconds = [0, 0, 0]   # indexed by role; idle settled at the stop
         self.alive = True
         self.depletion_time: float | None = None
         self.group: _Group | None = None
@@ -316,14 +317,20 @@ class _Simulator:
     before ticks, and deaths among themselves in the order they were
     scheduled: each takes its ``seq`` from the counter ticks use.
 
-    A group ends without an event of its own.  It carries its ``end``, and
-    the deaths scheduled for its members when it starts already assume
-    they turn idle there.  A group past its end is closed when something
-    next touches one of its members: a tick of either one, a tick that
-    picks either one as its peer, the death of either one, or the horizon.
-    Closing it then settles both members' energy up to ``end``, so the
-    late close changes no result.  A death before ``end`` cuts the group
-    short and reschedules the partner's death at the idle rate.
+    Energy is booked, not settled per event.  When a group starts,
+    ``_set_role`` books each member's drain beyond the idle rate and its
+    client or owner seconds up to the group's ``end``, and schedules the
+    member's death assuming it turns idle there.  A death before ``end``
+    cuts the group short: both members give back what was booked past the
+    death second, and the partner's death is rescheduled at the idle rate.
+    ``_stop`` settles a device's remaining energy and idle seconds at its
+    death or the horizon.
+
+    A group ends without an event of its own.  A group past its end is
+    closed when something next touches one of its members: a tick of
+    either one, a tick that picks either one as its peer, or the death of
+    either one.  Closing it only clears the members' group pointers and
+    gives learning members its group-time records.
 
     A death that leaves one device alive, and not learning, decides the
     run: its remaining ticks can only count as busy, so ``_finish_alone``
@@ -346,34 +353,23 @@ class _Simulator:
         self.sessions: list[tuple] | None = [] if log_sessions else None
         self.rates = energy.rates
 
-    def _advance(self, dev: _Device, now: int) -> None:
-        dt = now - dev.last_update
-        if dt <= 0:
-            return
-        dev.remaining -= dev.rate * dt
-        if dev.remaining < 0:
+    def _set_role(self, dev: _Device, now: int, role: int, end: int) -> None:
+        """Book ``dev`` in ``role`` from ``now`` until ``end``, idle after
+        it, and schedule the one death this implies up to the horizon in
+        place of any pending one."""
+        idle, rate = self.rates[_IDLE], self.rates[role]
+        left = dev.capacity - idle * now - dev.spent
+        if left < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={now}")
-        dev.role_seconds[dev.role] += dt
-        dev.last_update = now
-
-    def _set_role(self, dev: _Device, now: int, role: int, end: int | None = None) -> None:
-        """Put ``dev`` in ``role`` from ``now`` until ``end`` (default the
-        horizon), idle after it, and schedule the one death this implies
-        up to the horizon in place of any pending one."""
-        self._advance(dev, now)
-        dev.role = role
-        rate = dev.rate = self.rates[role]
-        if end is None:
-            end = self.horizon
-        die_at = self.horizon + 1
-        if dev.alive:
-            left = dev.remaining
-            idle = self.rates[_IDLE]
-            # a death due at ``end`` itself falls after the switch to idle
-            if rate > 0 and now + left // rate < end:
-                die_at = now + left // rate
-            elif idle > 0:
-                die_at = end + (left - rate * (end - now)) // idle
+        dev.spent += (rate - idle) * (end - now)
+        dev.role_seconds[role] += end - now
+        # a death due at ``end`` itself falls after the switch to idle
+        if rate > 0 and now + left // rate < end:
+            die_at = now + left // rate
+        elif idle > 0:
+            die_at = (dev.capacity - dev.spent) // idle
+        else:
+            die_at = self.horizon + 1
         deaths = self.deaths
         if die_at <= self.horizon:
             self.seq += 1
@@ -543,19 +539,13 @@ class _Simulator:
             return
 
     def _end_group(self, group: _Group) -> None:
-        """Close ``group`` at its ``end``: both members turn idle there, as
-        their pending deaths already assume."""
+        """Close ``group``: clear its members' group pointers and give
+        learning members its group time, recorded on the day of its ``end``."""
         go, client = group.go, group.client
         go.group = client.group = None
-        end = group.end
-        idle = self.rates[_IDLE]
-        for dev in (go, client):
-            self._advance(dev, end)
-            dev.role = _IDLE
-            dev.rate = idle
-        duration = end - group.start
+        duration = group.end - group.start
         if duration > 0:
-            day = end // SECONDS_PER_DAY
+            day = group.end // SECONDS_PER_DAY
             if go.uses_learning:
                 go.profile(client.id).record_group_time(day, duration, duration)
             if client.uses_learning:
@@ -564,18 +554,30 @@ class _Simulator:
     def _death(self, t: int, dev: _Device) -> None:
         # the pending death is always current: the battery cannot fund
         # the coming second
+        rates = self.rates
+        rate = rates[_IDLE]
         group = dev.group
-        if group is not None and group.end <= t:
-            self._end_group(group)
-            group = None
-        self._advance(dev, t)
-        dev.alive = False
-        dev.depletion_time = t + dev.remaining / dev.rate
         if group is not None:
-            # cut short: the partner's pending death assumed the group ran on
-            group.end = t
+            if t < group.end:
+                # cut short: both members give back what was booked past
+                # ``t``, and the partner's pending death moves to the idle rate
+                for member, role in ((group.go, _GO), (group.client, _CLIENT)):
+                    member.role_seconds[role] -= group.end - t
+                    member.spent -= (rates[role] - rates[_IDLE]) * (group.end - t)
+                rate = rates[_GO if dev is group.go else _CLIENT]
+                group.end = t
+                self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)
             self._end_group(group)
-            self._set_role(group.client if dev is group.go else group.go, t, _IDLE)
+        dev.alive = False
+        self._stop(dev, t)
+        dev.depletion_time = t + dev.remaining / rate
+
+    def _stop(self, dev: _Device, t: int) -> None:
+        """Settle the books of ``dev`` at ``t``, its death second or the horizon."""
+        dev.remaining = dev.capacity - self.rates[_IDLE] * t - dev.spent
+        if dev.remaining < 0:
+            raise RuntimeError(f"{dev.id}: energy went negative at t={t}")
+        dev.role_seconds[_IDLE] = t - dev.role_seconds[_CLIENT] - dev.role_seconds[_GO]
 
     def _finish_alone(self, dev: _Device) -> None:
         """Count the busy ticks of ``dev``, the one device left alive, and
@@ -592,7 +594,7 @@ class _Simulator:
         for dev in self.devices:
             # seed the idle-drain death event so even a silent device
             # depletes on schedule
-            self._set_role(dev, 0, _IDLE)
+            self._set_role(dev, 0, _IDLE, 0)
             if dev.schedule is not None:
                 phase = dev.cfg.phase
                 if phase is None:
@@ -621,10 +623,8 @@ class _Simulator:
                 break
         stats = []
         for dev in self.devices:
-            if dev.group is not None:
-                self._end_group(dev.group)
             if dev.alive:
-                self._advance(dev, self.horizon)
+                self._stop(dev, self.horizon)
             idle_seconds, client_seconds, go_seconds = dev.role_seconds
             accounted = idle_seconds + client_seconds + go_seconds
             stats.append(DeviceStats(

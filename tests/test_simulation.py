@@ -232,6 +232,18 @@ class TestDepletionAnchors:
         assert (victim.go_seconds, victim.idle_seconds, victim.remaining) == (60, 5, 0)
         assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(65.0)
 
+    def test_death_at_group_end_interpolates_at_idle_rate(self):
+        # at idle 2, client 3 and owner 5 units/s, 301 units fund the 60
+        # owner seconds of the first group and leave 1 at its end, where the
+        # victim dies: the group is over, so the unit lasts half a second
+        # at the idle rate, not a fifth of one at the owner rate
+        cfgs = two_device_configs(DefenseMode.STANDARD)
+        cfgs[0] = DeviceConfig("victim", battery_capacity=301)
+        energy = EnergyModel(base_rate=2, client_extra=1, go_extra=3)
+        victim = run(cfgs, horizon=300, seed=0, energy=energy).device("victim")
+        assert (victim.go_seconds, victim.idle_seconds, victim.remaining) == (60, 0, 1)
+        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(60.5)
+
     def test_death_mid_group_recomputes_partner_death(self):
         # the victim dies 9 s into its first owner group; the attacker, a
         # client until then, would have had 80 units left at the group's
