@@ -332,9 +332,16 @@ class _Simulator:
     either one.  Closing it only clears the members' group pointers and
     gives learning members its group-time records.
 
-    A death that leaves one device alive, and not learning, decides the
-    run: its remaining ticks can only count as busy, so ``_finish_alone``
-    counts them, resolves its pending death and ends the loop.  A learning
+    Some runs of ticks are decided before they happen.  A lone survivor
+    that does not learn can only count its ticks as busy.  In a refusal
+    storm a learning device without a schedule refuses every tick of its
+    one peer, which does not learn: each refusal renews a hold that
+    outlasts the peer's period.  ``_decided_ticks`` takes either run in one
+    step, up to the next pending death or the horizon.  Neither spends
+    energy or changes a profile; a storm draws no peer, and a survivor's
+    skipped peer draws would feed nothing later.  A tick at the instant of
+    that death stays on the loop, as the death resolves first and makes
+    the tick busy (its peer died) or void (its device died).  A learning
     survivor stays on the loop, as its guard still avoids a flagged dead peer.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
     """
@@ -475,14 +482,25 @@ class _Simulator:
             dev.skips_busy += 1
             return
         if peer.uses_learning and self._rejects(peer, dev, t):
-            # a refused requester restarts the hold clock; only staying
-            # away for a full window span earns a clean slate
-            peer.flag_hold[dev.id] = t + FLAG_HOLD_SECONDS
-            peer.rejections_issued += 1
-            if self.sessions is not None:
-                self.sessions.append((t, "rejected", dev.id, peer.id, "", 0, 0))
+            self._refuse(peer, dev, t)
             return
         self._session(t, dev, peer)
+
+    def _refuse(self, refuser: _Device, dev: _Device, t: int) -> None:
+        """``refuser`` refuses the tick of ``dev`` at ``t``; in a refusal
+        storm, every later tick up to the next death or the horizon too."""
+        refused = (t,)
+        # a storm: no tick of the refuser, no third device to draw, no guard
+        # of the ticker to change its mind, and a hold that outlasts the period
+        if (refuser.schedule is None and len(self.devices) == 2 and not dev.uses_learning
+                and dev.schedule.period < FLAG_HOLD_SECONDS):
+            refused = self._decided_ticks(dev, t)
+        # a refused requester restarts the hold clock; only staying
+        # away for a full window span earns a clean slate
+        refuser.flag_hold[dev.id] = refused[-1] + FLAG_HOLD_SECONDS
+        refuser.rejections_issued += len(refused)
+        if self.sessions is not None:
+            self.sessions.extend((r, "rejected", dev.id, refuser.id, "", 0, 0) for r in refused)
 
     def _session(self, t: int, initiator: _Device, responder: _Device) -> None:
         committed = initiator.uses_commitment or responder.uses_commitment
@@ -579,16 +597,19 @@ class _Simulator:
             raise RuntimeError(f"{dev.id}: energy went negative at t={t}")
         dev.role_seconds[_IDLE] = t - dev.role_seconds[_CLIENT] - dev.role_seconds[_GO]
 
-    def _finish_alone(self, dev: _Device) -> None:
-        """Count the busy ticks of ``dev``, the one device left alive, and
-        resolve its pending death."""
-        death = self.deaths.pop(dev, None)
-        end = self.horizon if death is None else death[0]
-        for t, _seq, subject in self.heap:
-            if subject is dev:   # its one pending tick
-                dev.skips_busy += len(range(t, end, dev.schedule.period))
-        if death is not None:
-            self._death(end, dev)
+    def _decided_ticks(self, dev: _Device, first: int) -> range:
+        """The instants of ``dev``'s ticks from ``first`` until the next
+        pending death or the horizon, which the caller knows are all
+        decided alike; ``dev``'s pending tick moves to the first instant
+        past them.  Every other tick on the heap must be a dead device's."""
+        period = dev.schedule.period
+        ticks = range(first, min(self.next_death[0], self.horizon), period)
+        nxt = first + len(ticks) * period
+        self.heap.clear()
+        if nxt < self.horizon:
+            self.seq += 1
+            self.heap.append((nxt, self.seq, dev))
+        return ticks
 
     def run(self) -> SimResult:
         for dev in self.devices:
@@ -617,8 +638,12 @@ class _Simulator:
                 self._death(t, dev)
                 alive = [dev for dev in self.devices if dev.alive]
                 if len(alive) == 1 and not alive[0].uses_learning:
-                    self._finish_alone(alive[0])
-                    break
+                    # a lone survivor's ticks can only count as busy
+                    dev = alive[0]
+                    for t, _seq, subject in heap:
+                        if subject is dev:   # its one pending tick
+                            dev.skips_busy += len(self._decided_ticks(dev, t))
+                            break
             else:
                 break
         stats = []

@@ -5,14 +5,16 @@ a change that moved every result the same way would pass them.  These
 pins catch it: SHA-256 of ``SimResult.to_json()`` for short runs that
 cover each defense mode, a quit-and-retry attacker, a ten-device hour
 population, a battery that dies mid-group, back-to-back owner groups, two
-deaths in the same second and the ticks of a last live device (alone with
-no peer to reach, or still avoiding a dead one it flagged), plus the
-``emit_csv`` bytes of every preset at two seeds.  Those preset horizons
-are short, so their victims outlive them and the pins cover the sweep
-plumbing and the CSV format (presets of the same shape share a pin).  A
-second set of preset pins runs each preset at its own 400-day horizon on
-a slice small enough to be quick, where every victim depletes, so the
-pins also tell the presets' populations, schedules and attacks apart.
+deaths in the same second, a learning victim that refuses every tick of
+the attacker it flagged until it depletes, and the ticks of a last live
+device (alone with no peer to reach, or still avoiding a dead one it
+flagged), plus the ``emit_csv`` bytes of every preset at two seeds.
+Those preset horizons are short, so their victims outlive them and the
+pins cover the sweep plumbing and the CSV format (presets of the same
+shape share a pin).  A second set of preset pins runs each preset at its
+own 400-day horizon on a slice small enough to be quick, where every
+victim depletes, so the pins also tell the presets' populations,
+schedules and attacks apart.
 The run pins cover behaviour.  A change meant to alter results updates
 the pins in the same commit and says why in CHANGES.md.
 """
@@ -80,6 +82,13 @@ LAST_OF_FOUR = [
     DeviceConfig("c", attack=AttackProfile(r_strength=0.5), battery_capacity=DAY // 4),
     DeviceConfig("d", defense=C, schedule=MINUTE_SCHEDULE),
 ]
+# The learning victim of the headline pair flags its attacker on day 0.42
+# and refuses every later tick of it; with a three-day battery it depletes
+# mid-refusals, between two ticks, and the attacker ticks on alone.
+LEARNING_STORM = [
+    DeviceConfig("victim", defense=L, battery_capacity=3 * DAY),
+    DeviceConfig("attacker", schedule=MINUTE_SCHEDULE, attack=AttackProfile(tbb_strength=1.0)),
+]
 LEARNING_SURVIVOR = [
     DeviceConfig("victim", defense=L, schedule=MINUTE_SCHEDULE),
     DeviceConfig("attacker", schedule=MINUTE_SCHEDULE, attack=AttackProfile(tbb_strength=1.0),
@@ -107,6 +116,7 @@ RUNS = {
     "lone_attacker": (LONE_ATTACKER, 5 * DAY, 10),
     "last_of_four": (LAST_OF_FOUR, 3 * DAY, 11),
     "learning_survivor": (LEARNING_SURVIVOR, 6 * DAY, 12),
+    "learning_storm": (LEARNING_STORM, 4 * DAY, 13),
 }
 
 RUN_DIGESTS = {
@@ -122,6 +132,7 @@ RUN_DIGESTS = {
     "lone_attacker": "be62274d6f8c188c2ab2bed324f5a83dd9f676e4609a0e4759af503b175d2f3d",
     "last_of_four": "6be1437e33a55c0e1e4d787e30d2c24d77e5d4ce44644edcfdcc3b16f7b43822",
     "learning_survivor": "93e350e5d78c55ab0051cd97d07296e247d4ed2986b123e804be21a40b3cee97",
+    "learning_storm": "0b2b5cbc955868af9a48bf1bb2a08861388849bb6017a4d8881571d91b0bbf71",
 }
 
 PRESET_HORIZON_DAYS = 2

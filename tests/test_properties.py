@@ -71,6 +71,7 @@ from wfdsim.protocol import (  # noqa: E402
 )
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
+    DEFAULT_CAPACITY,
     DEFAULT_ENERGY,
     DefenseMode,
     DeviceConfig,
@@ -164,8 +165,43 @@ def test_simulator_invariants(scenario):
         assert all(end <= start for (_, end), (start, _) in zip(ordered, ordered[1:]))
 
 
+def refusal_storm(horizon, energy=DEFAULT_ENERGY, victim=DEFAULT_CAPACITY,
+                  attacker=DEFAULT_CAPACITY, victim_schedule=None, others=()):
+    """A learning victim, without a schedule unless given one, and an
+    attacker forcing the tie bit on a 360 s schedule from 0 s.  The victim
+    flags the attacker once their pair is ten hours old (at 36,000 s when
+    they are alone) and refuses each of its later ticks until a death or
+    the horizon ends the run of refusals."""
+    return ([DeviceConfig("victim", defense=DefenseMode.LEARNING, schedule=victim_schedule,
+                          phase=None if victim_schedule is None else 180,
+                          battery_capacity=victim),
+             DeviceConfig("attacker", schedule=Schedule(360, 60), phase=0,
+                          attack=AttackProfile(tbb_strength=1.0), battery_capacity=attacker),
+             *others],
+            horizon, 0, energy)
+
+
+# Refusal runs that end exactly on a tick instant, where the tick must
+# not count as refused: the victim's idle death at 86,400 s (the attacker
+# then ticks alone and busy), the attacker's own death at 72,000 s, a
+# horizon of 72,000 s, and the victim's death at 86,400 s at an idle rate
+# of 2.
+STORM_TO_VICTIM_DEATH = refusal_storm(2 * SECONDS_PER_DAY, victim=146400)
+STORM_TO_ATTACKER_DEATH = refusal_storm(2 * SECONDS_PER_DAY, attacker=78000)
+STORM_TO_HORIZON = refusal_storm(72000)
+STORM_AT_IDLE_RATE_2 = refusal_storm(2 * SECONDS_PER_DAY, EnergyModel(2, 1, 3), victim=190800)
+# Refusals that are not a storm: the victim ticks too, avoiding the
+# attacker on its own ticks, or a third device draws the attacker's peer.
+REFUSALS_OF_A_TICKING_VICTIM = refusal_storm(SECONDS_PER_DAY, victim_schedule=Schedule(360, 60))
+REFUSALS_AMONG_THREE = refusal_storm(SECONDS_PER_DAY, others=[DeviceConfig("bystander")])
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(scenarios())
+@example(STORM_TO_VICTIM_DEATH)
+@example(STORM_TO_ATTACKER_DEATH)
+@example(STORM_TO_HORIZON)
+@example(STORM_AT_IDLE_RATE_2)
 def test_tick_ledger(scenario):
     devices, horizon, seed, energy = scenario
     result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
@@ -214,6 +250,12 @@ DEATH_AT_GROUP_END = (
 @given(scenarios())
 @example(SAME_SECOND_DEATHS)
 @example(DEATH_AT_GROUP_END)
+@example(STORM_TO_VICTIM_DEATH)
+@example(STORM_TO_ATTACKER_DEATH)
+@example(STORM_TO_HORIZON)
+@example(STORM_AT_IDLE_RATE_2)
+@example(REFUSALS_OF_A_TICKING_VICTIM)
+@example(REFUSALS_AMONG_THREE)
 def test_run_matches_the_reference_simulator(scenario):
     devices, horizon, seed, energy = scenario
     result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
