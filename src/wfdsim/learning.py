@@ -228,7 +228,7 @@ class PeerProfile:
     """
 
     __slots__ = (
-        "peer_id", "current_day", "version", "_buckets",
+        "peer_id", "current_day", "_buckets",
         "negotiations", "self_go_wins", "peer_premature_quits",
         "self_go_seconds", "comm_seconds",
     )
@@ -236,7 +236,6 @@ class PeerProfile:
     def __init__(self, peer_id: str):
         self.peer_id = peer_id
         self.current_day = 0
-        self.version = 0
         self._buckets: deque[DailyBucket] = deque()
         self.negotiations = 0
         self.self_go_wins = 0
@@ -257,7 +256,6 @@ class PeerProfile:
             old = buckets.popleft()
             for name in _COUNTERS:
                 setattr(self, name, getattr(self, name) - getattr(old, name))
-            self.version += 1
 
     def _bucket_for(self, day: int) -> DailyBucket:
         self.roll_to(day)
@@ -278,7 +276,6 @@ class PeerProfile:
         if peer_quit_prematurely:
             bucket.peer_premature_quits += 1
             self.peer_premature_quits += 1
-        self.version += 1
 
     def record_group_time(self, day: int, self_go_seconds: int, comm_seconds: int) -> None:
         if comm_seconds < 0 or self_go_seconds < 0:
@@ -292,7 +289,6 @@ class PeerProfile:
         bucket.comm_seconds += comm_seconds
         self.self_go_seconds += self_go_seconds
         self.comm_seconds += comm_seconds
-        self.version += 1
 
     def buckets(self) -> list[DailyBucket]:
         return list(self._buckets)

@@ -257,7 +257,7 @@ class _Device:
         "index", "cfg", "id", "uses_learning", "uses_commitment", "schedule", "attack",
         "remaining", "capacity", "spent", "role_seconds",
         "alive", "depletion_time", "group",
-        "profiles", "pair_start", "guard_cache", "flag_hold",
+        "profiles", "pair_start", "flag_hold", "quiet_until",
         "negotiations", "go_wins", "peer_quits_observed",
         "tie_rounds", "go_assignments",
         "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted",
@@ -280,8 +280,8 @@ class _Device:
         self.group: _Group | None = None
         self.profiles: dict[str, PeerProfile] = {}
         self.pair_start: dict[str, int] = {}
-        self.guard_cache: dict[str, tuple[int, bool]] = {}
         self.flag_hold: dict[str, int] = {}
+        self.quiet_until: dict[str, int] = {}
         self.negotiations = 0
         self.go_wins = 0
         self.peer_quits_observed = 0
@@ -344,6 +344,15 @@ class _Simulator:
     the tick busy (its peer died) or void (its device died).  A learning
     survivor stays on the loop, as its guard still avoids a flagged dead peer.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
+
+    The guard runs only where its answer can change.  Round one re-checks
+    no owner: ``_tick`` has just checked both parties, and only the close
+    of the responder's group with a third device came in between.  A check
+    that says no with ``slack = 3C - 5S > 0`` (the window's group and
+    owner seconds) quiets ``_rejects`` until ``min(now + slack // 2 + 1,
+    next midnight)``.  No check finds a group of the pair open or unrecorded,
+    so until then ``C`` grows by at most the seconds elapsed, ``S`` by no
+    more than ``C``, and no bucket expires: the share stays at most 3/5.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -408,42 +417,37 @@ class _Simulator:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
         if now < dev.flag_hold.get(peer.id, 0):
             return True
+        if now < dev.quiet_until.get(peer.id, 0):
+            return False
         prof = dev.profiles.get(peer.id)
         if prof is None:
             return False
-        prof.roll_to(now // SECONDS_PER_DAY)
+        day = now // SECONDS_PER_DAY
+        prof.roll_to(day)
         n = prof.negotiations
-        if n == 0:
-            return False
-        if now - dev.pair_start[peer.id] < MIN_PAIR_AGE_SECONDS:
-            return False
-        cached = dev.guard_cache.get(peer.id)
-        if cached is not None and cached[0] == prof.version:
-            result = cached[1]
-        else:
-            # an insufficient history, or an owner-time share at or below the
-            # fairness threshold, rules rejection out whatever the
-            # posterior says, so the classifier runs only otherwise
-            if (history_depth(n) is HistoryDepth.INSUFFICIENT
-                    or peer_fairness(prof) <= FAIRNESS_THRESHOLD):
-                result = False
-            else:
-                assessment = assess(prof)
-                if not should_reject(assessment):
-                    result = False
+        # an insufficient history, a young pair, or an owner-time share at
+        # or below the fairness threshold rules rejection out whatever the
+        # posterior says, so the classifier runs only otherwise
+        if (history_depth(n) is not HistoryDepth.INSUFFICIENT
+                and now - dev.pair_start[peer.id] >= MIN_PAIR_AGE_SECONDS
+                and peer_fairness(prof) > FAIRNESS_THRESHOLD):
+            assessment = assess(prof)
+            if should_reject(assessment):
+                pf = assessment.peer_fairness
+                if assessment.features.depth is HistoryDepth.AMPLE:
+                    z = GUARD_Z_AMPLE
+                elif n < SPARSE_WINDOW_NEGOTIATIONS:
+                    z = GUARD_Z_SPARSE
                 else:
-                    pf = assessment.peer_fairness
-                    if assessment.features.depth is HistoryDepth.AMPLE:
-                        z = GUARD_Z_AMPLE
-                    elif n < SPARSE_WINDOW_NEGOTIATIONS:
-                        z = GUARD_Z_SPARSE
-                    else:
-                        z = GUARD_Z_LIMITED
-                    result = pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD
-            dev.guard_cache[peer.id] = (prof.version, result)
-        if result:
-            dev.flag_hold[peer.id] = now + FLAG_HOLD_SECONDS
-        return result
+                    z = GUARD_Z_LIMITED
+                if pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD:
+                    dev.flag_hold[peer.id] = now + FLAG_HOLD_SECONDS
+                    return True
+        # before the quiet instant no check can find 5S > 3C (class docstring)
+        slack = 3 * prof.comm_seconds - 5 * prof.self_go_seconds
+        if slack > 0:
+            dev.quiet_until[peer.id] = min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)
+        return False
 
     def _tick(self, t: int, dev: _Device) -> None:
         if not dev.alive:
@@ -526,9 +530,9 @@ class _Simulator:
             initiator.tie_rounds += 1
             responder.tie_rounds += 1
             owner.go_assignments += 1
-            # a defending device re-checks the peer each time it is
-            # assigned the owner role
-            if owner.uses_learning and self._rejects(owner, member, t):
+            # after a quit, a defending device re-checks the peer when
+            # assigned the owner role (``_tick`` has checked round one)
+            if rounds > 1 and owner.uses_learning and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 if self.sessions is not None:
                     self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))

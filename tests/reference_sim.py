@@ -5,7 +5,9 @@ ends, deaths and ticks, ordered by time, then in that kind order, then by
 scheduling order), a device's energy is settled at every role change, a
 death is pushed whenever a role change makes one due and is skipped when a
 later change made it stale, and every tick draws its peer from a freshly
-built list.  Nothing is cached, booked ahead or finished early.
+built list.  The learning guard runs the classifier in full at every call,
+round one of a session included.  Nothing is cached, booked ahead or
+finished early.
 
 Only the public types of ``wfdsim.simulation`` and ``wfdsim.learning`` are
 reused, not the loop, so a run here and a run of ``run`` with the session
@@ -56,7 +58,6 @@ class Device:
         self.group = None
         self.profiles = {}
         self.pair_start = {}
-        self.guard_cache = {}
         self.flag_hold = {}
         self.counts = dict.fromkeys(
             ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_assignments",
@@ -137,24 +138,19 @@ class ReferenceSimulator:
         n = prof.negotiations
         if n == 0 or now - dev.pair_start[peer.id] < MIN_PAIR_AGE_SECONDS:
             return False
-        cached = dev.guard_cache.get(peer.id)
-        if cached is not None and cached[0] == prof.version:
-            result = cached[1]
+        assessment = assess(prof)
+        depth = assessment.features.depth
+        if depth is HistoryDepth.INSUFFICIENT or not should_reject(assessment):
+            result = False
         else:
-            assessment = assess(prof)
-            depth = assessment.features.depth
-            if depth is HistoryDepth.INSUFFICIENT or not should_reject(assessment):
-                result = False
+            pf = assessment.peer_fairness
+            if depth is HistoryDepth.AMPLE:
+                z = GUARD_Z_AMPLE
+            elif n < SPARSE_WINDOW_NEGOTIATIONS:
+                z = GUARD_Z_SPARSE
             else:
-                pf = assessment.peer_fairness
-                if depth is HistoryDepth.AMPLE:
-                    z = GUARD_Z_AMPLE
-                elif n < SPARSE_WINDOW_NEGOTIATIONS:
-                    z = GUARD_Z_SPARSE
-                else:
-                    z = GUARD_Z_LIMITED
-                result = pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD
-            dev.guard_cache[peer.id] = (prof.version, result)
+                z = GUARD_Z_LIMITED
+            result = pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD
         if result:
             dev.flag_hold[peer.id] = now + FLAG_HOLD_SECONDS
         return result

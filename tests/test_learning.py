@@ -272,17 +272,6 @@ class TestPeerProfileWindow:
         with pytest.raises(ClockRegression):
             p.roll_to(4)
 
-    def test_version_changes_on_every_mutation(self):
-        p = PeerProfile("peer")
-        v0 = p.version
-        p.record_negotiation(1, True, False)
-        v1 = p.version
-        p.record_group_time(1, 0, 30)
-        v2 = p.version
-        p.roll_to(WINDOW_DAYS + 2)
-        v3 = p.version
-        assert v0 < v1 < v2 < v3
-
     def test_group_time_validation(self):
         p = PeerProfile("peer")
         with pytest.raises(InvalidDuration):
@@ -292,7 +281,7 @@ class TestPeerProfileWindow:
 
     @staticmethod
     def snapshot(p):
-        return (p.current_day, p.version, p.buckets(),
+        return (p.current_day, p.buckets(),
                 [getattr(p, name) for name in ("negotiations", "self_go_wins", "peer_premature_quits",
                                                "self_go_seconds", "comm_seconds")])
 

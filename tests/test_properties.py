@@ -5,7 +5,10 @@ attack mix, schedules that include back-to-back groups
 (``group_duration == period``), batteries from a single unit up, and
 energy models that include zero rates.  Short examples run to a horizon
 of minutes with tiny batteries; long ones run past the learning guard's
-ten-hour pair age.  For every run:
+ten-hour pair age.  A second strategy draws two to four devices on
+hour-scale schedules, one of them learning, over 31 to 120 days, so
+profile buckets expire and flag holds lapse; those runs are compared with
+``reference_sim`` only.  For every run:
 
 * every device's energy books balance (``energy_conserved``);
 * a device's role seconds cover the horizon, or the whole seconds it lived;
@@ -26,9 +29,8 @@ ten-hour pair age.  For every run:
 
 Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
-of the retained buckets, ``version`` has risen exactly when the window
-changed, a roll to the current day changes nothing and a roll back in time
-raises ``ClockRegression``.
+of the retained buckets, a roll to the current day changes nothing and a
+roll back in time raises ``ClockRegression``.
 
 The codecs take generated vendor IEs, attribute lists and commitment
 openings, which decode back to themselves, and arbitrary or damaged bytes,
@@ -93,8 +95,8 @@ attacks = st.none() | st.builds(
 )
 
 
-def schedules(max_period):
-    return st.integers(1, max_period).flatmap(
+def schedules(max_period, min_period=1):
+    return st.integers(min_period, max_period).flatmap(
         lambda period: st.builds(Schedule, st.just(period),
                                  st.just(period) | st.integers(1, period)))
 
@@ -117,6 +119,24 @@ def scenarios(draw):
         devices.append(DeviceConfig(
             f"d{i}", defense=draw(st.sampled_from(DefenseMode)), schedule=schedule,
             attack=draw(attacks), battery_capacity=draw(capacities), phase=phase))
+    return devices, horizon, draw(st.integers(0, 2**32)), draw(st.sampled_from(ENERGY_MODELS))
+
+
+@st.composite
+def long_scenarios(draw):
+    """(devices, horizon, seed, energy model) for one run of 31 to 120 days:
+    two to four devices on hour-scale schedules, the second of them
+    learning, so profile buckets expire and flag holds can lapse."""
+    horizon = draw(st.integers(31 * SECONDS_PER_DAY, 120 * SECONDS_PER_DAY))
+    periods = schedules(12 * 3600, min_period=3600)
+    learning = st.sampled_from((DefenseMode.LEARNING, DefenseMode.LEARNING_COMMITMENT))
+    devices = []
+    for i in range(draw(st.integers(2, 4))):
+        schedule = draw(periods if i == 0 else st.none() | periods)
+        devices.append(DeviceConfig(
+            f"d{i}", defense=draw(learning if i == 1 else st.sampled_from(DefenseMode)),
+            schedule=schedule, attack=draw(attacks),
+            battery_capacity=draw(st.integers(10**7, DEFAULT_CAPACITY))))
     return devices, horizon, draw(st.integers(0, 2**32)), draw(st.sampled_from(ENERGY_MODELS))
 
 
@@ -246,6 +266,36 @@ DEATH_AT_GROUP_END = (
     300, 0, EnergyModel(2, 1, 3))
 
 
+# A two-day population whose log holds every session kind, so each counter
+# bumped beside a log entry is compared at least once.
+EVERY_SESSION_KIND = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60)),
+     DeviceConfig("d1", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60),
+                  attack=AttackProfile(r_strength=1.0, retry_cap=3)),
+     DeviceConfig("d2", defense=DefenseMode.COMMITMENT, schedule=Schedule(900, 300),
+                  attack=AttackProfile(r_strength=1.0, retry_cap=3))],
+    2 * SECONDS_PER_DAY, 396, DEFAULT_ENERGY)
+# The same population at another seed: its one decline comes in round 2,
+# the first round in which ``run`` re-checks the owner's guard.
+DECLINE_IN_ROUND_TWO = (EVERY_SESSION_KIND[0], 2 * SECONDS_PER_DAY, 290, DEFAULT_ENERGY)
+
+
+def assert_matches_reference(scenario):
+    devices, horizon, seed, energy = scenario
+    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
+    assert result.to_json() == reference_run(devices, horizon, seed, energy).to_json()
+
+
+def test_pinned_populations_reach_their_sessions():
+    def log(scenario):
+        devices, horizon, seed, energy = scenario
+        return run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True).sessions
+
+    assert {session[1] for session in log(EVERY_SESSION_KIND)} == {
+        "group", "avoided", "rejected", "declined", "exhausted"}
+    assert [session[5] for session in log(DECLINE_IN_ROUND_TWO) if session[1] == "declined"] == [2]
+
+
 @settings(max_examples=180, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 @example(SAME_SECOND_DEATHS)
@@ -256,21 +306,17 @@ DEATH_AT_GROUP_END = (
 @example(STORM_AT_IDLE_RATE_2)
 @example(REFUSALS_OF_A_TICKING_VICTIM)
 @example(REFUSALS_AMONG_THREE)
+@example(EVERY_SESSION_KIND)
+@example(DECLINE_IN_ROUND_TWO)
 def test_run_matches_the_reference_simulator(scenario):
-    devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
-    assert result.to_json() == reference_run(devices, horizon, seed, energy).to_json()
+    assert_matches_reference(scenario)
 
 
-# A two-day population whose log holds every session kind, so each counter
-# bumped beside a log entry is compared at least once.
-EVERY_SESSION_KIND = (
-    [DeviceConfig("d0", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60)),
-     DeviceConfig("d1", defense=DefenseMode.LEARNING, schedule=Schedule(360, 60),
-                  attack=AttackProfile(r_strength=1.0, retry_cap=3)),
-     DeviceConfig("d2", defense=DefenseMode.COMMITMENT, schedule=Schedule(900, 300),
-                  attack=AttackProfile(r_strength=1.0, retry_cap=3))],
-    2 * SECONDS_PER_DAY, 396, DEFAULT_ENERGY)
+# a fixed 40 runs of up to 120 days, each against the reference: about 2 s
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(long_scenarios())
+def test_long_runs_match_the_reference_simulator(scenario):
+    assert_matches_reference(scenario)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -316,7 +362,7 @@ def window(profile):
 def test_peer_profile_window(steps):
     profile = PeerProfile("peer")
     for kind, *args in steps:
-        before, version = window(profile), profile.version
+        before = window(profile)
         if kind == "regress":
             if args[0] > profile.current_day:
                 continue
@@ -324,29 +370,23 @@ def test_peer_profile_window(steps):
                 profile.roll_to(profile.current_day - args[0])
             with pytest.raises(ClockRegression):
                 profile.record_negotiation(profile.current_day - args[0], True, False)
-            assert (window(profile), profile.version) == (before, version)
+            assert window(profile) == before
             continue
         day = profile.current_day + args[0]
         if kind == "negotiation":
             profile.record_negotiation(day, *args[1:])
-            assert profile.version > version
         elif kind == "group_time":
             profile.record_group_time(day, *args[1])
-            assert profile.version > version
         else:
             profile.roll_to(day)
-            # only an expiry changes the window, and every expiry moves the version
-            expired = window(profile) != before
-            assert profile.version > version if expired else profile.version == version
 
         buckets, totals = window(profile)
         assert profile.current_day == day
         assert all(day - WINDOW_DAYS < b.day <= day for b in buckets)
         assert totals == tuple(sum(getattr(b, name) for b in buckets) for name in COUNTERS)
 
-        version = profile.version
         profile.roll_to(day)
-        assert (window(profile), profile.version) == ((buckets, totals), version)
+        assert window(profile) == (buckets, totals)
 
 
 # codecs: generated valid frames round-trip; any bytes decode and re-encode

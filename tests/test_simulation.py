@@ -7,12 +7,14 @@ import statistics
 
 import pytest
 
-from wfdsim.learning import InvalidConfig, SECONDS_PER_DAY
+from wfdsim.learning import SECONDS_PER_DAY, WINDOW_DAYS, InvalidConfig
 from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
     DEFAULT_CAPACITY,
+    DEFAULT_ENERGY,
     DEFAULT_RETRY_CAP,
+    FLAG_HOLD_SECONDS,
     DefenseMode,
     DeviceConfig,
     EnergyModel,
@@ -22,6 +24,7 @@ from wfdsim.simulation import (
     attacker_choose_tbb,
     energy_conserved,
     run,
+    _Simulator,
 )
 
 SESSION_KINDS = {"group", "avoided", "rejected", "declined", "exhausted"}
@@ -296,6 +299,69 @@ class TestDepletionAnchors:
         assert victim.rejections_issued > 0
         assert victim.depletion_day is not None
         assert victim.depletion_day >= 360.0
+
+
+class TestQuietInstant:
+    """The guard's quiet instant.  A full evaluation that finds the
+    owner-time share ``S/C`` below 3/5 keeps ``_rejects`` from evaluating
+    until ``now + slack // 2 + 1``, where ``slack = 3C - 5S``, or until the
+    next midnight, whichever comes first.  Each test records what the
+    simulator could have recorded by the end of the quiet span and shows
+    that the guard evaluates in full, and flags, exactly there."""
+
+    DAY = 40
+    START = DAY * SECONDS_PER_DAY + 3600
+
+    def learning_victim(self):
+        sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
+                          DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
+                         days(100), 0, DEFAULT_ENERGY, False)
+        return sim, *sim.devices
+
+    def negotiate(self, victim):
+        # 39 negotiations the victim owned and the attacker quit: hostile
+        # as soon as the owner-time share passes 3/5 by enough for z = 0.4
+        for _ in range(39):
+            victim.learn_negotiation("attacker", self.START, True, True)
+
+    def test_guard_evaluates_when_owner_seconds_can_pass_three_fifths(self):
+        sim, victim, attacker = self.learning_victim()
+        self.negotiate(victim)
+        profile = victim.profile("attacker")
+        profile.record_group_time(self.DAY, 0, 1)      # S = 0, C = 1: slack 3, an odd one
+        now = self.START + 12 * 3600
+        assert not sim._rejects(victim, attacker, now)
+        # a group owned from ``now`` to the quiet instant lifts the share to 2/3
+        profile.record_group_time(self.DAY, 2, 2)
+        assert sim._rejects(victim, attacker, now + 2)
+        assert victim.flag_hold["attacker"] == now + 2 + FLAG_HOLD_SECONDS
+        assert victim.quiet_until["attacker"] == now + 3 // 2 + 1
+
+    def test_guard_evaluates_at_midnight(self):
+        sim, victim, attacker = self.learning_victim()
+        profile = victim.profile("attacker")
+        oldest = self.DAY - WINDOW_DAYS + 1
+        profile.record_group_time(oldest, 0, 1000)     # a fair day, the last of the window
+        self.negotiate(victim)
+        profile.record_group_time(self.DAY, 700, 700)  # S = 700, C = 1700: slack 1600
+        midnight = (self.DAY + 1) * SECONDS_PER_DAY
+        now = midnight - 100
+        assert not sim._rejects(victim, attacker, now)
+        # the fair day expires at midnight, and the share jumps to 1
+        assert sim._rejects(victim, attacker, midnight)
+        assert (profile.self_go_seconds, profile.comm_seconds) == (700, 700)
+        assert victim.quiet_until["attacker"] == midnight   # not ``now + 801``
+
+    def test_no_quiet_instant_at_three_fifths(self):
+        sim, victim, attacker = self.learning_victim()
+        self.negotiate(victim)
+        profile = victim.profile("attacker")
+        profile.record_group_time(self.DAY, 3, 5)
+        now = self.START + 12 * 3600
+        assert not sim._rejects(victim, attacker, now)
+        assert "attacker" not in victim.quiet_until
+        profile.record_group_time(self.DAY, 1, 1)      # one owner second later: 4/6
+        assert sim._rejects(victim, attacker, now + 1)
 
 
 class TestPrematureQuits:
