@@ -252,12 +252,23 @@ class _Group:
         self.end = end
 
 
+class _Peer:
+    """A learning device's record of one peer: its profile, when its window
+    last started from empty, and the guard's standing verdict until ``until``."""
+
+    __slots__ = ("profile", "since", "verdict", "until")
+
+    def __init__(self, peer_id: str):
+        self.profile = PeerProfile(peer_id)
+        self.since = self.until = 0
+        self.verdict = False
+
+
 class _Device:
     __slots__ = (
-        "index", "cfg", "id", "uses_learning", "uses_commitment", "schedule", "attack",
+        "index", "cfg", "id", "uses_commitment", "schedule", "attack",
         "remaining", "capacity", "spent", "role_seconds",
-        "alive", "depletion_time", "group",
-        "profiles", "pair_start", "flag_hold", "quiet_until",
+        "alive", "depletion_time", "group", "peers",
         "negotiations", "go_wins", "peer_quits_observed",
         "tie_rounds", "go_assignments",
         "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted",
@@ -267,7 +278,6 @@ class _Device:
         self.index = index
         self.cfg = cfg
         self.id = cfg.device_id
-        self.uses_learning = cfg.defense.uses_learning
         self.uses_commitment = cfg.defense.uses_commitment
         self.schedule = cfg.schedule
         self.attack = cfg.attack
@@ -278,10 +288,8 @@ class _Device:
         self.alive = True
         self.depletion_time: float | None = None
         self.group: _Group | None = None
-        self.profiles: dict[str, PeerProfile] = {}
-        self.pair_start: dict[str, int] = {}
-        self.flag_hold: dict[str, int] = {}
-        self.quiet_until: dict[str, int] = {}
+        # the learning guard's records by peer id; None for a device that does not learn
+        self.peers: dict[str, _Peer] | None = {} if cfg.defense.uses_learning else None
         self.negotiations = 0
         self.go_wins = 0
         self.peer_quits_observed = 0
@@ -292,20 +300,20 @@ class _Device:
         self.skips_busy = 0
         self.sessions_exhausted = 0
 
-    def profile(self, peer_id: str) -> PeerProfile:
-        """This device's profile of ``peer_id``, created on first use."""
-        prof = self.profiles.get(peer_id)
-        if prof is None:
-            prof = self.profiles[peer_id] = PeerProfile(peer_id)
-        return prof
+    def peer(self, peer_id: str) -> _Peer:
+        """This device's record of ``peer_id``, created on first use."""
+        rec = self.peers.get(peer_id)
+        if rec is None:
+            rec = self.peers[peer_id] = _Peer(peer_id)
+        return rec
 
     def learn_negotiation(self, peer_id: str, t: int, self_was_go: bool,
                           peer_quit: bool) -> None:
-        prof = self.profile(peer_id)
-        prof.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
-        if prof.negotiations == 1:
+        rec = self.peer(peer_id)
+        rec.profile.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
+        if rec.profile.negotiations == 1:
             # the window was empty: the pair's age starts again now
-            self.pair_start[peer_id] = t
+            rec.since = t
 
 
 class _Simulator:
@@ -347,12 +355,15 @@ class _Simulator:
 
     The guard runs only where its answer can change.  Round one re-checks
     no owner: ``_tick`` has just checked both parties, and only the close
-    of the responder's group with a third device came in between.  A check
-    that says no with ``slack = 3C - 5S > 0`` (the window's group and
-    owner seconds) quiets ``_rejects`` until ``min(now + slack // 2 + 1,
-    next midnight)``.  No check finds a group of the pair open or unrecorded,
-    so until then ``C`` grows by at most the seconds elapsed, ``S`` by no
-    more than ``C``, and no bucket expires: the share stays at most 3/5.
+    of the responder's group with a third device came in between.  While
+    ``now < until``, ``_rejects`` returns a peer's standing verdict: yes for
+    ``FLAG_HOLD_SECONDS`` after a flag or a refusal; no after a check that
+    says no with ``slack = 3C - 5S > 0`` (the window's group and owner
+    seconds), until ``min(now + slack // 2 + 1, next midnight)``.  No check
+    finds a group of the pair open or unrecorded, so until then ``C`` grows
+    by at most the seconds elapsed, ``S`` by no more than ``C``, and no bucket
+    expires: the share stays at most 3/5.  Only a full check, which needs the
+    last yes to have lapsed, writes a no, so one verdict serves both.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -408,20 +419,19 @@ class _Simulator:
         if owner_quit:
             member.peer_quits_observed += 1
         # only the learning guard reads peer profiles
-        if owner.uses_learning:
+        if owner.peers is not None:
             owner.learn_negotiation(member.id, t, True, False)
-        if member.uses_learning:
+        if member.peers is not None:
             member.learn_negotiation(owner.id, t, False, owner_quit)
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
-        if now < dev.flag_hold.get(peer.id, 0):
-            return True
-        if now < dev.quiet_until.get(peer.id, 0):
+        rec = dev.peers.get(peer.id)
+        if rec is None:
             return False
-        prof = dev.profiles.get(peer.id)
-        if prof is None:
-            return False
+        if now < rec.until:
+            return rec.verdict
+        prof = rec.profile
         day = now // SECONDS_PER_DAY
         prof.roll_to(day)
         n = prof.negotiations
@@ -429,7 +439,7 @@ class _Simulator:
         # or below the fairness threshold rules rejection out whatever the
         # posterior says, so the classifier runs only otherwise
         if (history_depth(n) is not HistoryDepth.INSUFFICIENT
-                and now - dev.pair_start[peer.id] >= MIN_PAIR_AGE_SECONDS
+                and now - rec.since >= MIN_PAIR_AGE_SECONDS
                 and peer_fairness(prof) > FAIRNESS_THRESHOLD):
             assessment = assess(prof)
             if should_reject(assessment):
@@ -441,12 +451,12 @@ class _Simulator:
                 else:
                     z = GUARD_Z_LIMITED
                 if pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD:
-                    dev.flag_hold[peer.id] = now + FLAG_HOLD_SECONDS
+                    rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
                     return True
         # before the quiet instant no check can find 5S > 3C (class docstring)
         slack = 3 * prof.comm_seconds - 5 * prof.self_go_seconds
         if slack > 0:
-            dev.quiet_until[peer.id] = min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)
+            rec.verdict, rec.until = False, min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)
         return False
 
     def _tick(self, t: int, dev: _Device) -> None:
@@ -474,7 +484,7 @@ class _Simulator:
             while i >= n:
                 i = getrandbits(self.peer_bits)
             peer = devices[i + 1 if i >= dev.index else i]
-        if dev.uses_learning and self._rejects(dev, peer, t):
+        if dev.peers is not None and self._rejects(dev, peer, t):
             dev.initiations_avoided += 1
             if self.sessions is not None:
                 self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
@@ -485,7 +495,7 @@ class _Simulator:
         if peer.group is not None or not peer.alive:
             dev.skips_busy += 1
             return
-        if peer.uses_learning and self._rejects(peer, dev, t):
+        if peer.peers is not None and self._rejects(peer, dev, t):
             self._refuse(peer, dev, t)
             return
         self._session(t, dev, peer)
@@ -496,12 +506,12 @@ class _Simulator:
         refused = (t,)
         # a storm: no tick of the refuser, no third device to draw, no guard
         # of the ticker to change its mind, and a hold that outlasts the period
-        if (refuser.schedule is None and len(self.devices) == 2 and not dev.uses_learning
+        if (refuser.schedule is None and len(self.devices) == 2 and dev.peers is None
                 and dev.schedule.period < FLAG_HOLD_SECONDS):
             refused = self._decided_ticks(dev, t)
-        # a refused requester restarts the hold clock; only staying
-        # away for a full window span earns a clean slate
-        refuser.flag_hold[dev.id] = refused[-1] + FLAG_HOLD_SECONDS
+        # the guard has just said yes; a refused requester restarts the hold
+        # clock, and only staying away for a full window span earns a clean slate
+        refuser.peers[dev.id].until = refused[-1] + FLAG_HOLD_SECONDS
         refuser.rejections_issued += len(refused)
         if self.sessions is not None:
             self.sessions.extend((r, "rejected", dev.id, refuser.id, "", 0, 0) for r in refused)
@@ -532,7 +542,7 @@ class _Simulator:
             owner.go_assignments += 1
             # after a quit, a defending device re-checks the peer when
             # assigned the owner role (``_tick`` has checked round one)
-            if rounds > 1 and owner.uses_learning and self._rejects(owner, member, t):
+            if rounds > 1 and owner.peers is not None and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 if self.sessions is not None:
                     self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
@@ -568,10 +578,10 @@ class _Simulator:
         duration = group.end - group.start
         if duration > 0:
             day = group.end // SECONDS_PER_DAY
-            if go.uses_learning:
-                go.profile(client.id).record_group_time(day, duration, duration)
-            if client.uses_learning:
-                client.profile(go.id).record_group_time(day, 0, duration)
+            if go.peers is not None:
+                go.peer(client.id).profile.record_group_time(day, duration, duration)
+            if client.peers is not None:
+                client.peer(go.id).profile.record_group_time(day, 0, duration)
 
     def _death(self, t: int, dev: _Device) -> None:
         # the pending death is always current: the battery cannot fund
@@ -641,7 +651,7 @@ class _Simulator:
                 self.next_death = min(deaths.values(), default=_NO_DEATH)
                 self._death(t, dev)
                 alive = [dev for dev in self.devices if dev.alive]
-                if len(alive) == 1 and not alive[0].uses_learning:
+                if len(alive) == 1 and alive[0].peers is None:
                     # a lone survivor's ticks can only count as busy
                     dev = alive[0]
                     for t, _seq, subject in heap:

@@ -8,7 +8,9 @@ of minutes with tiny batteries; long ones run past the learning guard's
 ten-hour pair age.  A second strategy draws two to four devices on
 hour-scale schedules, one of them learning, over 31 to 120 days, so
 profile buckets expire and flag holds lapse; those runs are compared with
-``reference_sim`` only.  For every run:
+``reference_sim`` only, and labelled with ``hypothesis.event`` by what the
+learner's guard went through (``--hypothesis-show-statistics`` counts
+them).  For every run:
 
 * every device's energy books balance (``energy_conserved``);
 * a device's role seconds cover the horizon, or the whole seconds it lived;
@@ -40,13 +42,14 @@ not change when the prior is scaled, and a table with one entry moved
 off its row's sum is refused.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
 from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
 from wfdsim.learning import (  # noqa: E402
@@ -145,23 +148,36 @@ def death_second(stats):
     return math.floor(stats.depletion_day * SECONDS_PER_DAY + 1e-6)
 
 
+def leaves(result, horizon, device_id):
+    """The second at which a device left service: its death, or the horizon."""
+    stats = result.device(device_id)
+    return horizon if stats.depletion_day is None else death_second(stats)
+
+
+def group_ends(devices, horizon, result):
+    """The end of a logged group, from its start and its two parties: the
+    initiator's group duration, cut short when either party leaves service."""
+    duration = {cfg.device_id: cfg.schedule.group_duration
+                for cfg in devices if cfg.schedule is not None}
+
+    def group_end(t, initiator, responder):
+        return min(t + duration[initiator],
+                   leaves(result, horizon, initiator), leaves(result, horizon, responder))
+    return group_end
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 def test_simulator_invariants(scenario):
     devices, horizon, seed, energy = scenario
     result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
     by_id = {stats.device_id: stats for stats in result.devices}
-    duration = {cfg.device_id: cfg.schedule.group_duration
-                for cfg in devices if cfg.schedule is not None}
-
-    def leaves(device_id):
-        stats = by_id[device_id]
-        return horizon if stats.depletion_day is None else death_second(stats)
+    group_end = group_ends(devices, horizon, result)
 
     for stats in result.devices:
         assert energy_conserved(stats, energy), stats
         lived = stats.idle_seconds + stats.client_seconds + stats.go_seconds
-        assert lived == leaves(stats.device_id), stats
+        assert lived == leaves(result, horizon, stats.device_id), stats
 
     times = [session[0] for session in result.sessions]
     assert times == sorted(times)
@@ -173,7 +189,7 @@ def test_simulator_invariants(scenario):
         if kind != "group":
             continue
         member = responder if owner == initiator else initiator
-        end = min(t + duration[initiator], leaves(owner), leaves(member))
+        end = group_end(t, initiator, responder)
         owner_seconds[owner] += end - t
         client_seconds[member] += end - t
         spans[owner].append((t, end))
@@ -284,6 +300,45 @@ def assert_matches_reference(scenario):
     devices, horizon, seed, energy = scenario
     result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
     assert result.to_json() == reference_run(devices, horizon, seed, energy).to_json()
+    return result
+
+
+def learner_events(devices, horizon, result, learner="d1"):
+    """What the log shows the learner's guard went through with its peers.
+
+    A session that reached negotiation (a group, an exhausted or a
+    declined one) recorded negotiations, and the guard of each learning
+    party said no at its tick.  So two such sessions ``WINDOW_DAYS`` days
+    apart mean a bucket expired, and one after a refusal by the learner
+    means its hold lapsed.  Rebuilding the pair's group seconds ``C`` and
+    owner seconds ``S`` in the window, each group recorded on the day it
+    ended, tells whether that no came with ``3C > 5S``: a quiet span."""
+    group_end = group_ends(devices, horizon, result)
+    first_day, refused, groups, events = {}, set(), {}, set()
+    for t, kind, initiator, responder, owner, _rounds, _quits in result.sessions:
+        if learner not in (initiator, responder):
+            continue
+        peer = responder if initiator == learner else initiator
+        if kind in ("avoided", "rejected"):
+            if learner == (initiator if kind == "avoided" else responder):
+                refused.add(peer)
+            continue
+        day = t // SECONDS_PER_DAY
+        if day - first_day.setdefault(peer, day) >= WINDOW_DAYS:
+            events.add("a profile bucket expired")
+        if peer in refused:
+            events.add("a hold lapsed and the pair negotiated again")
+        window = [(own, comm) for end, own, comm in groups.get(peer, ())
+                  if end <= t and end // SECONDS_PER_DAY > day - WINDOW_DAYS]
+        if 3 * sum(comm for _, comm in window) > 5 * sum(own for own, _ in window):
+            events.add("a quiet span started")
+        if kind == "declined" and owner == learner:
+            refused.add(peer)
+        elif kind == "group":
+            end = group_end(t, initiator, responder)
+            groups.setdefault(peer, []).append(
+                (end, end - t if owner == learner else 0, end - t))
+    return events
 
 
 def test_pinned_populations_reach_their_sessions():
@@ -316,7 +371,9 @@ def test_run_matches_the_reference_simulator(scenario):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(long_scenarios())
 def test_long_runs_match_the_reference_simulator(scenario):
-    assert_matches_reference(scenario)
+    result = assert_matches_reference(scenario)
+    for name in sorted(learner_events(scenario[0], scenario[1], result)):
+        event(f"learner: {name}")
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -354,7 +411,9 @@ profile_steps = st.lists(st.one_of(
 
 
 def window(profile):
-    return profile.buckets(), tuple(getattr(profile, name) for name in COUNTERS)
+    # copies of the buckets, so a later comparison sees one changed in place
+    return ([dataclasses.replace(b) for b in profile.buckets()],
+            tuple(getattr(profile, name) for name in COUNTERS))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -302,12 +302,13 @@ class TestDepletionAnchors:
 
 
 class TestQuietInstant:
-    """The guard's quiet instant.  A full evaluation that finds the
-    owner-time share ``S/C`` below 3/5 keeps ``_rejects`` from evaluating
-    until ``now + slack // 2 + 1``, where ``slack = 3C - 5S``, or until the
-    next midnight, whichever comes first.  Each test records what the
-    simulator could have recorded by the end of the quiet span and shows
-    that the guard evaluates in full, and flags, exactly there."""
+    """The guard's standing verdict.  A full evaluation that finds the
+    owner-time share ``S/C`` below 3/5 stands as no until
+    ``now + slack // 2 + 1``, where ``slack = 3C - 5S``, or until the next
+    midnight, whichever comes first; a flag stands as yes for
+    ``FLAG_HOLD_SECONDS``.  Each test records what the simulator could have
+    recorded by the end of the standing verdict and shows that the guard
+    evaluates in full, and answers afresh, exactly there."""
 
     DAY = 40
     START = DAY * SECONDS_PER_DAY + 3600
@@ -327,19 +328,19 @@ class TestQuietInstant:
     def test_guard_evaluates_when_owner_seconds_can_pass_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
-        profile = victim.profile("attacker")
-        profile.record_group_time(self.DAY, 0, 1)      # S = 0, C = 1: slack 3, an odd one
+        record = victim.peer("attacker")
+        record.profile.record_group_time(self.DAY, 0, 1)   # S = 0, C = 1: slack 3, an odd one
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
+        assert (record.verdict, record.until) == (False, now + 3 // 2 + 1)
         # a group owned from ``now`` to the quiet instant lifts the share to 2/3
-        profile.record_group_time(self.DAY, 2, 2)
+        record.profile.record_group_time(self.DAY, 2, 2)
         assert sim._rejects(victim, attacker, now + 2)
-        assert victim.flag_hold["attacker"] == now + 2 + FLAG_HOLD_SECONDS
-        assert victim.quiet_until["attacker"] == now + 3 // 2 + 1
+        assert (record.verdict, record.until) == (True, now + 2 + FLAG_HOLD_SECONDS)
 
     def test_guard_evaluates_at_midnight(self):
         sim, victim, attacker = self.learning_victim()
-        profile = victim.profile("attacker")
+        profile = victim.peer("attacker").profile
         oldest = self.DAY - WINDOW_DAYS + 1
         profile.record_group_time(oldest, 0, 1000)     # a fair day, the last of the window
         self.negotiate(victim)
@@ -347,21 +348,38 @@ class TestQuietInstant:
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
         now = midnight - 100
         assert not sim._rejects(victim, attacker, now)
+        assert victim.peer("attacker").until == midnight   # not ``now + 801``
         # the fair day expires at midnight, and the share jumps to 1
         assert sim._rejects(victim, attacker, midnight)
         assert (profile.self_go_seconds, profile.comm_seconds) == (700, 700)
-        assert victim.quiet_until["attacker"] == midnight   # not ``now + 801``
 
     def test_no_quiet_instant_at_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
-        profile = victim.profile("attacker")
-        profile.record_group_time(self.DAY, 3, 5)
+        record = victim.peer("attacker")
+        record.profile.record_group_time(self.DAY, 3, 5)
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
-        assert "attacker" not in victim.quiet_until
-        profile.record_group_time(self.DAY, 1, 1)      # one owner second later: 4/6
+        assert (record.verdict, record.until) == (False, 0)
+        record.profile.record_group_time(self.DAY, 1, 1)   # one owner second later: 4/6
         assert sim._rejects(victim, attacker, now + 1)
+
+    def test_quiet_span_after_a_lapsed_hold_says_no(self):
+        sim, victim, attacker = self.learning_victim()
+        self.negotiate(victim)
+        record = victim.peer("attacker")
+        record.profile.record_group_time(self.DAY, 1, 1)
+        now = self.START + 12 * 3600
+        assert sim._rejects(victim, attacker, now)
+        # the hold lapses a window span later, when every bucket has expired;
+        # a fresh negotiation and a group the victim joined as client leave
+        # the share at 0, so the standing verdict turns to a quiet no
+        lapse = now + FLAG_HOLD_SECONDS
+        victim.learn_negotiation("attacker", lapse, False, False)
+        record.profile.record_group_time(lapse // SECONDS_PER_DAY, 0, 60)
+        assert not sim._rejects(victim, attacker, lapse)
+        assert not sim._rejects(victim, attacker, lapse + 1)
+        assert (record.verdict, record.until) == (False, lapse + 3 * 60 // 2 + 1)
 
 
 class TestPrematureQuits:

@@ -1,0 +1,158 @@
+"""Mutation check: every listed mutant of ``src/`` must be killed by its tests.
+
+A mutant is one small edit of one source file: the exact old text, which
+must occur there exactly once, the new text, and the tests expected to
+kill it.  The script copies ``src/`` to a temporary directory and runs
+every killer against the unmutated copy, where all must pass.  Then it
+applies one mutant at a time to the copy and runs that mutant's killers
+against it.  A mutant is killed when they fail.  The check fails if a
+mutant survives, if its old text no longer occurs exactly once, or if a
+killer fails on the unmutated copy.  Mutants shown equivalent, and the one
+still open, are listed apart with the reason; their old text must still
+occur, so that the record stays true to the code.
+
+Run from anywhere, with pytest and hypothesis installed (as for the tests):
+
+    python3 tools/mutants.py
+
+The technique is mutation analysis (DeMillo, Lipton and Sayward, "Hints on
+Test Data Selection", IEEE Computer 11(4), 1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str        # relative to src/
+    old: str
+    new: str
+    killers: tuple[str, ...]   # pytest node ids, relative to the repository root
+
+
+SIM = "wfdsim/simulation.py"
+QUIET = "TestQuietInstant::test_"
+QUIET_LINE = ("rec.verdict, rec.until = False, "
+              "min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)")
+ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
+
+MUTANTS = (
+    # the guard's standing verdict
+    Mutant("stale_verdict", SIM, QUIET_LINE,
+           "rec.until = min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)",
+           (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
+    Mutant("verdict_stands_at_until", SIM, "if now < rec.until:", "if now <= rec.until:",
+           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
+    Mutant("verdict_always_yes", SIM, "return rec.verdict", "return True",
+           (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
+    # the quiet instant and the round-one skip
+    Mutant("no_midnight_cap", SIM, QUIET_LINE,
+           "rec.verdict, rec.until = False, now + slack // 2 + 1",
+           (f"tests/test_simulation.py::{QUIET}guard_evaluates_at_midnight",)),
+    Mutant("quiet_one_second_late", SIM, "slack // 2 + 1, (day", "slack // 2 + 2, (day",
+           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
+    Mutant("quiet_slack_plus_one", SIM, "slack // 2 + 1, (day", "(slack + 1) // 2 + 1, (day",
+           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
+    Mutant("owner_rechecked_from_round_three", SIM, "if rounds > 1 and", "if rounds > 2 and",
+           ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
+    # decided runs of ticks
+    Mutant("decided_ticks_stop_plus_one", SIM,
+           "range(first, min(self.next_death[0], self.horizon), period)",
+           "range(first, min(self.next_death[0], self.horizon) + 1, period)",
+           ("tests/test_properties.py::test_tick_ledger", ORACLE)),
+    # energy booking on a death mid-group
+    Mutant("death_at_group_end_cuts_it", SIM,
+           "if t < group.end:\n                # cut short",
+           "if t <= group.end:\n                # cut short",
+           ("tests/test_simulation.py::TestDepletionAnchors::"
+            "test_death_at_group_end_interpolates_at_idle_rate", ORACLE)),
+    Mutant("no_refund_past_a_death", SIM,
+           "                    member.spent -= (rates[role] - rates[_IDLE]) * (group.end - t)\n",
+           "", ("tests/test_golden.py", ORACLE)),
+    Mutant("partner_death_not_retimed", SIM,
+           "                self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)\n",
+           "", ("tests/test_golden.py", ORACLE)),
+)
+
+# Mutants that no test kills, each with the reason.
+EXCLUDED = (
+    (Mutant("hold_not_moved_past_storm", SIM,
+            "until = refused[-1] + FLAG_HOLD_SECONDS", "until = t + FLAG_HOLD_SECONDS", ()),
+     "equivalent: after a storm one device is dead or the horizon is reached, "
+     "so nothing reads the hold again"),
+    (Mutant("storm_period_at_hold_span", SIM,
+            "dev.schedule.period < FLAG_HOLD_SECONDS", "dev.schedule.period <= FLAG_HOLD_SECONDS", ()),
+     "equivalent: with a period of 30 days or more the refuser's window has drained "
+     "before the next tick, so no refusal reaches the storm test"),
+    (Mutant("learning_ticker_in_storm", SIM,
+            "len(self.devices) == 2 and dev.peers is None", "len(self.devices) == 2", ()),
+     "open: the ticker's guard could change its mind only once a 30-day window "
+     "drains; no test kills it and it is not shown equivalent"),
+)
+
+
+def apply(src: Path, mutant: Mutant) -> str | None:
+    """Write ``mutant`` into the copy at ``src``; return the original text,
+    or None when the old text does not occur there exactly once."""
+    path = src / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return None
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return text
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main() -> int:
+    failures = killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for mutant, reason in EXCLUDED:
+            if (src / mutant.file).read_text().count(mutant.old) != 1:
+                print(f"STALE     {mutant.name}: its old text no longer occurs once")
+                failures += 1
+            else:
+                print(f"excluded  {mutant.name}: {reason}")
+        killers = tuple(dict.fromkeys(t for m in MUTANTS for t in m.killers))
+        if run_tests(src, killers) != 0:
+            print("the killers fail on the unmutated source")
+            return 1
+        for mutant in MUTANTS:
+            original = apply(src, mutant)
+            if original is None:
+                print(f"STALE     {mutant.name}: its old text no longer occurs once")
+                failures += 1
+                continue
+            code = run_tests(src, mutant.killers)
+            (src / mutant.file).write_text(original)
+            if code == 1:
+                print(f"killed    {mutant.name}")
+                killed += 1
+            else:
+                print(f"SURVIVED  {mutant.name}" if code == 0
+                      else f"ERROR     {mutant.name}: pytest exited {code}")
+                failures += 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed, {failures} failure(s)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
