@@ -58,11 +58,7 @@ from .learning import (
     FAIRNESS_THRESHOLD,
     Band,
     ClockRegression,
-    Cpt,
-    DEFAULT_CPT,
-    DEFAULT_PRIOR,
     DailyBucket,
-    DegenerateDistribution,
     Disposition,
     FeatureVector,
     HistoryDepth,

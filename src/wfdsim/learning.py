@@ -19,7 +19,6 @@ fairness bound.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -46,10 +45,6 @@ class ClockRegression(ValueError):
 
 class InvalidDuration(ValueError):
     """Negative durations, or owner seconds exceeding session seconds."""
-
-
-class DegenerateDistribution(ValueError):
-    """A prior or likelihood product with no mass to normalise."""
 
 
 class InvalidConfig(ValueError):
@@ -116,91 +111,52 @@ class FeatureVector:
 
 
 # Likelihood of each band given disposition, one 5x5 table per history
-# depth; rows are dispositions, columns are bands LOW..HIGH.  All three
-# share features use the same table at a given depth.
-_CPT_AMPLE = (
-    (0.05, 0.10, 0.20, 0.20, 0.45),
-    (0.05, 0.10, 0.20, 0.45, 0.20),
-    (0.10, 0.20, 0.40, 0.20, 0.10),
-    (0.20, 0.40, 0.20, 0.10, 0.10),
-    (0.40, 0.20, 0.20, 0.10, 0.10),
+# depth (indexed by ``HistoryDepth``); rows are dispositions, columns are
+# bands LOW..HIGH, and each row sums to one.  All three share features use
+# the same table at a given depth.
+_CPT = (
+    (   # INSUFFICIENT
+        (0.17, 0.17, 0.17, 0.24, 0.25),
+        (0.15, 0.15, 0.23, 0.24, 0.23),
+        (0.15, 0.23, 0.24, 0.23, 0.15),
+        (0.23, 0.24, 0.23, 0.15, 0.15),
+        (0.25, 0.24, 0.17, 0.17, 0.17),
+    ),
+    (   # LIMITED
+        (0.14, 0.14, 0.14, 0.22, 0.36),
+        (0.13, 0.13, 0.20, 0.34, 0.20),
+        (0.13, 0.20, 0.34, 0.20, 0.13),
+        (0.20, 0.34, 0.20, 0.13, 0.13),
+        (0.36, 0.22, 0.14, 0.14, 0.14),
+    ),
+    (   # AMPLE
+        (0.05, 0.10, 0.20, 0.20, 0.45),
+        (0.05, 0.10, 0.20, 0.45, 0.20),
+        (0.10, 0.20, 0.40, 0.20, 0.10),
+        (0.20, 0.40, 0.20, 0.10, 0.10),
+        (0.40, 0.20, 0.20, 0.10, 0.10),
+    ),
 )
 
-_CPT_LIMITED = (
-    (0.14, 0.14, 0.14, 0.22, 0.36),
-    (0.13, 0.13, 0.20, 0.34, 0.20),
-    (0.13, 0.20, 0.34, 0.20, 0.13),
-    (0.20, 0.34, 0.20, 0.13, 0.13),
-    (0.36, 0.22, 0.14, 0.14, 0.14),
-)
-
-_CPT_INSUFFICIENT = (
-    (0.17, 0.17, 0.17, 0.24, 0.25),
-    (0.15, 0.15, 0.23, 0.24, 0.23),
-    (0.15, 0.23, 0.24, 0.23, 0.15),
-    (0.23, 0.24, 0.23, 0.15, 0.15),
-    (0.25, 0.24, 0.17, 0.17, 0.17),
-)
-
-DEFAULT_PRIOR = (0.15, 0.20, 0.45, 0.10, 0.10)
-
-_ROW_SUM_TOLERANCE = 1e-9
+# Prior weight of each disposition, indexed by ``Disposition``.
+_PRIOR = (0.15, 0.20, 0.45, 0.10, 0.10)
 
 
-@dataclass(frozen=True)
-class Cpt:
-    """Band likelihood tables keyed by history depth; rows sum to one."""
-
-    tables: tuple[tuple[tuple[float, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tables) != len(HistoryDepth):
-            raise InvalidConfig(f"need one table per history depth, got {len(self.tables)}")
-        for depth, table in zip(HistoryDepth, self.tables):
-            if len(table) != len(Disposition):
-                raise InvalidConfig(f"{depth.name}: need one row per disposition")
-            for disposition, row in zip(Disposition, table):
-                if len(row) != len(Band):
-                    raise InvalidConfig(f"{depth.name}/{disposition.name}: need one entry per band")
-                if any(p < 0.0 for p in row):
-                    raise InvalidConfig(f"{depth.name}/{disposition.name}: negative probability")
-                if not all(map(math.isfinite, row)):
-                    raise InvalidConfig(f"{depth.name}/{disposition.name}: non-finite probability")
-                if abs(sum(row) - 1.0) > _ROW_SUM_TOLERANCE:
-                    raise InvalidConfig(f"{depth.name}/{disposition.name}: row sums to {sum(row)!r}")
-
-
-DEFAULT_CPT = Cpt((_CPT_INSUFFICIENT, _CPT_LIMITED, _CPT_AMPLE))
-
-
-def posterior(
-    features: FeatureVector,
-    cpt: Cpt = DEFAULT_CPT,
-    prior: tuple[float, ...] = DEFAULT_PRIOR,
-) -> tuple[float, ...]:
+def posterior(features: FeatureVector) -> tuple[float, ...]:
     """Posterior over dispositions given the three banded shares.
 
     The three leaves are conditionally independent given the disposition,
-    so the joint collapses to a product of per-band likelihoods.
+    so the joint collapses to a product of per-band likelihoods.  Every
+    table entry is positive, so the product has mass to normalise.
     """
-    if len(prior) != len(Disposition):
-        raise DegenerateDistribution(f"prior needs {len(Disposition)} entries")
-    mass = sum(prior)
-    if any(p < 0.0 for p in prior) or mass <= 0.0 or not all(map(math.isfinite, prior)):
-        raise DegenerateDistribution(f"prior must be finite, non-negative, with positive mass: {prior!r}")
-    if mass == math.inf:   # finite weights whose sum overflows: an eighth of each does not
-        prior, mass = [p / 8 for p in prior], sum(p / 8 for p in prior)
-    table = cpt.tables[features.depth]
+    table = _CPT[features.depth]
     unnorm = []
     for disposition in Disposition:
         row = table[disposition]
-        # normalising the prior first keeps tiny weights from underflowing
         unnorm.append(
-            prior[disposition] / mass * row[features.self_go] * row[features.peer_quit] * row[features.go_time]
+            _PRIOR[disposition] * row[features.self_go] * row[features.peer_quit] * row[features.go_time]
         )
     total = sum(unnorm)
-    if total <= 0.0:
-        raise DegenerateDistribution("likelihood product has no mass to normalise")
     return tuple(u / total for u in unnorm)
 
 
@@ -323,21 +279,16 @@ class PeerAssessment:
     window_negotiations: int
 
 
-def assess(
-    profile: PeerProfile,
-    cpt: Cpt = DEFAULT_CPT,
-    prior: tuple[float, ...] = DEFAULT_PRIOR,
-    attacker_mass_threshold: float = ATTACKER_MASS_THRESHOLD,
-) -> PeerAssessment:
+def assess(profile: PeerProfile) -> PeerAssessment:
     f = features(profile)
-    post = posterior(f, cpt, prior)
+    post = posterior(f)
     mass = sum(post[d] for d in ATTACKER_DISPOSITIONS)
     return PeerAssessment(
         peer_id=profile.peer_id,
         features=f,
         posterior=post,
         peer_fairness=peer_fairness(profile),
-        is_attacker=mass > attacker_mass_threshold,
+        is_attacker=mass > ATTACKER_MASS_THRESHOLD,
         window_negotiations=profile.negotiations,
     )
 

@@ -210,7 +210,6 @@ class AbortPhase(Enum):
     AFTER_REQUEST = "after_request"
     AFTER_RESPONSE = "after_response"
     AFTER_CONFIRMATION = "after_confirmation"
-    DROPPED_BY_DEFENSE = "dropped_by_defense"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ def test_all_names_public_objects():
         assert not isinstance(getattr(wfdsim, name), types.ModuleType), name
     removed = ("Battery", "drain", "CommitmentMismatch", "verify_or_raise",
                "parse_classifier_config", "format_classifier_config", "Role",
-               "QuitDecision", "attacker_maybe_quit", "Ignorance")
+               "QuitDecision", "attacker_maybe_quit", "Ignorance", "Cpt", "DEFAULT_CPT",
+               "DEFAULT_PRIOR", "DegenerateDistribution")
     for name in removed:
         assert name not in wfdsim.__all__, name
 

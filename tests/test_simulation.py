@@ -382,6 +382,38 @@ class TestQuietInstant:
         assert (record.verdict, record.until) == (False, lapse + 3 * 60 // 2 + 1)
 
 
+class TestRefusalStorm:
+    """A refuser's refusals are a storm, taken in one step, only when the
+    ticker does not learn: a learning ticker's guard can change its mind
+    while the refuser's hold lasts, and avoid the refuser from then on."""
+
+    DAY = TestQuietInstant.DAY
+    START = TestQuietInstant.START
+
+    def test_learning_ticker_refused_one_tick_at_a_time(self):
+        sim = _Simulator([DeviceConfig("refuser", defense=DefenseMode.LEARNING),
+                          DeviceConfig("ticker", defense=DefenseMode.LEARNING,
+                                       schedule=MINUTE_SCHEDULE)],
+                         days(100), 0, DEFAULT_ENERGY, False)
+        refuser, ticker = sim.devices
+        flag = refuser.peer("ticker")
+        flag.verdict, flag.until = True, self.START + FLAG_HOLD_SECONDS
+        # a fair old day, the last of the ticker's window, then 39
+        # negotiations the ticker owned and the refuser quit
+        profile = ticker.peer("refuser").profile
+        profile.record_group_time(self.DAY - WINDOW_DAYS + 1, 0, 10000)
+        for _ in range(39):
+            ticker.learn_negotiation("refuser", self.START, True, True)
+        profile.record_group_time(self.DAY, 2000, 2000)   # S = 2000, C = 12000
+        midnight = (self.DAY + 1) * SECONDS_PER_DAY
+        sim._tick(midnight - 600, ticker)
+        assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 0)
+        # the old day expires at midnight, the share jumps to 1, and the
+        # ticker flags the refuser instead of ticking into its hold
+        sim._tick(midnight, ticker)
+        assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 1)
+
+
 class TestPrematureQuits:
     def run_quitter(self, seed=0):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.0, r=1.0)

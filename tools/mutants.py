@@ -7,9 +7,9 @@ every killer against the unmutated copy, where all must pass.  Then it
 applies one mutant at a time to the copy and runs that mutant's killers
 against it.  A mutant is killed when they fail.  The check fails if a
 mutant survives, if its old text no longer occurs exactly once, or if a
-killer fails on the unmutated copy.  Mutants shown equivalent, and the one
-still open, are listed apart with the reason; their old text must still
-occur, so that the record stays true to the code.
+killer fails on the unmutated copy.  Mutants shown equivalent are listed
+apart with the reason; their old text must still occur, so that the record
+stays true to the code.
 
 Run from anywhere, with pytest and hypothesis installed (as for the tests):
 
@@ -70,6 +70,10 @@ MUTANTS = (
            "range(first, min(self.next_death[0], self.horizon), period)",
            "range(first, min(self.next_death[0], self.horizon) + 1, period)",
            ("tests/test_properties.py::test_tick_ledger", ORACLE)),
+    Mutant("learning_ticker_in_storm", SIM,
+           "len(self.devices) == 2 and dev.peers is None", "len(self.devices) == 2",
+           ("tests/test_simulation.py::TestRefusalStorm::"
+            "test_learning_ticker_refused_one_tick_at_a_time",)),
     # energy booking on a death mid-group
     Mutant("death_at_group_end_cuts_it", SIM,
            "if t < group.end:\n                # cut short",
@@ -84,7 +88,7 @@ MUTANTS = (
            "", ("tests/test_golden.py", ORACLE)),
 )
 
-# Mutants that no test kills, each with the reason.
+# Mutants that no test can kill, each with the reason they are equivalent.
 EXCLUDED = (
     (Mutant("hold_not_moved_past_storm", SIM,
             "until = refused[-1] + FLAG_HOLD_SECONDS", "until = t + FLAG_HOLD_SECONDS", ()),
@@ -94,10 +98,6 @@ EXCLUDED = (
             "dev.schedule.period < FLAG_HOLD_SECONDS", "dev.schedule.period <= FLAG_HOLD_SECONDS", ()),
      "equivalent: with a period of 30 days or more the refuser's window has drained "
      "before the next tick, so no refusal reaches the storm test"),
-    (Mutant("learning_ticker_in_storm", SIM,
-            "len(self.devices) == 2 and dev.peers is None", "len(self.devices) == 2", ()),
-     "open: the ticker's guard could change its mind only once a 30-day window "
-     "drains; no test kills it and it is not shown equivalent"),
 )
 
 
