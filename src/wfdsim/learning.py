@@ -202,7 +202,7 @@ class PeerProfile:
     def roll_to(self, day: int) -> None:
         """Advance the window clock, expiring buckets older than 30 days."""
         if day == self.current_day:
-            return   # buckets start at or after current_day: none can expire
+            return   # the cutoff has not moved: none can expire
         if day < self.current_day:
             raise ClockRegression(f"day {day} precedes current day {self.current_day}")
         self.current_day = day
@@ -214,10 +214,11 @@ class PeerProfile:
                 setattr(self, name, getattr(self, name) - getattr(old, name))
 
     def _bucket_for(self, day: int) -> DailyBucket:
-        self.roll_to(day)
         buckets = self._buckets
-        if buckets and buckets[-1].day == day:
-            return buckets[-1]
+        if buckets and buckets[-1].day == day == self.current_day:
+            return buckets[-1]   # today's bucket: nothing can expire
+        # no bucket is dated after current_day, so past the check above none is today's
+        self.roll_to(day)
         bucket = DailyBucket(day)
         buckets.append(bucket)
         return bucket

@@ -4,10 +4,11 @@ Devices follow fixed schedules: every ``period`` seconds a scheduled device
 initiates a session with a peer and, if negotiation settles, a group runs
 for ``group_duration`` seconds.  Energy drains by role (idle 1, client 2,
 owner 11 units/second) from a battery sized to last 365 idle days.  The
-run is driven by a single seeded RNG, a heap of schedule ticks and at
-most one pending death per device; at one instant deaths resolve before
-ticks.  A group ends at its scheduled end without an event of its own.
-Equal configuration and seed reproduce the result byte for byte.
+run is driven by a single seeded RNG, a heap of schedule ticks and the
+death instant each device has booked; at one instant deaths resolve
+before ticks, and a group's owner before its client.  A group ends at
+its scheduled end without an event of its own.  Equal configuration and
+seed reproduce the result byte for byte.
 
 Attackers manipulate the tie-breaker bit when initiating (standard
 negotiation only; a pair with a commitment-mode member XORs both
@@ -232,11 +233,6 @@ class SimResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# Ticks and deaths are ``(time, seq, device)``: ``seq`` is unique, so the
-# device never takes part in a comparison.  ``_NO_DEATH`` stands for "no
-# death pending" and sorts after every event.
-_NO_DEATH = (math.inf, 0, None)
-
 # Roles inside the simulator, as indices into its rate table and each
 # device's role-seconds counters.
 _IDLE, _CLIENT, _GO = 0, 1, 2
@@ -268,7 +264,7 @@ class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_commitment", "schedule", "attack",
         "remaining", "capacity", "spent", "role_seconds",
-        "alive", "depletion_time", "group", "peers",
+        "alive", "die_at", "depletion_time", "group", "peers",
         "negotiations", "go_wins", "peer_quits_observed",
         "tie_rounds", "go_assignments",
         "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted",
@@ -286,6 +282,7 @@ class _Device:
         self.spent = 0                  # drain booked beyond the idle rate
         self.role_seconds = [0, 0, 0]   # indexed by role; idle settled at the stop
         self.alive = True
+        self.die_at = math.inf          # first second it cannot fund as booked; inf for none or dead
         self.depletion_time: float | None = None
         self.group: _Group | None = None
         # the learning guard's records by peer id; None for a device that does not learn
@@ -309,7 +306,7 @@ class _Device:
 
     def learn_negotiation(self, peer_id: str, t: int, self_was_go: bool,
                           peer_quit: bool) -> None:
-        rec = self.peer(peer_id)
+        rec = self.peers.get(peer_id) or self.peer(peer_id)
         rec.profile.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
         if rec.profile.negotiations == 1:
             # the window was empty: the pair's age starts again now
@@ -319,11 +316,15 @@ class _Device:
 class _Simulator:
     """One seeded run.
 
-    The heap holds only ticks.  Deaths stay off it: ``deaths`` holds at
-    most one pending death per device, and ``next_death`` the earliest of
-    them, kept as entries come and go.  At one instant deaths resolve
-    before ticks, and deaths among themselves in the order they were
-    scheduled: each takes its ``seq`` from the counter ticks use.
+    The heap holds only ticks.  Deaths stay off it: each device keeps its
+    ``die_at``, and ``next_death`` is a device with the earliest.  A
+    booking never moves a death later, so ``_set_role`` only compares.
+    Only a death moves one later: the dead device's ``die_at`` turns to
+    ``inf``, and its partner's refund retimes the partner, so after each
+    death the loop looks for the earliest again.  At one instant deaths
+    resolve before ticks.  The order of deaths in one second shows only
+    between the two members of one group, and there the owner resolves
+    first: its death ends the group and drops the client to the idle rate.
 
     Energy is booked, not settled per event.  When a group starts,
     ``_set_role`` books each member's drain beyond the idle rate and its
@@ -373,17 +374,17 @@ class _Simulator:
         self.rng = random.Random(seed)
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
         self.peer_bits = (len(configs) - 1).bit_length()
+        # ticks are ``(time, seq, device)``: ``seq`` is unique, so the
+        # device never takes part in a comparison
         self.heap: list[tuple] = []
         self.seq = 0
-        self.deaths: dict[_Device, tuple] = {}
-        self.next_death = _NO_DEATH
+        self.next_death = self.devices[0]   # no device has booked a death yet
         self.sessions: list[tuple] | None = [] if log_sessions else None
         self.rates = energy.rates
 
     def _set_role(self, dev: _Device, now: int, role: int, end: int) -> None:
         """Book ``dev`` in ``role`` from ``now`` until ``end``, idle after
-        it, and schedule the one death this implies up to the horizon in
-        place of any pending one."""
+        it, and set the death instant this implies."""
         idle, rate = self.rates[_IDLE], self.rates[role]
         left = dev.capacity - idle * now - dev.spent
         if left < 0:
@@ -396,33 +397,10 @@ class _Simulator:
         elif idle > 0:
             die_at = (dev.capacity - dev.spent) // idle
         else:
-            die_at = self.horizon + 1
-        deaths = self.deaths
-        if die_at <= self.horizon:
-            self.seq += 1
-            entry = deaths[dev] = (die_at, self.seq, dev)
-            if entry < self.next_death:
-                self.next_death = entry
-                return
-        else:
-            deaths.pop(dev, None)
-        if self.next_death[2] is dev:
-            # the earliest entry was this device's and is gone
-            self.next_death = min(deaths.values(), default=_NO_DEATH)
-
-    def _record_negotiation(self, owner: _Device, member: _Device, t: int,
-                            owner_quit: bool) -> None:
-        """Count one negotiation that made ``owner`` the group owner."""
-        owner.negotiations += 1
-        owner.go_wins += 1
-        member.negotiations += 1
-        if owner_quit:
-            member.peer_quits_observed += 1
-        # only the learning guard reads peer profiles
-        if owner.peers is not None:
-            owner.learn_negotiation(member.id, t, True, False)
-        if member.peers is not None:
-            member.learn_negotiation(owner.id, t, False, owner_quit)
+            die_at = math.inf
+        dev.die_at = die_at
+        if die_at < self.next_death.die_at:
+            self.next_death = dev
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
@@ -550,9 +528,19 @@ class _Simulator:
             # an attacker assigned the owner role may walk out, and retries
             # until its cap is spent
             attack = owner.attack
-            if attack is not None and attack.r_strength > 0.0 and rng.random() < attack.r_strength:
+            owner_quit = (attack is not None and attack.r_strength > 0.0
+                          and rng.random() < attack.r_strength)
+            owner.negotiations += 1
+            owner.go_wins += 1
+            member.negotiations += 1
+            # only the learning guard reads peer profiles
+            if owner.peers is not None:
+                owner.learn_negotiation(member.id, t, True, False)
+            if member.peers is not None:
+                member.learn_negotiation(owner.id, t, False, owner_quit)
+            if owner_quit:
                 quits += 1
-                self._record_negotiation(owner, member, t, True)
+                member.peer_quits_observed += 1
                 if retries < attack.retry_cap:
                     retries += 1
                     continue
@@ -560,7 +548,6 @@ class _Simulator:
                 if self.sessions is not None:
                     self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
                 return
-            self._record_negotiation(owner, member, t, False)
             end = min(t + initiator.schedule.group_duration, self.horizon)
             if end > t:
                 owner.group = member.group = _Group(owner, member, t, end)
@@ -578,13 +565,14 @@ class _Simulator:
         duration = group.end - group.start
         if duration > 0:
             day = group.end // SECONDS_PER_DAY
+            # a group always follows a negotiation, which made both records
             if go.peers is not None:
-                go.peer(client.id).profile.record_group_time(day, duration, duration)
+                go.peers[client.id].profile.record_group_time(day, duration, duration)
             if client.peers is not None:
-                client.peer(go.id).profile.record_group_time(day, 0, duration)
+                client.peers[go.id].profile.record_group_time(day, 0, duration)
 
     def _death(self, t: int, dev: _Device) -> None:
-        # the pending death is always current: the battery cannot fund
+        # the booked death is always current: the battery cannot fund
         # the coming second
         rates = self.rates
         rate = rates[_IDLE]
@@ -601,6 +589,7 @@ class _Simulator:
                 self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)
             self._end_group(group)
         dev.alive = False
+        dev.die_at = math.inf
         self._stop(dev, t)
         dev.depletion_time = t + dev.remaining / rate
 
@@ -617,7 +606,7 @@ class _Simulator:
         decided alike; ``dev``'s pending tick moves to the first instant
         past them.  Every other tick on the heap must be a dead device's."""
         period = dev.schedule.period
-        ticks = range(first, min(self.next_death[0], self.horizon), period)
+        ticks = range(first, min(self.next_death.die_at, self.horizon), period)
         nxt = first + len(ticks) * period
         self.heap.clear()
         if nxt < self.horizon:
@@ -638,18 +627,19 @@ class _Simulator:
                     self.seq += 1
                     heapq.heappush(self.heap, (phase, self.seq, dev))
         heap = self.heap
-        deaths = self.deaths
         pop = heapq.heappop
         while True:
-            death = self.next_death
-            if heap and heap[0][0] < death[0]:
+            dev = self.next_death
+            t = dev.die_at
+            if heap and heap[0][0] < t:
                 t, _seq, dev = pop(heap)
                 self._tick(t, dev)
-            elif death is not _NO_DEATH:
-                t, _seq, dev = death
-                del deaths[dev]
-                self.next_death = min(deaths.values(), default=_NO_DEATH)
+            elif t <= self.horizon:
+                group = dev.group
+                if group is not None and dev is group.client and group.go.die_at == t:
+                    dev = group.go   # the owner first (class docstring)
                 self._death(t, dev)
+                self.next_death = min(self.devices, key=lambda d: d.die_at)
                 alive = [dev for dev in self.devices if dev.alive]
                 if len(alive) == 1 and alive[0].peers is None:
                     # a lone survivor's ticks can only count as busy

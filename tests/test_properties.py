@@ -250,17 +250,24 @@ def test_tick_ledger(scenario):
         assert low <= ticks <= high, (cfg, stats)
 
 
-# Two deaths that generated populations almost never line up.  Both
-# members of a group run out in second 10 of it: the owner's death was
-# scheduled first, so it resolves first, ends the group, and the client
-# lives one more second at the idle rate.  And an owner whose battery
-# lasts exactly to its group's end dies there at the idle rate of 2, with
-# one unit left.
+# Deaths that generated populations almost never line up.  Both members
+# of a group run out in second 10 of it: the owner resolves first, ends
+# the group, and the client lives one more second at the idle rate.  In
+# the second population only the owner-first rule decides that order: a
+# client costs no more than idle, so the client's death was due at second
+# 10 before the group began, and the owner's booking only ties it.  And an
+# owner whose battery lasts exactly to its group's end dies there at the
+# idle rate of 2, with one unit left.
 SAME_SECOND_DEATHS = (
     [DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
                   attack=AttackProfile(tbb_strength=1.0), battery_capacity=21),
      DeviceConfig("owner", battery_capacity=115)],
     200, 9, DEFAULT_ENERGY)
+OWNER_FIRST = (
+    [DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
+                  attack=AttackProfile(tbb_strength=1.0), battery_capacity=10),
+     DeviceConfig("owner", battery_capacity=32)],
+    200, 14, EnergyModel(1, 0, 2))
 DEATH_AT_GROUP_END = (
     [DeviceConfig("owner", battery_capacity=301),
      DeviceConfig("client", schedule=Schedule(360, 60), phase=0,
@@ -340,6 +347,7 @@ def test_pinned_populations_reach_their_sessions():
 @settings(max_examples=180, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 @example(SAME_SECOND_DEATHS)
+@example(OWNER_FIRST)
 @example(DEATH_AT_GROUP_END)
 @example(STORM_TO_VICTIM_DEATH)
 @example(STORM_TO_ATTACKER_DEATH)

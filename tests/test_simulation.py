@@ -27,6 +27,8 @@ from wfdsim.simulation import (
     _Simulator,
 )
 
+from test_golden import LEARNING_STORM, LONE_ATTACKER
+
 SESSION_KINDS = {"group", "avoided", "rejected", "declined", "exhausted"}
 
 
@@ -412,6 +414,45 @@ class TestRefusalStorm:
         # ticker flags the refuser instead of ticking into its hold
         sim._tick(midnight, ticker)
         assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 1)
+
+
+class TestDecidedTicks:
+    """Runs of ticks that are decided before they happen, taken in one step:
+    the ticks of a last live device that does not learn, and a refusal
+    storm.  Both steps only save work and change no result, so these tests
+    count the work: the calls of ``_tick`` and ``_refuse`` on one run."""
+
+    def traced_run(self, devices, horizon, seed):
+        sim = _Simulator(devices, horizon, seed, DEFAULT_ENERGY, False)
+        ticks, refusals = [], []
+        tick, refuse = sim._tick, sim._refuse
+
+        def traced_tick(t, dev):
+            ticks.append(t)
+            tick(t, dev)
+
+        def traced_refuse(refuser, dev, t):
+            refusals.append(t)
+            refuse(refuser, dev, t)
+
+        sim._tick, sim._refuse = traced_tick, traced_refuse
+        return sim.run(), ticks, refusals
+
+    def test_lone_survivor_ticks_are_not_popped(self):
+        result, ticks, _ = self.traced_run(LONE_ATTACKER, days(5), 10)
+        victim, attacker = result.device("victim"), result.device("attacker")
+        late = [t for t in ticks if t > victim.depletion_day * SECONDS_PER_DAY]
+        # the attacker counts hundreds of busy ticks alone; the only tick
+        # popped after the victim's death is the void one past its own
+        assert attacker.skips_busy > 600
+        assert len(late) == 1 and late[0] > attacker.depletion_day * SECONDS_PER_DAY
+
+    def test_refusal_storm_is_refused_in_one_call(self):
+        result, ticks, refusals = self.traced_run(LEARNING_STORM, days(4), 13)
+        assert result.device("victim").rejections_issued > 400
+        assert len(refusals) == 1
+        # the storm runs to the victim's death, and the attacker then ticks alone
+        assert max(ticks) == refusals[0]
 
 
 class TestPrematureQuits:

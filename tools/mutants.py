@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 SIM = "wfdsim/simulation.py"
+DECIDED = "tests/test_simulation.py::TestDecidedTicks::test_"
 QUIET = "TestQuietInstant::test_"
 QUIET_LINE = ("rec.verdict, rec.until = False, "
               "min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)")
@@ -67,13 +68,25 @@ MUTANTS = (
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
     # decided runs of ticks
     Mutant("decided_ticks_stop_plus_one", SIM,
-           "range(first, min(self.next_death[0], self.horizon), period)",
-           "range(first, min(self.next_death[0], self.horizon) + 1, period)",
+           "range(first, min(self.next_death.die_at, self.horizon), period)",
+           "range(first, min(self.next_death.die_at, self.horizon) + 1, period)",
            ("tests/test_properties.py::test_tick_ledger", ORACLE)),
     Mutant("learning_ticker_in_storm", SIM,
            "len(self.devices) == 2 and dev.peers is None", "len(self.devices) == 2",
            ("tests/test_simulation.py::TestRefusalStorm::"
             "test_learning_ticker_refused_one_tick_at_a_time",)),
+    Mutant("no_survivor_finish", SIM,
+           "if len(alive) == 1 and alive[0].peers is None:", "if False:",
+           (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
+    Mutant("no_storm_step", SIM,
+           "if (refuser.schedule is None and", "if (False and refuser.schedule is None and",
+           (f"{DECIDED}refusal_storm_is_refused_in_one_call",)),
+    # the order of two deaths in one second
+    Mutant("client_before_owner_on_a_tie", SIM,
+           "                if group is not None and dev is group.client and group.go.die_at == t:\n"
+           "                    dev = group.go   # the owner first (class docstring)\n",
+           "", ("tests/test_golden.py::test_owner_resolves_first_when_it_ties_a_client_due_earlier",
+                "tests/test_golden.py::test_run_json_digest[owner_first_on_a_tie]", ORACLE)),
     # energy booking on a death mid-group
     Mutant("death_at_group_end_cuts_it", SIM,
            "if t < group.end:\n                # cut short",
@@ -98,6 +111,10 @@ EXCLUDED = (
             "dev.schedule.period < FLAG_HOLD_SECONDS", "dev.schedule.period <= FLAG_HOLD_SECONDS", ()),
      "equivalent: with a period of 30 days or more the refuser's window has drained "
      "before the next tick, so no refusal reaches the storm test"),
+    (Mutant("tie_takes_next_death", SIM,
+            "if die_at < self.next_death.die_at:", "if die_at <= self.next_death.die_at:", ()),
+     "equivalent: two deaths in one second show their order only within one group, "
+     "and there the loop resolves the owner first whichever member is next_death"),
 )
 
 
