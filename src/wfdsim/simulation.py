@@ -5,10 +5,11 @@ initiates a session with a peer and, if negotiation settles, a group runs
 for ``group_duration`` seconds.  Energy drains by role (idle 1, client 2,
 owner 11 units/second) from a battery sized to last 365 idle days.  The
 run is driven by a single seeded RNG, a heap of schedule ticks and the
-death instant each device has booked; at one instant deaths resolve
-before ticks, and a group's owner before its client.  A group ends at
-its scheduled end without an event of its own.  Equal configuration and
-seed reproduce the result byte for byte.
+death instant each device has booked; a pair that does not learn takes
+its ticks in batches until a death could come within reach.  At one
+instant deaths resolve before ticks, and a group's owner before its
+client.  A group ends at its scheduled end without an event of its own.
+Equal configuration and seed reproduce the result byte for byte.
 
 Attackers manipulate the tie-breaker bit when initiating (standard
 negotiation only; a pair with a commitment-mode member XORs both
@@ -352,6 +353,18 @@ class _Simulator:
     that death stays on the loop, as the death resolves first and makes
     the tick busy (its peer died) or void (its device died).  A learning
     survivor stays on the loop, as its guard still avoids a flagged dead peer.
+    A pair that does not learn, with one device ticking, has a session at
+    every tick until a death, each group ending by the next tick.
+    ``_pair_batches`` runs such ticks in batches before the loop: each
+    negotiates with the same draws, and energy and role seconds are booked
+    once per batch.  A period drains a device by at most ``worst = idle *
+    period + (top - idle) * group_duration``, ``top`` the highest rate, so
+    tick ``i`` of a batch finds at least ``left - i * worst``, ``left`` the
+    lower charge at its first.  All ``k = (left - top * group_duration) //
+    worst + 1`` ticks of a batch then fund a whole group at ``top``: no
+    death falls before its last group ends.  A batch stops a period short
+    of the horizon.  The deaths ``_set_role`` books from that end may fall
+    before the next tick, and the loop resolves them as before.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
     The guard runs only where its answer can change.  Round one re-checks
@@ -495,6 +508,16 @@ class _Simulator:
             self.sessions.extend((r, "rejected", dev.id, refuser.id, "", 0, 0) for r in refused)
 
     def _session(self, t: int, initiator: _Device, responder: _Device) -> None:
+        owner = self._negotiate(t, initiator, responder)
+        if owner is not None:
+            end = min(t + initiator.schedule.group_duration, self.horizon)
+            member = responder if owner is initiator else initiator
+            owner.group = member.group = _Group(owner, member, t, end)
+            self._set_role(owner, t, _GO, end)
+            self._set_role(member, t, _CLIENT, end)
+
+    def _negotiate(self, t: int, initiator: _Device, responder: _Device) -> _Device | None:
+        """Negotiate the session ``initiator`` starts at ``t``: its group's owner, or None."""
         committed = initiator.uses_commitment or responder.uses_commitment
         rng = self.rng
         rounds = 0
@@ -524,7 +547,7 @@ class _Simulator:
                 owner.rejections_issued += 1
                 if self.sessions is not None:
                     self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
-                return
+                return None
             # an attacker assigned the owner role may walk out, and retries
             # until its cap is spent
             attack = owner.attack
@@ -547,15 +570,10 @@ class _Simulator:
                 initiator.sessions_exhausted += 1
                 if self.sessions is not None:
                     self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
-                return
-            end = min(t + initiator.schedule.group_duration, self.horizon)
-            if end > t:
-                owner.group = member.group = _Group(owner, member, t, end)
-                self._set_role(owner, t, _GO, end)
-                self._set_role(member, t, _CLIENT, end)
+                return None
             if self.sessions is not None:
                 self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
-            return
+            return owner
 
     def _end_group(self, group: _Group) -> None:
         """Close ``group``: clear its members' group pointers and give
@@ -614,6 +632,30 @@ class _Simulator:
             self.heap.append((nxt, self.seq, dev))
         return ticks
 
+    def _pair_batches(self) -> None:
+        """Run a pair's sessions in batches no death or horizon can reach."""
+        ((t, seq, dev),) = self.heap
+        peer = self.devices[1 - dev.index]
+        period, duration = dev.schedule.period, dev.schedule.group_duration
+        idle, top = self.rates[_IDLE], max(self.rates)
+        worst = idle * period + (top - idle) * duration   # the most one period drains
+        while True:
+            k = (self.horizon - 1 - t) // period
+            if worst:
+                left = min(d.capacity - idle * t - d.spent for d in self.devices)
+                k = min(k, (left - top * duration) // worst + 1)
+            if k <= 0:
+                break
+            owners = [self._negotiate(tick, dev, peer) for tick in range(t, t + k * period, period)]
+            for member, partner in ((dev, peer), (peer, dev)):
+                for role, n in ((_GO, owners.count(member)), (_CLIENT, owners.count(partner))):
+                    member.role_seconds[role] += n * duration
+                    member.spent += (self.rates[role] - idle) * n * duration
+            t += k * period
+            for member in self.devices:   # idle from the last group's end
+                self._set_role(member, t - period + duration, _IDLE, t - period + duration)
+        self.heap[0] = (t, seq, dev)
+
     def run(self) -> SimResult:
         for dev in self.devices:
             # seed the idle-drain death event so even a silent device
@@ -626,6 +668,8 @@ class _Simulator:
                 if phase < self.horizon:
                     self.seq += 1
                     heapq.heappush(self.heap, (phase, self.seq, dev))
+        if len(self.heap) == 1 and len(self.devices) == 2 and all(d.peers is None for d in self.devices):
+            self._pair_batches()   # a pair with one ticker and no guard (class docstring)
         heap = self.heap
         pop = heapq.heappop
         while True:

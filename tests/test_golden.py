@@ -9,7 +9,8 @@ deaths in the same second (twice: once where only the rule that a group's
 owner resolves before its client decides their order), a learning victim
 that refuses every tick of the attacker it flagged until it depletes, and
 the ticks of a last live device (alone with no peer to reach, or still
-avoiding a dead one it flagged), plus the ``emit_csv`` bytes of every
+avoiding a dead one it flagged), a pair that does not learn ticking up to
+a horizon that falls on a tick (standard and commitment), plus the ``emit_csv`` bytes of every
 preset at two seeds.
 Those preset horizons are short, so their victims outlive them and the
 pins cover the sweep plumbing and the CSV format (presets of the same
@@ -110,6 +111,18 @@ LEARNING_SURVIVOR = [
     DeviceConfig("bystander", battery_capacity=DAY),
 ]
 
+
+# A pair that does not learn ticks from 0 s to a horizon of 2,000
+# periods, with batteries that outlive it: the 2,000th session is the
+# last, and no tick falls on the horizon itself.
+def pair_to_horizon(defense):
+    return [DeviceConfig("victim", defense=defense, battery_capacity=10**9),
+            DeviceConfig("attacker", schedule=MINUTE_SCHEDULE, phase=0,
+                         attack=AttackProfile(tbb_strength=1.0), battery_capacity=10**9)]
+
+
+PAIR_HORIZON = 2000 * MINUTE_SCHEDULE.period
+
 # name -> (devices, horizon in seconds, seed[, energy model])
 RUNS = {
     "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 1),
@@ -132,6 +145,8 @@ RUNS = {
     "last_of_four": (LAST_OF_FOUR, 3 * DAY, 11),
     "learning_survivor": (LEARNING_SURVIVOR, 6 * DAY, 12),
     "learning_storm": (LEARNING_STORM, 4 * DAY, 13),
+    "standard_to_horizon": (pair_to_horizon(S), PAIR_HORIZON, 15),
+    "commitment_to_horizon": (pair_to_horizon(C), PAIR_HORIZON, 16),
 }
 
 RUN_DIGESTS = {
@@ -149,6 +164,8 @@ RUN_DIGESTS = {
     "last_of_four": "6be1437e33a55c0e1e4d787e30d2c24d77e5d4ce44644edcfdcc3b16f7b43822",
     "learning_survivor": "93e350e5d78c55ab0051cd97d07296e247d4ed2986b123e804be21a40b3cee97",
     "learning_storm": "0b2b5cbc955868af9a48bf1bb2a08861388849bb6017a4d8881571d91b0bbf71",
+    "standard_to_horizon": "d80cda76626f9763b8e22e1aa74b1165559077929833dc3a1057eeb92de20164",
+    "commitment_to_horizon": "39018465ee7e330b432d14566dc99ef83f534678bb7b126a7371c6cb175c4f3e",
 }
 
 PRESET_HORIZON_DAYS = 2
@@ -215,6 +232,13 @@ def test_owner_resolves_first_when_it_ties_a_client_due_earlier():
     assert (owner.go_seconds, owner.idle_seconds, owner.remaining) == (10, 0, 2)
     assert client.depletion_day * DAY == pytest.approx(10.0)
     assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 0, 0)
+
+
+@pytest.mark.parametrize("defense", (S, C))
+def test_pair_sessions_stop_a_tick_short_of_a_horizon_on_a_tick(defense):
+    result = run(pair_to_horizon(defense), PAIR_HORIZON, 15, log_sessions=True)
+    assert [session[0] for session in result.sessions] == list(range(0, PAIR_HORIZON, 360))
+    assert all(stats.depletion_day is None for stats in result.devices)
 
 
 def test_survivors_outlive_their_peers():

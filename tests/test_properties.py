@@ -10,7 +10,10 @@ hour-scale schedules, one of them learning, over 31 to 120 days, so
 profile buckets expire and flag holds lapse; those runs are compared with
 ``reference_sim`` only, and labelled with ``hypothesis.event`` by what the
 learner's guard went through (``--hypothesis-show-statistics`` counts
-them).  For every run:
+them).  A third draws a pair that does not learn, one of them on a
+schedule, whose batteries last tens to thousands of periods, with phases
+that include 0 and horizons that are sometimes a whole number of periods;
+those runs too are compared with ``reference_sim`` only.  For every run:
 
 * every device's energy books balance (``energy_conserved``);
 * a device's role seconds cover the horizon, or the whole seconds it lived;
@@ -127,6 +130,30 @@ def long_scenarios(draw):
             schedule=schedule, attack=draw(attacks),
             battery_capacity=draw(st.integers(10**7, DEFAULT_CAPACITY))))
     return devices, horizon, draw(st.integers(0, 2**32)), draw(st.sampled_from(ENERGY_MODELS))
+
+
+@st.composite
+def pair_scenarios(draw):
+    """(devices, horizon, seed, energy model) for a pair that does not
+    learn, one of them on a schedule: each battery lasts tens to thousands
+    of the most draining periods, phases include 0, and the horizon is
+    sometimes a whole number of periods."""
+    schedule = draw(schedules(900))
+    period = schedule.period
+    # one model where a client drains faster than an owner
+    energy = draw(st.sampled_from(ENERGY_MODELS + (EnergyModel(1, 3, 2),)))
+    idle = energy.base_rate
+    # at least 1, so that a model that drains nothing still draws batteries
+    worst = max(1, idle * period + (max(energy.rates) - idle) * schedule.group_duration)
+    ticker = draw(st.integers(0, 1))
+    devices = [DeviceConfig(
+        f"d{i}", defense=draw(st.sampled_from((DefenseMode.STANDARD, DefenseMode.COMMITMENT))),
+        schedule=schedule if i == ticker else None, attack=draw(attacks),
+        battery_capacity=draw(st.integers(10 * worst, 3000 * worst)),
+        phase=draw(st.just(0) | st.none() | st.integers(0, period - 1)) if i == ticker else None)
+        for i in range(2)]
+    horizon = draw(st.integers(1, 4000).map(lambda n: n * period) | st.integers(1, 4000 * period))
+    return devices, horizon, draw(st.integers(0, 2**32)), energy
 
 
 def death_second(stats):
@@ -289,6 +316,21 @@ EVERY_SESSION_KIND = (
 DECLINE_IN_ROUND_TWO = (EVERY_SESSION_KIND[0], 2 * SECONDS_PER_DAY, 290, DEFAULT_ENERGY)
 
 
+# The headline pair, where the victim owns every group: at 960 units a
+# period it dies at the instant of the attacker's 51st tick, which the
+# death resolves first and makes busy.  With a battery that outlives it,
+# the same pair runs to a horizon on the 51st tick, which never happens.
+def headline_pair(victim, horizon):
+    return ([DeviceConfig("victim", battery_capacity=victim),
+             DeviceConfig("attacker", schedule=Schedule(360, 60), phase=0,
+                          attack=AttackProfile(tbb_strength=1.0))],
+            horizon, 0, DEFAULT_ENERGY)
+
+
+PAIR_DEATH_ON_A_TICK = headline_pair(50 * 960, 100 * 360)
+PAIR_HORIZON_ON_A_TICK = headline_pair(DEFAULT_CAPACITY, 50 * 360)
+
+
 def assert_matches_reference(scenario):
     devices, horizon, seed, energy = scenario
     result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
@@ -368,6 +410,14 @@ def test_long_runs_match_the_reference_simulator(scenario):
     result = assert_matches_reference(scenario)
     for name in sorted(learner_events(scenario[0], scenario[1], result)):
         event(f"learner: {name}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pair_scenarios())
+@example(PAIR_DEATH_ON_A_TICK)
+@example(PAIR_HORIZON_ON_A_TICK)
+def test_pairs_that_do_not_learn_match_the_reference_simulator(scenario):
+    assert_matches_reference(scenario)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

@@ -418,14 +418,15 @@ class TestRefusalStorm:
 
 class TestDecidedTicks:
     """Runs of ticks that are decided before they happen, taken in one step:
-    the ticks of a last live device that does not learn, and a refusal
-    storm.  Both steps only save work and change no result, so these tests
-    count the work: the calls of ``_tick`` and ``_refuse`` on one run."""
+    the ticks of a last live device that does not learn, a refusal storm,
+    and the sessions of a pair that does not learn, taken in batches.  These
+    steps only save work and change no result, so these tests count the
+    work: the calls of ``_tick``, ``_refuse`` and ``_session`` on one run."""
 
     def traced_run(self, devices, horizon, seed):
         sim = _Simulator(devices, horizon, seed, DEFAULT_ENERGY, False)
-        ticks, refusals = [], []
-        tick, refuse = sim._tick, sim._refuse
+        ticks, refusals, sessions = [], [], []
+        tick, refuse, session = sim._tick, sim._refuse, sim._session
 
         def traced_tick(t, dev):
             ticks.append(t)
@@ -435,11 +436,15 @@ class TestDecidedTicks:
             refusals.append(t)
             refuse(refuser, dev, t)
 
-        sim._tick, sim._refuse = traced_tick, traced_refuse
-        return sim.run(), ticks, refusals
+        def traced_session(t, initiator, responder):
+            sessions.append(t)
+            session(t, initiator, responder)
+
+        sim._tick, sim._refuse, sim._session = traced_tick, traced_refuse, traced_session
+        return sim.run(), ticks, refusals, sessions
 
     def test_lone_survivor_ticks_are_not_popped(self):
-        result, ticks, _ = self.traced_run(LONE_ATTACKER, days(5), 10)
+        result, ticks, _, _ = self.traced_run(LONE_ATTACKER, days(5), 10)
         victim, attacker = result.device("victim"), result.device("attacker")
         late = [t for t in ticks if t > victim.depletion_day * SECONDS_PER_DAY]
         # the attacker counts hundreds of busy ticks alone; the only tick
@@ -448,11 +453,18 @@ class TestDecidedTicks:
         assert len(late) == 1 and late[0] > attacker.depletion_day * SECONDS_PER_DAY
 
     def test_refusal_storm_is_refused_in_one_call(self):
-        result, ticks, refusals = self.traced_run(LEARNING_STORM, days(4), 13)
+        result, ticks, refusals, _ = self.traced_run(LEARNING_STORM, days(4), 13)
         assert result.device("victim").rejections_issued > 400
         assert len(refusals) == 1
         # the storm runs to the victim's death, and the attacker then ticks alone
         assert max(ticks) == refusals[0]
+
+    def test_pair_sessions_are_batched(self):
+        pair = two_device_configs(DefenseMode.STANDARD)
+        result, ticks, _, sessions = self.traced_run(pair, days(400), 0)
+        # the headline pair: all but a few of its sessions run in batches
+        assert result.device("victim").negotiations == 32850
+        assert len(ticks) < 100 and len(sessions) < 100
 
 
 class TestPrematureQuits:

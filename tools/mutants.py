@@ -46,6 +46,7 @@ QUIET = "TestQuietInstant::test_"
 QUIET_LINE = ("rec.verdict, rec.until = False, "
               "min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)")
 ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
+PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_reference_simulator"
 
 MUTANTS = (
     # the guard's standing verdict
@@ -81,6 +82,21 @@ MUTANTS = (
     Mutant("no_storm_step", SIM,
            "if (refuser.schedule is None and", "if (False and refuser.schedule is None and",
            (f"{DECIDED}refusal_storm_is_refused_in_one_call",)),
+    # batched pair sessions
+    Mutant("pair_batch_reaches_the_horizon", SIM,
+           "k = (self.horizon - 1 - t) // period", "k = (self.horizon - t) // period",
+           ("tests/test_golden.py::test_run_json_digest[standard_to_horizon]",
+            "tests/test_golden.py::test_run_json_digest[commitment_to_horizon]",
+            "tests/test_golden.py::test_pair_sessions_stop_a_tick_short_of_a_horizon_on_a_tick",
+            PAIR_ORACLE)),
+    Mutant("pair_batch_one_tick_long", SIM,
+           "(left - top * duration) // worst + 1)", "(left - top * duration) // worst + 2)",
+           (PAIR_ORACLE,)),
+    Mutant("pair_batch_drains_at_most_the_owner_rate", SIM,
+           "top = self.rates[_IDLE], max(self.rates)", "top = self.rates[_IDLE], self.rates[_GO]",
+           (PAIR_ORACLE,)),
+    Mutant("no_pair_batch", SIM, "if len(self.heap) == 1 and", "if False and len(self.heap) == 1 and",
+           (f"{DECIDED}pair_sessions_are_batched",)),
     # the order of two deaths in one second
     Mutant("client_before_owner_on_a_tie", SIM,
            "                if group is not None and dev is group.client and group.go.die_at == t:\n"
