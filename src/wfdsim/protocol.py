@@ -174,9 +174,9 @@ def parse_p2p_attributes(data: bytes) -> list[P2pAttribute]:
     return attrs
 
 
-def tie_commitment_ie(commitment: Commitment, oui: bytes = P2P_OUI) -> VendorIe:
+def tie_commitment_ie(commitment: Commitment) -> VendorIe:
     """Commitment broadcast as a dedicated vendor IE (38 bytes on the wire)."""
-    return VendorIe(VENDOR_IE_ELEMENT_ID, oui, TBBC_OUI_TYPE, commitment.digest)
+    return VendorIe(VENDOR_IE_ELEMENT_ID, P2P_OUI, TBBC_OUI_TYPE, commitment.digest)
 
 
 def tie_commitment_attr(commitment: Commitment) -> P2pAttribute:

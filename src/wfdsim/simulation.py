@@ -37,6 +37,7 @@ import dataclasses
 import heapq
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -92,8 +93,9 @@ class EnergyModel:
     go_extra: int = 10
 
     def __post_init__(self) -> None:
-        if self.base_rate < 0 or self.client_extra < 0 or self.go_extra < 0:
-            raise InvalidConfig("energy rates cannot be negative")
+        for rate in (self.base_rate, self.client_extra, self.go_extra):
+            if not isinstance(rate, numbers.Integral) or rate < 0:
+                raise InvalidConfig(f"energy rates must be whole numbers >= 0: {rate}")
 
     @property
     def rates(self) -> tuple[int, int, int]:
@@ -111,9 +113,11 @@ class Schedule:
     group_duration: int
 
     def __post_init__(self) -> None:
-        if self.period <= 0 or not 0 < self.group_duration <= self.period:
+        if not (isinstance(self.period, numbers.Integral)
+                and isinstance(self.group_duration, numbers.Integral)
+                and 0 < self.group_duration <= self.period):
             raise InvalidConfig(
-                f"need 0 < group_duration <= period, got {self.group_duration}/{self.period}"
+                f"need whole 0 < group_duration <= period, got {self.group_duration}/{self.period}"
             )
 
 
@@ -132,8 +136,8 @@ class AttackProfile:
             raise InvalidConfig(f"tbb_strength outside [0, 1]: {self.tbb_strength}")
         if not 0.0 <= self.r_strength <= 1.0:
             raise InvalidConfig(f"r_strength outside [0, 1]: {self.r_strength}")
-        if self.retry_cap < 0:
-            raise InvalidConfig(f"retry_cap cannot be negative: {self.retry_cap}")
+        if not isinstance(self.retry_cap, numbers.Integral) or self.retry_cap < 0:
+            raise InvalidConfig(f"retry_cap must be a whole number >= 0: {self.retry_cap}")
 
 
 class DefenseMode(Enum):
@@ -163,13 +167,14 @@ class DeviceConfig:
     def __post_init__(self) -> None:
         if not self.device_id:
             raise InvalidConfig("device id cannot be empty")
-        if self.battery_capacity <= 0:
-            raise InvalidConfig(f"battery capacity must be positive: {self.battery_capacity}")
+        if not isinstance(self.battery_capacity, numbers.Integral) or self.battery_capacity <= 0:
+            raise InvalidConfig(f"battery capacity must be a whole number > 0: {self.battery_capacity}")
         if self.phase is not None:
             if self.schedule is None:
                 raise InvalidConfig(f"{self.device_id}: phase given without a schedule")
-            if not 0 <= self.phase < self.schedule.period:
-                raise InvalidConfig(f"{self.device_id}: phase outside [0, period)")
+            if not (isinstance(self.phase, numbers.Integral)
+                    and 0 <= self.phase < self.schedule.period):
+                raise InvalidConfig(f"{self.device_id}: phase not a whole number in [0, period)")
 
 
 def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> int:
@@ -249,14 +254,14 @@ class _Group:
         self.end = end
 
 
-class _Peer:
+class _Peer(PeerProfile):
     """A learning device's record of one peer: its profile, when its window
     last started from empty, and the guard's standing verdict until ``until``."""
 
-    __slots__ = ("profile", "since", "verdict", "until")
+    __slots__ = ("since", "verdict", "until")
 
     def __init__(self, peer_id: str):
-        self.profile = PeerProfile(peer_id)
+        super().__init__(peer_id)
         self.since = self.until = 0
         self.verdict = False
 
@@ -308,8 +313,8 @@ class _Device:
     def learn_negotiation(self, peer_id: str, t: int, self_was_go: bool,
                           peer_quit: bool) -> None:
         rec = self.peers.get(peer_id) or self.peer(peer_id)
-        rec.profile.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
-        if rec.profile.negotiations == 1:
+        rec.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
+        if rec.negotiations == 1:
             # the window was empty: the pair's age starts again now
             rec.since = t
 
@@ -342,17 +347,17 @@ class _Simulator:
     either one.  Closing it only clears the members' group pointers and
     gives learning members its group-time records.
 
-    Some runs of ticks are decided before they happen.  A lone survivor
+    Some runs of ticks are decided before they happen.  A pair's survivor
     that does not learn can only count its ticks as busy.  In a refusal
     storm a learning device without a schedule refuses every tick of its
     one peer, which does not learn: each refusal renews a hold that
-    outlasts the peer's period.  ``_decided_ticks`` takes either run in one
-    step, up to the next pending death or the horizon.  Neither spends
-    energy or changes a profile; a storm draws no peer, and a survivor's
-    skipped peer draws would feed nothing later.  A tick at the instant of
-    that death stays on the loop, as the death resolves first and makes
-    the tick busy (its peer died) or void (its device died).  A learning
-    survivor stays on the loop, as its guard still avoids a flagged dead peer.
+    outlasts the peer's period.  At the first tick of either run,
+    ``_decided_ticks`` takes it in one step, up to the next pending death
+    or the horizon.  Neither spends energy, changes a profile or draws a
+    peer.  A tick at the instant of that death stays on the loop, as the
+    death resolves first and makes the tick busy (its peer died) or void
+    (its device died).  A learning survivor stays on the loop, as its guard
+    still avoids a flagged dead peer, and so does one of three or more devices.
     A pair that does not learn, with one device ticking, has a session at
     every tick until a death, each group ending by the next tick.
     ``_pair_batches`` runs such ticks in batches before the loop: each
@@ -367,15 +372,16 @@ class _Simulator:
     before the next tick, and the loop resolves them as before.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
-    The guard runs only where its answer can change.  Round one re-checks
-    no owner: ``_tick`` has just checked both parties, and only the close
-    of the responder's group with a third device came in between.  While
-    ``now < until``, ``_rejects`` returns a peer's standing verdict: yes for
-    ``FLAG_HOLD_SECONDS`` after a flag or a refusal; no after a check that
-    says no with ``slack = 3C - 5S > 0`` (the window's group and owner
-    seconds), until ``min(now + slack // 2 + 1, next midnight)``.  No check
-    finds a group of the pair open or unrecorded, so until then ``C`` grows
-    by at most the seconds elapsed, ``S`` by no more than ``C``, and no bucket
+    The guard runs only where its answer can change.  Round one, the only
+    one with ``quits == 0``, re-checks no owner: ``_tick`` has just checked
+    both parties, and only the close of the responder's group with a third
+    device came in between.  While ``now < until``, ``_rejects`` returns a
+    peer's standing verdict: yes for ``FLAG_HOLD_SECONDS`` after a flag or
+    a refusal; no after a check that says no with ``slack = 3C - 5S > 0``
+    (the window's group and owner seconds), until
+    ``min(now + slack // 2 + 1, next midnight)``.  No check finds a group
+    of the pair open or unrecorded, so until then ``C`` grows by at most
+    the seconds elapsed, ``S`` by no more than ``C``, and no bucket
     expires: the share stays at most 3/5.  Only a full check, which needs the
     last yes to have lapsed, writes a no, so one verdict serves both.
     """
@@ -422,17 +428,16 @@ class _Simulator:
             return False
         if now < rec.until:
             return rec.verdict
-        prof = rec.profile
         day = now // SECONDS_PER_DAY
-        prof.roll_to(day)
-        n = prof.negotiations
+        rec.roll_to(day)
+        n = rec.negotiations
         # an insufficient history, a young pair, or an owner-time share at
         # or below the fairness threshold rules rejection out whatever the
         # posterior says, so the classifier runs only otherwise
         if (history_depth(n) is not HistoryDepth.INSUFFICIENT
                 and now - rec.since >= MIN_PAIR_AGE_SECONDS
-                and peer_fairness(prof) > FAIRNESS_THRESHOLD):
-            assessment = assess(prof)
+                and peer_fairness(rec) > FAIRNESS_THRESHOLD):
+            assessment = assess(rec)
             if should_reject(assessment):
                 pf = assessment.peer_fairness
                 if assessment.features.depth is HistoryDepth.AMPLE:
@@ -445,7 +450,7 @@ class _Simulator:
                     rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
                     return True
         # before the quiet instant no check can find 5S > 3C (class docstring)
-        slack = 3 * prof.comm_seconds - 5 * prof.self_go_seconds
+        slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
         if slack > 0:
             rec.verdict, rec.until = False, min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)
         return False
@@ -468,6 +473,10 @@ class _Simulator:
         n = len(devices) - 1
         if n == 1:
             peer = devices[1 - dev.index]
+            if not peer.alive and dev.peers is None:
+                # a pair's survivor that does not learn (class docstring)
+                dev.skips_busy += len(self._decided_ticks(dev, t))
+                return
         else:
             # what randrange(n) draws, from the same bits, without its wrapper
             getrandbits = self.rng.getrandbits
@@ -520,11 +529,8 @@ class _Simulator:
         """Negotiate the session ``initiator`` starts at ``t``: its group's owner, or None."""
         committed = initiator.uses_commitment or responder.uses_commitment
         rng = self.rng
-        rounds = 0
-        quits = 0
-        retries = 0
+        quits = 0   # every quit but the last of an exhausted session was retried
         while True:
-            rounds += 1
             # intent values tie at zero, so the tie bit decides ownership:
             # the initiator's declared bit alone, or under commitments the
             # XOR of both parties' committed bits; an attacker declares
@@ -543,10 +549,10 @@ class _Simulator:
             owner.go_assignments += 1
             # after a quit, a defending device re-checks the peer when
             # assigned the owner role (``_tick`` has checked round one)
-            if rounds > 1 and owner.peers is not None and self._rejects(owner, member, t):
+            if quits and owner.peers is not None and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 if self.sessions is not None:
-                    self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, rounds, quits))
+                    self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, quits + 1, quits))
                 return None
             # an attacker assigned the owner role may walk out, and retries
             # until its cap is spent
@@ -564,15 +570,14 @@ class _Simulator:
             if owner_quit:
                 quits += 1
                 member.peer_quits_observed += 1
-                if retries < attack.retry_cap:
-                    retries += 1
+                if quits <= attack.retry_cap:
                     continue
                 initiator.sessions_exhausted += 1
                 if self.sessions is not None:
-                    self.sessions.append((t, "exhausted", initiator.id, responder.id, "", rounds, quits))
+                    self.sessions.append((t, "exhausted", initiator.id, responder.id, "", quits, quits))
                 return None
             if self.sessions is not None:
-                self.sessions.append((t, "group", initiator.id, responder.id, owner.id, rounds, quits))
+                self.sessions.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
             return owner
 
     def _end_group(self, group: _Group) -> None:
@@ -585,9 +590,9 @@ class _Simulator:
             day = group.end // SECONDS_PER_DAY
             # a group always follows a negotiation, which made both records
             if go.peers is not None:
-                go.peers[client.id].profile.record_group_time(day, duration, duration)
+                go.peers[client.id].record_group_time(day, duration, duration)
             if client.peers is not None:
-                client.peers[go.id].profile.record_group_time(day, 0, duration)
+                client.peers[go.id].record_group_time(day, 0, duration)
 
     def _death(self, t: int, dev: _Device) -> None:
         # the booked death is always current: the battery cannot fund
@@ -684,14 +689,6 @@ class _Simulator:
                     dev = group.go   # the owner first (class docstring)
                 self._death(t, dev)
                 self.next_death = min(self.devices, key=lambda d: d.die_at)
-                alive = [dev for dev in self.devices if dev.alive]
-                if len(alive) == 1 and alive[0].peers is None:
-                    # a lone survivor's ticks can only count as busy
-                    dev = alive[0]
-                    for t, _seq, subject in heap:
-                        if subject is dev:   # its one pending tick
-                            dev.skips_busy += len(self._decided_ticks(dev, t))
-                            break
             else:
                 break
         stats = []
@@ -742,8 +739,8 @@ def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
     ids = [cfg.device_id for cfg in devices]
     if len(set(ids)) != len(ids):
         raise InvalidConfig(f"duplicate device ids: {ids}")
-    if horizon <= 0:
-        raise InvalidConfig(f"horizon must be positive: {horizon}")
+    if not isinstance(horizon, numbers.Integral) or horizon <= 0:
+        raise InvalidConfig(f"horizon must be a whole number > 0: {horizon}")
     if all(cfg.schedule is None for cfg in devices):
         raise InvalidConfig("no device has a schedule; nothing would ever happen")
     return _Simulator(devices, horizon, seed, energy, log_sessions).run()

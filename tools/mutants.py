@@ -65,8 +65,13 @@ MUTANTS = (
            (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
     Mutant("quiet_slack_plus_one", SIM, "slack // 2 + 1, (day", "(slack + 1) // 2 + 1, (day",
            (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
-    Mutant("owner_rechecked_from_round_three", SIM, "if rounds > 1 and", "if rounds > 2 and",
+    Mutant("owner_rechecked_from_round_three", SIM, "if quits and", "if quits > 1 and",
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
+    # the negotiation counter
+    Mutant("retry_cap_one_short", SIM, "quits <= attack.retry_cap", "quits < attack.retry_cap",
+           ("tests/test_simulation.py::TestAttackerDecisions::test_quits_stop_at_retry_cap",)),
+    Mutant("group_log_rounds", SIM, '"group", initiator.id, responder.id, owner.id, quits + 1',
+           '"group", initiator.id, responder.id, owner.id, quits', (ORACLE, "tests/test_golden.py")),
     # decided runs of ticks
     Mutant("decided_ticks_stop_plus_one", SIM,
            "range(first, min(self.next_death.die_at, self.horizon), period)",
@@ -77,7 +82,7 @@ MUTANTS = (
            ("tests/test_simulation.py::TestRefusalStorm::"
             "test_learning_ticker_refused_one_tick_at_a_time",)),
     Mutant("no_survivor_finish", SIM,
-           "if len(alive) == 1 and alive[0].peers is None:", "if False:",
+           "if not peer.alive and dev.peers is None:", "if False:",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
     Mutant("no_storm_step", SIM,
            "if (refuser.schedule is None and", "if (False and refuser.schedule is None and",
