@@ -81,7 +81,6 @@ from .simulation import (
     DefenseMode,
     DeviceConfig,
     DeviceStats,
-    EnergyModel,
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
     Schedule,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import numbers
 import statistics
 import sys
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ class ExperimentConfig:
     retry_cap: int = DEFAULT_RETRY_CAP
 
     def __post_init__(self) -> None:
-        if self.device_count < 2:
-            raise InvalidConfig(f"need at least 2 devices: {self.device_count}")
+        if not isinstance(self.device_count, numbers.Integral) or self.device_count < 2:
+            raise InvalidConfig(f"device_count must be a whole number >= 2: {self.device_count}")
         if not self.modes:
             raise InvalidConfig("no defense modes requested")
         if len(set(self.modes)) != len(self.modes):
@@ -74,10 +75,12 @@ class ExperimentConfig:
         for value in self.grid:
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfig(f"grid value outside [0, 1]: {value}")
-        if self.seeds < 1:
-            raise InvalidConfig(f"need at least 1 seed: {self.seeds}")
-        if self.horizon_days < 1:
-            raise InvalidConfig(f"horizon must be at least a day: {self.horizon_days}")
+        if not isinstance(self.seeds, numbers.Integral) or self.seeds < 1:
+            raise InvalidConfig(f"seeds must be a whole number >= 1: {self.seeds}")
+        if not isinstance(self.seed_base, numbers.Integral):
+            raise InvalidConfig(f"seed_base must be a whole number: {self.seed_base}")
+        if not isinstance(self.horizon_days, numbers.Integral) or self.horizon_days < 1:
+            raise InvalidConfig(f"horizon_days must be a whole number >= 1: {self.horizon_days}")
         # the sweep overwrites one of these in every cell, but a bad value
         # fails here all the same
         AttackProfile(self.tbb_strength, self.r_strength, self.retry_cap)
@@ -222,14 +225,13 @@ def _parse_schedule(text: str) -> Schedule:
         return MINUTE_SCHEDULE
     if text == "hour":
         return HOUR_SCHEDULE
-    period, sep, duration = text.partition("/")
-    if sep:
-        try:
-            return Schedule(int(period), int(duration))
-        except ValueError:
-            pass
-    raise InvalidConfig(f"schedule must be 'minute', 'hour', or "
-                        f"'<period>/<duration>' in seconds: {text!r}")
+    try:
+        period, duration = (int(part) for part in text.split("/"))
+    except ValueError:
+        raise InvalidConfig(f"schedule must be 'minute', 'hour', or "
+                            f"'<period>/<duration>' in seconds: {text!r}") from None
+    # Schedule's own diagnostic, an InvalidConfig, passes through
+    return Schedule(period, duration)
 
 
 _CONFIG_PARSERS = {

@@ -85,29 +85,6 @@ FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
 
 
 @dataclass(frozen=True)
-class EnergyModel:
-    """Per-second drain rates: base always applies, extras stack by role."""
-
-    base_rate: int = 1
-    client_extra: int = 1
-    go_extra: int = 10
-
-    def __post_init__(self) -> None:
-        for rate in (self.base_rate, self.client_extra, self.go_extra):
-            if not isinstance(rate, numbers.Integral) or rate < 0:
-                raise InvalidConfig(f"energy rates must be whole numbers >= 0: {rate}")
-
-    @property
-    def rates(self) -> tuple[int, int, int]:
-        """Drain per second when idle, as client and as owner."""
-        return (self.base_rate, self.base_rate + self.client_extra,
-                self.base_rate + self.go_extra)
-
-
-DEFAULT_ENERGY = EnergyModel()
-
-
-@dataclass(frozen=True)
 class Schedule:
     period: int
     group_duration: int
@@ -210,8 +187,8 @@ class DeviceStats:
     sessions_exhausted: int
 
 
-def energy_conserved(stats: DeviceStats, model: EnergyModel = DEFAULT_ENERGY) -> bool:
-    idle, client, go = model.rates
+def energy_conserved(stats: DeviceStats) -> bool:
+    idle, client, go = _RATES
     spent = idle * stats.idle_seconds + client * stats.client_seconds + go * stats.go_seconds
     return stats.battery_capacity - stats.remaining == spent
 
@@ -239,9 +216,10 @@ class SimResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# Roles inside the simulator, as indices into its rate table and each
-# device's role-seconds counters.
+# Roles inside the simulator, as indices into the rate table and each
+# device's role-seconds counters, and the drain per second in each role.
 _IDLE, _CLIENT, _GO = 0, 1, 2
+_RATES = (1, 2, 11)
 
 
 class _Group:
@@ -288,7 +266,7 @@ class _Device:
         self.spent = 0                  # drain booked beyond the idle rate
         self.role_seconds = [0, 0, 0]   # indexed by role; idle settled at the stop
         self.alive = True
-        self.die_at = math.inf          # first second it cannot fund as booked; inf for none or dead
+        self.die_at = math.inf          # first second it cannot fund as booked; inf once dead
         self.depletion_time: float | None = None
         self.group: _Group | None = None
         # the learning guard's records by peer id; None for a device that does not learn
@@ -363,7 +341,7 @@ class _Simulator:
     ``_pair_batches`` runs such ticks in batches before the loop: each
     negotiates with the same draws, and energy and role seconds are booked
     once per batch.  A period drains a device by at most ``worst = idle *
-    period + (top - idle) * group_duration``, ``top`` the highest rate, so
+    period + (top - idle) * group_duration``, ``top`` the owner rate, so
     tick ``i`` of a batch finds at least ``left - i * worst``, ``left`` the
     lower charge at its first.  All ``k = (left - top * group_duration) //
     worst + 1`` ticks of a batch then fund a whole group at ``top``: no
@@ -387,7 +365,7 @@ class _Simulator:
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
-                 energy: EnergyModel, log_sessions: bool):
+                 log_sessions: bool):
         self.horizon = horizon
         self.seed = seed
         self.rng = random.Random(seed)
@@ -399,24 +377,20 @@ class _Simulator:
         self.seq = 0
         self.next_death = self.devices[0]   # no device has booked a death yet
         self.sessions: list[tuple] | None = [] if log_sessions else None
-        self.rates = energy.rates
 
     def _set_role(self, dev: _Device, now: int, role: int, end: int) -> None:
         """Book ``dev`` in ``role`` from ``now`` until ``end``, idle after
         it, and set the death instant this implies."""
-        idle, rate = self.rates[_IDLE], self.rates[role]
+        idle, rate = _RATES[_IDLE], _RATES[role]
         left = dev.capacity - idle * now - dev.spent
         if left < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={now}")
         dev.spent += (rate - idle) * (end - now)
         dev.role_seconds[role] += end - now
         # a death due at ``end`` itself falls after the switch to idle
-        if rate > 0 and now + left // rate < end:
-            die_at = now + left // rate
-        elif idle > 0:
+        die_at = now + left // rate
+        if die_at >= end:
             die_at = (dev.capacity - dev.spent) // idle
-        else:
-            die_at = math.inf
         dev.die_at = die_at
         if die_at < self.next_death.die_at:
             self.next_death = dev
@@ -597,8 +571,7 @@ class _Simulator:
     def _death(self, t: int, dev: _Device) -> None:
         # the booked death is always current: the battery cannot fund
         # the coming second
-        rates = self.rates
-        rate = rates[_IDLE]
+        rate = _RATES[_IDLE]
         group = dev.group
         if group is not None:
             if t < group.end:
@@ -606,8 +579,8 @@ class _Simulator:
                 # ``t``, and the partner's pending death moves to the idle rate
                 for member, role in ((group.go, _GO), (group.client, _CLIENT)):
                     member.role_seconds[role] -= group.end - t
-                    member.spent -= (rates[role] - rates[_IDLE]) * (group.end - t)
-                rate = rates[_GO if dev is group.go else _CLIENT]
+                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (group.end - t)
+                rate = _RATES[_GO if dev is group.go else _CLIENT]
                 group.end = t
                 self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)
             self._end_group(group)
@@ -618,7 +591,7 @@ class _Simulator:
 
     def _stop(self, dev: _Device, t: int) -> None:
         """Settle the books of ``dev`` at ``t``, its death second or the horizon."""
-        dev.remaining = dev.capacity - self.rates[_IDLE] * t - dev.spent
+        dev.remaining = dev.capacity - _RATES[_IDLE] * t - dev.spent
         if dev.remaining < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={t}")
         dev.role_seconds[_IDLE] = t - dev.role_seconds[_CLIENT] - dev.role_seconds[_GO]
@@ -642,20 +615,18 @@ class _Simulator:
         ((t, seq, dev),) = self.heap
         peer = self.devices[1 - dev.index]
         period, duration = dev.schedule.period, dev.schedule.group_duration
-        idle, top = self.rates[_IDLE], max(self.rates)
+        idle, top = _RATES[_IDLE], _RATES[_GO]
         worst = idle * period + (top - idle) * duration   # the most one period drains
         while True:
-            k = (self.horizon - 1 - t) // period
-            if worst:
-                left = min(d.capacity - idle * t - d.spent for d in self.devices)
-                k = min(k, (left - top * duration) // worst + 1)
+            left = min(d.capacity - idle * t - d.spent for d in self.devices)
+            k = min((self.horizon - 1 - t) // period, (left - top * duration) // worst + 1)
             if k <= 0:
                 break
             owners = [self._negotiate(tick, dev, peer) for tick in range(t, t + k * period, period)]
             for member, partner in ((dev, peer), (peer, dev)):
                 for role, n in ((_GO, owners.count(member)), (_CLIENT, owners.count(partner))):
                     member.role_seconds[role] += n * duration
-                    member.spent += (self.rates[role] - idle) * n * duration
+                    member.spent += (_RATES[role] - idle) * n * duration
             t += k * period
             for member in self.devices:   # idle from the last group's end
                 self._set_role(member, t - period + duration, _IDLE, t - period + duration)
@@ -726,8 +697,7 @@ class _Simulator:
 
 
 def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
-        seed: int = 0, energy: EnergyModel = DEFAULT_ENERGY,
-        log_sessions: bool = False) -> SimResult:
+        seed: int = 0, log_sessions: bool = False) -> SimResult:
     """Simulate the device population until ``horizon`` seconds.
 
     A pair with a commitment-mode member breaks ties with the XOR of both
@@ -743,4 +713,4 @@ def run(devices: list[DeviceConfig], horizon: int = 400 * SECONDS_PER_DAY,
         raise InvalidConfig(f"horizon must be a whole number > 0: {horizon}")
     if all(cfg.schedule is None for cfg in devices):
         raise InvalidConfig("no device has a schedule; nothing would ever happen")
-    return _Simulator(devices, horizon, seed, energy, log_sessions).run()
+    return _Simulator(devices, horizon, seed, log_sessions).run()

@@ -41,6 +41,9 @@ from wfdsim.simulation import (
 # event kinds: at one instant groups end, then deaths resolve, then ticks run
 GROUP_END, DEATH, TICK = 0, 1, 2
 IDLE, CLIENT, GO = "idle", "client", "go"
+# drain per second by role: the paper's model, written out here rather
+# than read from the simulator
+RATES = {IDLE: 1, CLIENT: 2, GO: 11}
 
 
 class Device:
@@ -78,11 +81,10 @@ class Group:
 
 
 class ReferenceSimulator:
-    def __init__(self, configs, horizon, seed, energy):
+    def __init__(self, configs, horizon, seed):
         self.horizon = horizon
         self.seed = seed
         self.rng = random.Random(seed)
-        self.rates = {IDLE: energy.rates[0], CLIENT: energy.rates[1], GO: energy.rates[2]}
         self.devices = [Device(cfg) for cfg in configs]
         self.heap = []
         self.seq = 0
@@ -107,12 +109,11 @@ class ReferenceSimulator:
         depletion if that can strike by ``until`` (default the horizon)."""
         self.advance(dev, now)
         dev.role = role
-        dev.rate = self.rates[role]
+        dev.rate = RATES[role]
         dev.energy_version += 1
-        if dev.rate > 0:
-            die_at = now + dev.remaining // dev.rate
-            if die_at <= (self.horizon if until is None else until):
-                self.push(die_at, DEATH, dev, dev.energy_version)
+        die_at = now + dev.remaining // dev.rate
+        if die_at <= (self.horizon if until is None else until):
+            self.push(die_at, DEATH, dev, dev.energy_version)
 
     def record_negotiation(self, dev, peer, t, self_was_go, peer_quit):
         prof = dev.profile(peer)
@@ -294,6 +295,6 @@ class ReferenceSimulator:
                          sessions=tuple(self.sessions))
 
 
-def reference_run(devices, horizon, seed, energy):
-    """What ``run(devices, horizon, seed, energy, log_sessions=True)`` must return."""
-    return ReferenceSimulator(devices, horizon, seed, energy).run()
+def reference_run(devices, horizon, seed):
+    """What ``run(devices, horizon, seed, log_sessions=True)`` must return."""
+    return ReferenceSimulator(devices, horizon, seed).run()

@@ -98,6 +98,11 @@ class TestConfigValidation:
         dict(tbb_strength=1.2),
         dict(r_strength=-0.2),
         dict(retry_cap=-1),
+        # whole-number fields
+        dict(seeds=1.5),
+        dict(device_count=2.5),
+        dict(horizon_days=1.5),
+        dict(seed_base=0.5),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
@@ -243,6 +248,7 @@ retry_cap = 8
         ("just words", 1, "expected key=value"),
         ("modes = S,X", 1, "unknown defense mode"),
         ("schedule = sometimes", 1, "schedule must be"),
+        ("schedule = 60/120", 1, "group_duration <= period"),
         ("variant = probe_commit", 1, "unknown key"),
         ("experiment = crowd", 1, "unknown key"),
         ("grid = 0.1,zap", 1, "comma-separated numbers"),

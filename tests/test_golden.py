@@ -33,7 +33,6 @@ from wfdsim.simulation import (
     AttackProfile,
     DefenseMode,
     DeviceConfig,
-    EnergyModel,
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
     Schedule,
@@ -70,17 +69,13 @@ SAME_SECOND_DEATHS = [
                  attack=AttackProfile(tbb_strength=1.0), battery_capacity=21),
     DeviceConfig("owner", battery_capacity=115),
 ]
-# The same tie where the client's death was due at second 10 before the
-# group began: a client costs no more than idle, so joining the group does
-# not move it, and the owner's booking only ties it.  The owner still
-# resolves first and reads 10 + 2/3 s with 2 units left; had the client
-# resolved first, the owner would drop to idle rate and read 12.0 s.
-OWNER_FIRST_ENERGY = EnergyModel(1, 0, 2)
-OWNER_FIRST = [
-    DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
-                 attack=AttackProfile(tbb_strength=1.0), battery_capacity=10),
-    DeviceConfig("owner", battery_capacity=32),
-]
+# The same tie with a bystander that dies at 5 s, mid-group.  The loop
+# then looks for the earliest death again and finds the client, listed
+# first, so only the rule that the owner resolves first decides the
+# order.  The owner still reads 10 + 5/11 s; had the client resolved
+# first, it would read 10.5 s, and the owner, dropped to idle rate with 5
+# units left, 15.0 s.
+OWNER_FIRST = [*SAME_SECOND_DEATHS, DeviceConfig("bystander", battery_capacity=5)]
 
 # The last device alive keeps ticking.  Without learning every tick only
 # counts as busy: the attacker outlives its victim by days, and the
@@ -123,7 +118,7 @@ def pair_to_horizon(defense):
 
 PAIR_HORIZON = 2000 * MINUTE_SCHEDULE.period
 
-# name -> (devices, horizon in seconds, seed[, energy model])
+# name -> (devices, horizon in seconds, seed)
 RUNS = {
     "standard": (pair(S, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 1),
     "learning": (pair(L, tbb_strength=0.8, r_strength=0.2), 3 * DAY, 2),
@@ -140,7 +135,7 @@ RUNS = {
                             DeviceConfig("attacker", schedule=Schedule(360, 360), phase=0,
                                          attack=AttackProfile(tbb_strength=1.0))], 34 * DAY, 8),
     "same_second_deaths": (SAME_SECOND_DEATHS, 200, 9),
-    "owner_first_on_a_tie": (OWNER_FIRST, 200, 14, OWNER_FIRST_ENERGY),
+    "owner_first_on_a_tie": (OWNER_FIRST, 200, 1),
     "lone_attacker": (LONE_ATTACKER, 5 * DAY, 10),
     "last_of_four": (LAST_OF_FOUR, 3 * DAY, 11),
     "learning_survivor": (LEARNING_SURVIVOR, 6 * DAY, 12),
@@ -159,7 +154,7 @@ RUN_DIGESTS = {
     "tiny_battery": "8c373489d22b370267509f0481a0100f7ff7a6c94308a1773eb242646aee9d79",
     "back_to_back_owner": "cca04ddc95be0c1e4aee5bce7f8620076eecb3923983ca7706bd77a664838f57",
     "same_second_deaths": "640b1f5574aaaad36dc6b97241d6531ef210cc8dd4484795c10c396c1fd2524b",
-    "owner_first_on_a_tie": "3f108bbc664aebdbfc663a361c772c4baa8b868f60f37dc8bb8272dca8d6ac99",
+    "owner_first_on_a_tie": "33a38107b99d7df3d923bd628c252cbd0db9346918ca1dc3ccc6414d3ce9b20b",
     "lone_attacker": "be62274d6f8c188c2ab2bed324f5a83dd9f676e4609a0e4759af503b175d2f3d",
     "last_of_four": "6be1437e33a55c0e1e4d787e30d2c24d77e5d4ce44644edcfdcc3b16f7b43822",
     "learning_survivor": "93e350e5d78c55ab0051cd97d07296e247d4ed2986b123e804be21a40b3cee97",
@@ -195,8 +190,8 @@ DEPLETION_DIGESTS = {
 
 
 def run_digest(name: str) -> str:
-    devices, horizon, seed, *energy = RUNS[name]
-    result = run(devices, horizon, seed, *energy, log_sessions=True)
+    devices, horizon, seed = RUNS[name]
+    result = run(devices, horizon, seed, log_sessions=True)
     return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
@@ -225,13 +220,14 @@ def test_same_second_deaths_resolve_in_scheduling_order():
     assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 1, 0)
 
 
-def test_owner_resolves_first_when_it_ties_a_client_due_earlier():
-    result = run(OWNER_FIRST, 200, 14, OWNER_FIRST_ENERGY, log_sessions=True)
+def test_owner_resolves_first_when_the_client_is_found_first():
+    result = run(OWNER_FIRST, 200, 1, log_sessions=True)
     client, owner = result.device("client"), result.device("owner")
-    assert owner.depletion_day * DAY == pytest.approx(10 + 2 / 3)
-    assert (owner.go_seconds, owner.idle_seconds, owner.remaining) == (10, 0, 2)
-    assert client.depletion_day * DAY == pytest.approx(10.0)
-    assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 0, 0)
+    assert result.device("bystander").depletion_day * DAY == pytest.approx(5.0)
+    assert owner.depletion_day * DAY == pytest.approx(10 + 5 / 11)
+    assert (owner.go_seconds, owner.idle_seconds, owner.remaining) == (10, 0, 5)
+    assert client.depletion_day * DAY == pytest.approx(11.0)
+    assert (client.client_seconds, client.idle_seconds, client.remaining) == (10, 1, 0)
 
 
 @pytest.mark.parametrize("defense", (S, C))

@@ -2,18 +2,18 @@
 
 Each example is a population of two to six devices with every defense and
 attack mix, schedules that include back-to-back groups
-(``group_duration == period``), batteries from a single unit up, and
-energy models that include zero rates.  Short examples run to a horizon
-of minutes with tiny batteries; long ones run past the learning guard's
-ten-hour pair age.  A second strategy draws two to four devices on
-hour-scale schedules, one of them learning, over 31 to 120 days, so
-profile buckets expire and flag holds lapse; those runs are compared with
-``reference_sim`` only, and labelled with ``hypothesis.event`` by what the
-learner's guard went through (``--hypothesis-show-statistics`` counts
-them).  A third draws a pair that does not learn, one of them on a
-schedule, whose batteries last tens to thousands of periods, with phases
-that include 0 and horizons that are sometimes a whole number of periods;
-those runs too are compared with ``reference_sim`` only.  For every run:
+(``group_duration == period``) and batteries from a single unit up.  Short
+examples run to a horizon of minutes with tiny batteries; long ones run
+past the learning guard's ten-hour pair age.  A second strategy draws two
+to four devices on hour-scale schedules, one of them learning, over 31 to
+120 days, so profile buckets expire and flag holds lapse; those runs are
+compared with ``reference_sim`` only, and labelled with
+``hypothesis.event`` by what the learner's guard went through
+(``--hypothesis-show-statistics`` counts them).  A third draws a pair that
+does not learn, one of them on a schedule, whose batteries last tens to
+thousands of periods, with phases that include 0 and horizons that are
+sometimes a whole number of periods; those runs too are compared with
+``reference_sim`` only.  For every run:
 
 * every device's energy books balance (``energy_conserved``);
 * a device's role seconds cover the horizon, or the whole seconds it lived;
@@ -66,18 +66,14 @@ from wfdsim.protocol import (  # noqa: E402
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
     DEFAULT_CAPACITY,
-    DEFAULT_ENERGY,
     DefenseMode,
     DeviceConfig,
-    EnergyModel,
     Schedule,
     energy_conserved,
     run,
 )
 
 from reference_sim import reference_run  # noqa: E402
-
-ENERGY_MODELS = (DEFAULT_ENERGY, EnergyModel(0, 0, 0), EnergyModel(0, 1, 4), EnergyModel(2, 0, 3))
 
 attacks = st.none() | st.builds(
     AttackProfile,
@@ -95,7 +91,7 @@ def schedules(max_period, min_period=1):
 
 @st.composite
 def scenarios(draw):
-    """(devices, horizon, seed, energy model) for one run."""
+    """(devices, horizon, seed) for one run."""
     if draw(st.booleans()):
         horizon = draw(st.integers(1, 5000))
         periods, capacities = schedules(600), st.integers(1, 5000)
@@ -111,12 +107,12 @@ def scenarios(draw):
         devices.append(DeviceConfig(
             f"d{i}", defense=draw(st.sampled_from(DefenseMode)), schedule=schedule,
             attack=draw(attacks), battery_capacity=draw(capacities), phase=phase))
-    return devices, horizon, draw(st.integers(0, 2**32)), draw(st.sampled_from(ENERGY_MODELS))
+    return devices, horizon, draw(st.integers(0, 2**32))
 
 
 @st.composite
 def long_scenarios(draw):
-    """(devices, horizon, seed, energy model) for one run of 31 to 120 days:
+    """(devices, horizon, seed) for one run of 31 to 120 days:
     two to four devices on hour-scale schedules, the second of them
     learning, so profile buckets expire and flag holds can lapse."""
     horizon = draw(st.integers(31 * SECONDS_PER_DAY, 120 * SECONDS_PER_DAY))
@@ -129,22 +125,19 @@ def long_scenarios(draw):
             f"d{i}", defense=draw(learning if i == 1 else st.sampled_from(DefenseMode)),
             schedule=schedule, attack=draw(attacks),
             battery_capacity=draw(st.integers(10**7, DEFAULT_CAPACITY))))
-    return devices, horizon, draw(st.integers(0, 2**32)), draw(st.sampled_from(ENERGY_MODELS))
+    return devices, horizon, draw(st.integers(0, 2**32))
 
 
 @st.composite
 def pair_scenarios(draw):
-    """(devices, horizon, seed, energy model) for a pair that does not
-    learn, one of them on a schedule: each battery lasts tens to thousands
-    of the most draining periods, phases include 0, and the horizon is
-    sometimes a whole number of periods."""
+    """(devices, horizon, seed) for a pair that does not learn, one of
+    them on a schedule: each battery lasts tens to thousands of the most
+    draining periods, phases include 0, and the horizon is sometimes a
+    whole number of periods."""
     schedule = draw(schedules(900))
     period = schedule.period
-    # one model where a client drains faster than an owner
-    energy = draw(st.sampled_from(ENERGY_MODELS + (EnergyModel(1, 3, 2),)))
-    idle = energy.base_rate
-    # at least 1, so that a model that drains nothing still draws batteries
-    worst = max(1, idle * period + (max(energy.rates) - idle) * schedule.group_duration)
+    # a period spent idle but for one group owned, at 1 and 11 units a second
+    worst = period + 10 * schedule.group_duration
     ticker = draw(st.integers(0, 1))
     devices = [DeviceConfig(
         f"d{i}", defense=draw(st.sampled_from((DefenseMode.STANDARD, DefenseMode.COMMITMENT))),
@@ -153,7 +146,7 @@ def pair_scenarios(draw):
         phase=draw(st.just(0) | st.none() | st.integers(0, period - 1)) if i == ticker else None)
         for i in range(2)]
     horizon = draw(st.integers(1, 4000).map(lambda n: n * period) | st.integers(1, 4000 * period))
-    return devices, horizon, draw(st.integers(0, 2**32)), energy
+    return devices, horizon, draw(st.integers(0, 2**32))
 
 
 def death_second(stats):
@@ -182,13 +175,13 @@ def group_ends(devices, horizon, result):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 def test_simulator_invariants(scenario):
-    devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
+    devices, horizon, seed = scenario
+    result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
     by_id = {stats.device_id: stats for stats in result.devices}
     group_end = group_ends(devices, horizon, result)
 
     for stats in result.devices:
-        assert energy_conserved(stats, energy), stats
+        assert energy_conserved(stats), stats
         lived = stats.idle_seconds + stats.client_seconds + stats.go_seconds
         assert lived == leaves(result, horizon, stats.device_id), stats
 
@@ -214,8 +207,8 @@ def test_simulator_invariants(scenario):
         assert all(end <= start for (_, end), (start, _) in zip(ordered, ordered[1:]))
 
 
-def refusal_storm(horizon, energy=DEFAULT_ENERGY, victim=DEFAULT_CAPACITY,
-                  attacker=DEFAULT_CAPACITY, victim_schedule=None, others=()):
+def refusal_storm(horizon, victim=DEFAULT_CAPACITY, attacker=DEFAULT_CAPACITY,
+                  victim_schedule=None, others=()):
     """A learning victim, without a schedule unless given one, and an
     attacker forcing the tie bit on a 360 s schedule from 0 s.  The victim
     flags the attacker once their pair is ten hours old (at 36,000 s when
@@ -227,18 +220,16 @@ def refusal_storm(horizon, energy=DEFAULT_ENERGY, victim=DEFAULT_CAPACITY,
              DeviceConfig("attacker", schedule=Schedule(360, 60), phase=0,
                           attack=AttackProfile(tbb_strength=1.0), battery_capacity=attacker),
              *others],
-            horizon, 0, energy)
+            horizon, 0)
 
 
 # Refusal runs that end exactly on a tick instant, where the tick must
 # not count as refused: the victim's idle death at 86,400 s (the attacker
-# then ticks alone and busy), the attacker's own death at 72,000 s, a
-# horizon of 72,000 s, and the victim's death at 86,400 s at an idle rate
-# of 2.
+# then ticks alone and busy), the attacker's own death at 72,000 s, and a
+# horizon of 72,000 s.
 STORM_TO_VICTIM_DEATH = refusal_storm(2 * SECONDS_PER_DAY, victim=146400)
 STORM_TO_ATTACKER_DEATH = refusal_storm(2 * SECONDS_PER_DAY, attacker=78000)
 STORM_TO_HORIZON = refusal_storm(72000)
-STORM_AT_IDLE_RATE_2 = refusal_storm(2 * SECONDS_PER_DAY, EnergyModel(2, 1, 3), victim=190800)
 # Refusals that are not a storm: the victim ticks too, avoiding the
 # attacker on its own ticks, or a third device draws the attacker's peer.
 REFUSALS_OF_A_TICKING_VICTIM = refusal_storm(SECONDS_PER_DAY, victim_schedule=Schedule(360, 60))
@@ -250,10 +241,9 @@ REFUSALS_AMONG_THREE = refusal_storm(SECONDS_PER_DAY, others=[DeviceConfig("byst
 @example(STORM_TO_VICTIM_DEATH)
 @example(STORM_TO_ATTACKER_DEATH)
 @example(STORM_TO_HORIZON)
-@example(STORM_AT_IDLE_RATE_2)
 def test_tick_ledger(scenario):
-    devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
+    devices, horizon, seed = scenario
+    result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
     for cfg in devices:
         if cfg.schedule is None:
             continue
@@ -281,25 +271,22 @@ def test_tick_ledger(scenario):
 # of a group run out in second 10 of it: the owner resolves first, ends
 # the group, and the client lives one more second at the idle rate.  In
 # the second population only the owner-first rule decides that order: a
-# client costs no more than idle, so the client's death was due at second
-# 10 before the group began, and the owner's booking only ties it.  And an
-# owner whose battery lasts exactly to its group's end dies there at the
-# idle rate of 2, with one unit left.
+# bystander's death at 5 s sends the loop looking for the earliest death
+# again, and it finds the client, listed first.  And an owner whose
+# battery lasts exactly to its group's end dies there with no unit left.
 SAME_SECOND_DEATHS = (
     [DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
                   attack=AttackProfile(tbb_strength=1.0), battery_capacity=21),
      DeviceConfig("owner", battery_capacity=115)],
-    200, 9, DEFAULT_ENERGY)
+    200, 9)
 OWNER_FIRST = (
-    [DeviceConfig("client", schedule=Schedule(100, 100), phase=0,
-                  attack=AttackProfile(tbb_strength=1.0), battery_capacity=10),
-     DeviceConfig("owner", battery_capacity=32)],
-    200, 14, EnergyModel(1, 0, 2))
+    [*SAME_SECOND_DEATHS[0], DeviceConfig("bystander", battery_capacity=5)],
+    200, 1)
 DEATH_AT_GROUP_END = (
-    [DeviceConfig("owner", battery_capacity=301),
+    [DeviceConfig("owner", battery_capacity=660),
      DeviceConfig("client", schedule=Schedule(360, 60), phase=0,
                   attack=AttackProfile(tbb_strength=1.0))],
-    300, 0, EnergyModel(2, 1, 3))
+    300, 0)
 
 
 # A two-day population whose log holds every session kind, so each counter
@@ -310,10 +297,10 @@ EVERY_SESSION_KIND = (
                   attack=AttackProfile(r_strength=1.0, retry_cap=3)),
      DeviceConfig("d2", defense=DefenseMode.COMMITMENT, schedule=Schedule(900, 300),
                   attack=AttackProfile(r_strength=1.0, retry_cap=3))],
-    2 * SECONDS_PER_DAY, 396, DEFAULT_ENERGY)
+    2 * SECONDS_PER_DAY, 396)
 # The same population at another seed: its one decline comes in round 2,
 # the first round in which ``run`` re-checks the owner's guard.
-DECLINE_IN_ROUND_TWO = (EVERY_SESSION_KIND[0], 2 * SECONDS_PER_DAY, 290, DEFAULT_ENERGY)
+DECLINE_IN_ROUND_TWO = (EVERY_SESSION_KIND[0], 2 * SECONDS_PER_DAY, 290)
 
 
 # The headline pair, where the victim owns every group: at 960 units a
@@ -324,7 +311,7 @@ def headline_pair(victim, horizon):
     return ([DeviceConfig("victim", battery_capacity=victim),
              DeviceConfig("attacker", schedule=Schedule(360, 60), phase=0,
                           attack=AttackProfile(tbb_strength=1.0))],
-            horizon, 0, DEFAULT_ENERGY)
+            horizon, 0)
 
 
 PAIR_DEATH_ON_A_TICK = headline_pair(50 * 960, 100 * 360)
@@ -332,9 +319,9 @@ PAIR_HORIZON_ON_A_TICK = headline_pair(DEFAULT_CAPACITY, 50 * 360)
 
 
 def assert_matches_reference(scenario):
-    devices, horizon, seed, energy = scenario
-    result = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
-    assert result.to_json() == reference_run(devices, horizon, seed, energy).to_json()
+    devices, horizon, seed = scenario
+    result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
+    assert result.to_json() == reference_run(devices, horizon, seed).to_json()
     return result
 
 
@@ -378,8 +365,8 @@ def learner_events(devices, horizon, result, learner="d1"):
 
 def test_pinned_populations_reach_their_sessions():
     def log(scenario):
-        devices, horizon, seed, energy = scenario
-        return run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True).sessions
+        devices, horizon, seed = scenario
+        return run(devices, horizon=horizon, seed=seed, log_sessions=True).sessions
 
     assert {session[1] for session in log(EVERY_SESSION_KIND)} == {
         "group", "avoided", "rejected", "declined", "exhausted"}
@@ -394,7 +381,6 @@ def test_pinned_populations_reach_their_sessions():
 @example(STORM_TO_VICTIM_DEATH)
 @example(STORM_TO_ATTACKER_DEATH)
 @example(STORM_TO_HORIZON)
-@example(STORM_AT_IDLE_RATE_2)
 @example(REFUSALS_OF_A_TICKING_VICTIM)
 @example(REFUSALS_AMONG_THREE)
 @example(EVERY_SESSION_KIND)
@@ -424,9 +410,9 @@ def test_pairs_that_do_not_learn_match_the_reference_simulator(scenario):
 @given(scenarios())
 @example(EVERY_SESSION_KIND)
 def test_session_log_only_observes(scenario):
-    devices, horizon, seed, energy = scenario
-    bare = run(devices, horizon=horizon, seed=seed, energy=energy)
-    logged = run(devices, horizon=horizon, seed=seed, energy=energy, log_sessions=True)
+    devices, horizon, seed = scenario
+    bare = run(devices, horizon=horizon, seed=seed)
+    logged = run(devices, horizon=horizon, seed=seed, log_sessions=True)
     assert bare.sessions == ()
     assert bare.devices == logged.devices
 

@@ -1,4 +1,4 @@
-"""Energy model, attacker behaviour, and the event-driven simulator."""
+"""Configuration, attacker behaviour, and the event-driven simulator."""
 
 import dataclasses
 import json
@@ -12,12 +12,10 @@ from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
     DEFAULT_CAPACITY,
-    DEFAULT_ENERGY,
     DEFAULT_RETRY_CAP,
     FLAG_HOLD_SECONDS,
     DefenseMode,
     DeviceConfig,
-    EnergyModel,
     HOUR_SCHEDULE,
     MINUTE_SCHEDULE,
     Schedule,
@@ -30,18 +28,6 @@ from wfdsim.simulation import (
 from test_golden import LEARNING_STORM, LONE_ATTACKER
 
 SESSION_KINDS = {"group", "avoided", "rejected", "declined", "exhausted"}
-
-
-class TestEnergyModel:
-    def test_role_rates(self):
-        assert EnergyModel().rates == (1, 2, 11)
-        assert EnergyModel(base_rate=3, client_extra=0, go_extra=4).rates == (3, 3, 7)
-
-    def test_negative_rates_rejected(self):
-        with pytest.raises(InvalidConfig):
-            EnergyModel(base_rate=-1)
-        with pytest.raises(InvalidConfig):
-            EnergyModel(go_extra=-1)
 
 
 class TestConfigValidation:
@@ -81,11 +67,7 @@ class TestConfigValidation:
         lambda: AttackProfile(retry_cap=1.5),
         lambda: DeviceConfig("a", battery_capacity=1000.0),
         lambda: DeviceConfig("a", schedule=MINUTE_SCHEDULE, phase=0.5),
-        lambda: EnergyModel(base_rate=1.0),
-        lambda: EnergyModel(client_extra=0.5),
-        lambda: EnergyModel(go_extra=10.0),
-    ], ids=["period", "group_duration", "retry_cap", "battery_capacity", "phase",
-            "base_rate", "client_extra", "go_extra"])
+    ], ids=["period", "group_duration", "retry_cap", "battery_capacity", "phase"])
     def test_fractions_rejected(self, make):
         with pytest.raises(InvalidConfig):
             make()
@@ -96,7 +78,6 @@ class TestConfigValidation:
                            attack=AttackProfile(retry_cap=np.int64(2)),
                            battery_capacity=np.int64(1000), phase=np.int16(5))
         assert (cfg.phase, cfg.schedule.period) == (5, 360)
-        assert EnergyModel(np.int64(1), np.int64(1), np.int64(10)).rates == (1, 2, 11)
 
     def test_builtin_schedules(self):
         assert (MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.group_duration) == (360, 60)
@@ -268,16 +249,15 @@ class TestDepletionAnchors:
         assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(65.0)
 
     def test_death_at_group_end_interpolates_at_idle_rate(self):
-        # at idle 2, client 3 and owner 5 units/s, 301 units fund the 60
-        # owner seconds of the first group and leave 1 at its end, where the
-        # victim dies: the group is over, so the unit lasts half a second
-        # at the idle rate, not a fifth of one at the owner rate
+        # 660 units fund exactly the 60 owner seconds of the first group
+        # (660 // 11 == 60) and leave none at its end, where the victim
+        # dies: the group is over, so it leaves service idle, with nothing
+        # left to interpolate
         cfgs = two_device_configs(DefenseMode.STANDARD)
-        cfgs[0] = DeviceConfig("victim", battery_capacity=301)
-        energy = EnergyModel(base_rate=2, client_extra=1, go_extra=3)
-        victim = run(cfgs, horizon=300, seed=0, energy=energy).device("victim")
-        assert (victim.go_seconds, victim.idle_seconds, victim.remaining) == (60, 0, 1)
-        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(60.5)
+        cfgs[0] = DeviceConfig("victim", battery_capacity=660)
+        victim = run(cfgs, horizon=300, seed=0).device("victim")
+        assert (victim.go_seconds, victim.idle_seconds, victim.remaining) == (60, 0, 0)
+        assert victim.depletion_day * SECONDS_PER_DAY == pytest.approx(60.0)
 
     def test_death_mid_group_recomputes_partner_death(self):
         # the victim dies 9 s into its first owner group; the attacker, a
@@ -353,7 +333,7 @@ class TestQuietInstant:
     def learning_victim(self):
         sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
                           DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
-                         days(100), 0, DEFAULT_ENERGY, False)
+                         days(100), 0, False)
         return sim, *sim.devices
 
     def negotiate(self, victim):
@@ -431,7 +411,7 @@ class TestRefusalStorm:
         sim = _Simulator([DeviceConfig("refuser", defense=DefenseMode.LEARNING),
                           DeviceConfig("ticker", defense=DefenseMode.LEARNING,
                                        schedule=MINUTE_SCHEDULE)],
-                         days(100), 0, DEFAULT_ENERGY, False)
+                         days(100), 0, False)
         refuser, ticker = sim.devices
         flag = refuser.peer("ticker")
         flag.verdict, flag.until = True, self.START + FLAG_HOLD_SECONDS
@@ -460,7 +440,7 @@ class TestDecidedTicks:
     ``_tick``, ``_refuse`` and ``_session`` on one run."""
 
     def traced_run(self, devices, horizon, seed):
-        sim = _Simulator(devices, horizon, seed, DEFAULT_ENERGY, False)
+        sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
         tick, refuse, session = sim._tick, sim._refuse, sim._session
 
