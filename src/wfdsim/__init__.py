@@ -62,7 +62,6 @@ from .learning import (
     Disposition,
     FeatureVector,
     HistoryDepth,
-    InvalidConfig,
     InvalidDuration,
     OutOfRange,
     PeerAssessment,
@@ -82,6 +81,7 @@ from .simulation import (
     DeviceConfig,
     DeviceStats,
     HOUR_SCHEDULE,
+    InvalidConfig,
     MINUTE_SCHEDULE,
     Schedule,
     SimResult,

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .learning import SECONDS_PER_DAY, InvalidConfig
+from .learning import SECONDS_PER_DAY
 from .simulation import (
     DEFAULT_RETRY_CAP,
     HOUR_SCHEDULE,
@@ -31,6 +31,7 @@ from .simulation import (
     AttackProfile,
     DefenseMode,
     DeviceConfig,
+    InvalidConfig,
     Schedule,
     run,
 )
@@ -66,6 +67,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"device_count must be a whole number >= 2: {self.device_count}")
         if not self.modes:
             raise InvalidConfig("no defense modes requested")
+        if not all(isinstance(m, DefenseMode) for m in self.modes):
+            raise InvalidConfig(f"modes must be DefenseMode values: {self.modes!r}")
         if len(set(self.modes)) != len(self.modes):
             raise InvalidConfig(f"duplicate defense modes: {[m.value for m in self.modes]}")
         if self.sweep not in _SWEEPS:
@@ -73,14 +76,16 @@ class ExperimentConfig:
         if not self.grid:
             raise InvalidConfig("sweep grid cannot be empty")
         for value in self.grid:
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfig(f"grid value outside [0, 1]: {value}")
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+                raise InvalidConfig(f"grid value not a number in [0, 1]: {value!r}")
         if not isinstance(self.seeds, numbers.Integral) or self.seeds < 1:
             raise InvalidConfig(f"seeds must be a whole number >= 1: {self.seeds}")
         if not isinstance(self.seed_base, numbers.Integral):
             raise InvalidConfig(f"seed_base must be a whole number: {self.seed_base}")
         if not isinstance(self.horizon_days, numbers.Integral) or self.horizon_days < 1:
             raise InvalidConfig(f"horizon_days must be a whole number >= 1: {self.horizon_days}")
+        if not isinstance(self.schedule, Schedule):
+            raise InvalidConfig(f"schedule must be a Schedule: {self.schedule!r}")
         # the sweep overwrites one of these in every cell, but a bad value
         # fails here all the same
         AttackProfile(self.tbb_strength, self.r_strength, self.retry_cap)
@@ -102,20 +107,24 @@ PRESET_NAMES = tuple(_PRESETS)
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Aggregated victim depletion for one (grid value, defense mode) cell."""
+    """Victim depletion days, one per seed, for one (grid value, defense mode) cell."""
 
     sweep_value: float
     mode: DefenseMode
-    mean_days: float
-    stddev_days: float
     seed_days: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.seed_days:
             raise ValueError("a result row needs at least one seed value")
-        lo, hi = min(self.seed_days), max(self.seed_days)
-        if not lo - 1e-9 <= self.mean_days <= hi + 1e-9:
-            raise ValueError(f"mean {self.mean_days} outside seed range [{lo}, {hi}]")
+
+    @property
+    def mean_days(self) -> float:
+        return statistics.fmean(self.seed_days)
+
+    @property
+    def stddev_days(self) -> float:
+        """Sample standard deviation; 0.0 for a single seed."""
+        return statistics.stdev(self.seed_days) if len(self.seed_days) > 1 else 0.0
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -175,9 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                              seed=cfg.seed_base + offset)
                 depleted = result.device("victim").depletion_day
                 days.append(depleted if depleted is not None else float(cfg.horizon_days))
-            stddev = statistics.stdev(days) if len(days) > 1 else 0.0
-            rows.append(ResultRow(value, mode, statistics.fmean(days), stddev,
-                                  tuple(days)))
+            rows.append(ResultRow(value, mode, tuple(days)))
     return rows
 
 
@@ -194,7 +201,7 @@ def emit_csv(rows: list[ResultRow]) -> bytes:
         header = "sweep,mode,mean_days,stddev_days"
     lines = [header]
     for row in rows:
-        cells = [repr(row.sweep_value), row.mode.value,
+        cells = [repr(float(row.sweep_value)), row.mode.value,
                  f"{row.mean_days:.6f}", f"{row.stddev_days:.6f}"]
         cells.extend(f"{d:.6f}" for d in row.seed_days)
         lines.append(",".join(cells))
@@ -234,19 +241,10 @@ def _parse_schedule(text: str) -> Schedule:
     return Schedule(period, duration)
 
 
-_CONFIG_PARSERS = {
-    "device_count": int,
-    "modes": _parse_modes,
-    "sweep": str,
-    "grid": _parse_grid,
-    "seeds": int,
-    "seed_base": int,
-    "horizon_days": int,
-    "schedule": _parse_schedule,
-    "tbb_strength": float,
-    "r_strength": float,
-    "retry_cap": int,
-}
+# a config file may set every field; those without a parser of their own
+# parse with their default's type
+_CONFIG_PARSERS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_PARSERS.update(modes=_parse_modes, grid=_parse_grid, schedule=_parse_schedule)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:

@@ -20,7 +20,7 @@ fairness bound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 WINDOW_DAYS = 30
@@ -45,10 +45,6 @@ class ClockRegression(ValueError):
 
 class InvalidDuration(ValueError):
     """Negative durations, or owner seconds exceeding session seconds."""
-
-
-class InvalidConfig(ValueError):
-    """An invalid configuration value."""
 
 
 class Band(IntEnum):
@@ -171,8 +167,7 @@ class DailyBucket:
 
 
 # The counters a bucket holds and a profile totals over its window.
-_COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits",
-             "self_go_seconds", "comm_seconds")
+_COUNTERS = tuple(f.name for f in fields(DailyBucket) if f.name != "day")
 
 
 class PeerProfile:
@@ -183,21 +178,14 @@ class PeerProfile:
     the conversation runs.
     """
 
-    __slots__ = (
-        "peer_id", "current_day", "_buckets",
-        "negotiations", "self_go_wins", "peer_premature_quits",
-        "self_go_seconds", "comm_seconds",
-    )
+    __slots__ = ("peer_id", "current_day", "_buckets", *_COUNTERS)
 
     def __init__(self, peer_id: str):
         self.peer_id = peer_id
         self.current_day = 0
         self._buckets: deque[DailyBucket] = deque()
-        self.negotiations = 0
-        self.self_go_wins = 0
-        self.peer_premature_quits = 0
-        self.self_go_seconds = 0
-        self.comm_seconds = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
 
     def roll_to(self, day: int) -> None:
         """Advance the window clock, expiring buckets older than 30 days."""

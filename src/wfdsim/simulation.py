@@ -46,7 +46,6 @@ from .learning import (
     SECONDS_PER_DAY,
     FAIRNESS_THRESHOLD,
     HistoryDepth,
-    InvalidConfig,
     PeerProfile,
     assess,
     history_depth,
@@ -84,6 +83,10 @@ GUARD_Z_AMPLE = 3.0
 FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
 
 
+class InvalidConfig(ValueError):
+    """An invalid configuration value."""
+
+
 @dataclass(frozen=True)
 class Schedule:
     period: int
@@ -109,10 +112,10 @@ class AttackProfile:
     retry_cap: int = DEFAULT_RETRY_CAP
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tbb_strength <= 1.0:
-            raise InvalidConfig(f"tbb_strength outside [0, 1]: {self.tbb_strength}")
-        if not 0.0 <= self.r_strength <= 1.0:
-            raise InvalidConfig(f"r_strength outside [0, 1]: {self.r_strength}")
+        for name in ("tbb_strength", "r_strength"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+                raise InvalidConfig(f"{name} must be a number in [0, 1]: {value!r}")
         if not isinstance(self.retry_cap, numbers.Integral) or self.retry_cap < 0:
             raise InvalidConfig(f"retry_cap must be a whole number >= 0: {self.retry_cap}")
 
@@ -144,6 +147,12 @@ class DeviceConfig:
     def __post_init__(self) -> None:
         if not self.device_id:
             raise InvalidConfig("device id cannot be empty")
+        if not isinstance(self.defense, DefenseMode):
+            raise InvalidConfig(f"{self.device_id}: defense not a DefenseMode: {self.defense!r}")
+        if not isinstance(self.schedule, (Schedule, type(None))):
+            raise InvalidConfig(f"{self.device_id}: schedule not a Schedule: {self.schedule!r}")
+        if not isinstance(self.attack, (AttackProfile, type(None))):
+            raise InvalidConfig(f"{self.device_id}: attack not an AttackProfile: {self.attack!r}")
         if not isinstance(self.battery_capacity, numbers.Integral) or self.battery_capacity <= 0:
             raise InvalidConfig(f"battery capacity must be a whole number > 0: {self.battery_capacity}")
         if self.phase is not None:
@@ -221,6 +230,10 @@ class SimResult:
 _IDLE, _CLIENT, _GO = 0, 1, 2
 _RATES = (1, 2, 11)
 
+# The counters each device keeps, reported under the same names in DeviceStats.
+_COUNTS = ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_assignments",
+           "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted")
+
 
 class _Group:
     __slots__ = ("go", "client", "start", "end")
@@ -248,10 +261,7 @@ class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_commitment", "schedule", "attack",
         "remaining", "capacity", "spent", "role_seconds",
-        "alive", "die_at", "depletion_time", "group", "peers",
-        "negotiations", "go_wins", "peer_quits_observed",
-        "tie_rounds", "go_assignments",
-        "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted",
+        "alive", "die_at", "depletion_time", "group", "peers", *_COUNTS,
     )
 
     def __init__(self, index: int, cfg: DeviceConfig):
@@ -271,15 +281,8 @@ class _Device:
         self.group: _Group | None = None
         # the learning guard's records by peer id; None for a device that does not learn
         self.peers: dict[str, _Peer] | None = {} if cfg.defense.uses_learning else None
-        self.negotiations = 0
-        self.go_wins = 0
-        self.peer_quits_observed = 0
-        self.tie_rounds = 0
-        self.go_assignments = 0
-        self.rejections_issued = 0
-        self.initiations_avoided = 0
-        self.skips_busy = 0
-        self.sessions_exhausted = 0
+        for name in _COUNTS:
+            setattr(self, name, 0)
 
     def peer(self, peer_id: str) -> _Peer:
         """This device's record of ``peer_id``, created on first use."""
@@ -678,15 +681,7 @@ class _Simulator:
                 client_seconds=client_seconds,
                 go_seconds=go_seconds,
                 go_time_fraction=(go_seconds / accounted if accounted else 0.0),
-                negotiations=dev.negotiations,
-                go_wins=dev.go_wins,
-                peer_quits_observed=dev.peer_quits_observed,
-                tie_rounds=dev.tie_rounds,
-                go_assignments=dev.go_assignments,
-                rejections_issued=dev.rejections_issued,
-                initiations_avoided=dev.initiations_avoided,
-                skips_busy=dev.skips_busy,
-                sessions_exhausted=dev.sessions_exhausted,
+                **{name: getattr(dev, name) for name in _COUNTS},
             ))
         return SimResult(
             seed=self.seed,

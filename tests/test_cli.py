@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +25,10 @@ from wfdsim.cli import (
     preset,
     run_experiment,
 )
-from wfdsim.learning import InvalidConfig
 from wfdsim.simulation import (
     DefenseMode,
     HOUR_SCHEDULE,
+    InvalidConfig,
     MINUTE_SCHEDULE,
     Schedule,
 )
@@ -103,6 +104,12 @@ class TestConfigValidation:
         dict(device_count=2.5),
         dict(horizon_days=1.5),
         dict(seed_base=0.5),
+        # values of the wrong type
+        dict(modes=("S",)),
+        dict(schedule=(360, 60)),
+        dict(grid=("a",)),
+        dict(tbb_strength="x"),
+        dict(r_strength=None),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
@@ -110,14 +117,17 @@ class TestConfigValidation:
 
 
 class TestResultRow:
-    def test_mean_must_sit_in_seed_range(self):
-        with pytest.raises(ValueError):
-            ResultRow(0.5, S, mean_days=10.0, stddev_days=0.0,
-                      seed_days=(1.0, 2.0))
-
     def test_needs_seeds(self):
         with pytest.raises(ValueError):
-            ResultRow(0.5, S, mean_days=1.0, stddev_days=0.0, seed_days=())
+            ResultRow(0.5, S, seed_days=())
+
+    def test_summary_follows_seed_days(self):
+        one = ResultRow(0.5, S, (3.5,))
+        assert (one.mean_days, one.stddev_days) == (3.5, 0.0)
+        days = (1.0, 2.5, 7.0)
+        several = ResultRow(0.5, S, days)
+        assert several.mean_days == statistics.fmean(days)
+        assert several.stddev_days == statistics.stdev(days)
 
 
 class TestBuildDevices:
@@ -191,8 +201,8 @@ class TestEmitCsv:
         assert emit_csv([]) == b"sweep,mode,mean_days,stddev_days\n"
 
     def test_mismatched_seed_counts_rejected(self):
-        rows = [ResultRow(0.0, S, 1.0, 0.0, (1.0,)),
-                ResultRow(1.0, S, 1.0, 0.0, (1.0, 1.0))]
+        rows = [ResultRow(0.0, S, (1.0,)),
+                ResultRow(1.0, S, (1.0, 1.0))]
         with pytest.raises(InvalidConfig):
             emit_csv(rows)
 
@@ -204,11 +214,15 @@ class TestEmitCsv:
         by_value = {m.value: m for m in DefenseMode}
         rows = []
         for record in reader:
-            sweep, mode, mean, stddev, *seeds = record
+            sweep, mode, _mean, _stddev, *seeds = record
             assert len(seeds) == len(seed_cols)
-            rows.append(ResultRow(float(sweep), by_value[mode], float(mean),
-                                  float(stddev), tuple(map(float, seeds))))
+            rows.append(ResultRow(float(sweep), by_value[mode], tuple(map(float, seeds))))
         assert emit_csv(rows) == original
+
+    def test_numpy_sweep_value_written_as_float(self):
+        np = pytest.importorskip("numpy")
+        payload = emit_csv(run_experiment(quick_config(modes=(S,), grid=(np.float64(0.5),))))
+        assert payload.decode("ascii").splitlines()[1].startswith("0.5,S,")
 
 
 class TestParseExperimentConfig:

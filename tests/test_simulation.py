@@ -7,7 +7,7 @@ import statistics
 
 import pytest
 
-from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS, InvalidConfig
+from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS
 from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
@@ -17,6 +17,7 @@ from wfdsim.simulation import (
     DefenseMode,
     DeviceConfig,
     HOUR_SCHEDULE,
+    InvalidConfig,
     MINUTE_SCHEDULE,
     Schedule,
     attacker_choose_tbb,
@@ -47,6 +48,8 @@ class TestConfigValidation:
             AttackProfile(r_strength=-0.1)
         with pytest.raises(InvalidConfig):
             AttackProfile(retry_cap=-1)
+        with pytest.raises(InvalidConfig):
+            AttackProfile(tbb_strength="x")
         assert AttackProfile().retry_cap == DEFAULT_RETRY_CAP
 
     def test_device_config(self):
@@ -58,6 +61,13 @@ class TestConfigValidation:
             DeviceConfig("a", phase=0)   # phase without a schedule
         with pytest.raises(InvalidConfig):
             DeviceConfig("a", schedule=MINUTE_SCHEDULE, phase=360)
+        # values of the wrong type
+        with pytest.raises(InvalidConfig):
+            DeviceConfig("a", defense="L", schedule=MINUTE_SCHEDULE)
+        with pytest.raises(InvalidConfig):
+            DeviceConfig("a", schedule=(360, 60))
+        with pytest.raises(InvalidConfig):
+            DeviceConfig("a", schedule=MINUTE_SCHEDULE, attack=1.0)
 
     # the ledger and ``range`` need whole numbers: a fraction must fail here,
     # not deep inside a run

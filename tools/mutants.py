@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 
 SIM = "wfdsim/simulation.py"
+LEARNING = "wfdsim/learning.py"
+CLI = "wfdsim/cli.py"
 DECIDED = "tests/test_simulation.py::TestDecidedTicks::test_"
 QUIET = "TestQuietInstant::test_"
 QUIET_LINE = ("rec.verdict, rec.until = False, "
@@ -112,6 +114,16 @@ MUTANTS = (
     Mutant("partner_death_not_retimed", SIM,
            "                self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)\n",
            "", ("tests/test_golden.py", ORACLE)),
+    # the window's expiry and a result row's deviation
+    Mutant("bucket_kept_a_day_too_long", LEARNING,
+           "buckets[0].day <= cutoff", "buckets[0].day < cutoff",
+           ("tests/test_learning.py::TestPeerProfileWindow::test_expiry_drops_whole_days",
+            "tests/test_learning.py::TestPeerProfileWindow::test_window_totals_match_naive_recompute",
+            "tests/test_golden.py::test_run_json_digest[hour_crowd]")),
+    Mutant("population_deviation", CLI,
+           "statistics.stdev(self.seed_days)", "statistics.pstdev(self.seed_days)",
+           ("tests/test_cli.py::TestResultRow::test_summary_follows_seed_days",
+            "tests/test_golden.py::test_preset_depletion_digest[attacker_ratio_5]")),
 )
 
 # Mutants that no test can kill, each with the reason they are equivalent.
