@@ -32,6 +32,11 @@ Three handshake variants are implemented:
 In both commitment variants the effective tie bit is the XOR of the two
 revealed bits, so neither side can steer the coin without producing an
 opening that fails verification.
+
+Only the receiver of a message may abort after it (the responder after the
+request and the confirmation, the initiator after the response): on a failed
+opening, on its scripted ``abort_after``, or when it would be owner and
+quits.  Any other ``abort_after`` is a no-op.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .commitment import Commitment, Opening, coin_flip, commit, random_nonce, verify
+from .commitment import (BYTES, INTENT_MANDATORY, WHOLE, Commitment, IntentValue, Opening,
+                         TieBreakerBit, coin_flip, commit, random_nonce, verify)
 
 VENDOR_IE_ELEMENT_ID = 0xDD
 VENDOR_IE_MAX_PAYLOAD = 251
@@ -60,9 +66,6 @@ ATTR_TIE_COMMITMENT = 0xF0
 ATTR_TIE_OPENING = 0xF1
 ATTR_COMPAT_TIE_BIT = 0xF2
 
-INTENT_MANDATORY = 15
-
-
 class DecodeError(ValueError):
     """Base class for wire-format parse failures."""
 
@@ -79,24 +82,6 @@ class PayloadTooLong(ValueError):
     """Payload exceeds what the length field can express."""
 
 
-class IntentValue(int):
-    """Group-owner intent, 0..15; 15 means the device requires the role."""
-
-    def __new__(cls, value: int) -> "IntentValue":
-        v = int(value)
-        if not 0 <= v <= INTENT_MANDATORY:
-            raise ValueError(f"intent value out of range 0..15: {value!r}")
-        return super().__new__(cls, v)
-
-
-class TieBreakerBit(int):
-    def __new__(cls, value: int) -> "TieBreakerBit":
-        v = int(value)
-        if v not in (0, 1):
-            raise ValueError(f"tie-breaker bit must be 0 or 1: {value!r}")
-        return super().__new__(cls, v)
-
-
 @dataclass(frozen=True)
 class VendorIe:
     element_id: int
@@ -105,12 +90,14 @@ class VendorIe:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if not 0 <= self.element_id <= 0xFF:
-            raise ValueError(f"element id out of range: {self.element_id}")
-        if len(self.oui) != 3:
-            raise ValueError(f"OUI must be 3 bytes, got {len(self.oui)}")
-        if not 0 <= self.oui_type <= 0xFF:
-            raise ValueError(f"OUI type out of range: {self.oui_type}")
+        if not isinstance(self.element_id, WHOLE) or not 0 <= self.element_id <= 0xFF:
+            raise ValueError(f"element id must be an integer in 0..255: {self.element_id!r}")
+        if not isinstance(self.oui, BYTES) or len(self.oui) != 3:
+            raise ValueError(f"OUI must be 3 bytes: {self.oui!r}")
+        if not isinstance(self.oui_type, WHOLE) or not 0 <= self.oui_type <= 0xFF:
+            raise ValueError(f"OUI type must be an integer in 0..255: {self.oui_type!r}")
+        if not isinstance(self.payload, BYTES):
+            raise ValueError(f"vendor IE payload must be bytes: {self.payload!r}")
         if len(self.payload) > VENDOR_IE_MAX_PAYLOAD:
             raise PayloadTooLong(f"vendor IE payload limited to {VENDOR_IE_MAX_PAYLOAD} bytes")
 
@@ -143,8 +130,10 @@ class P2pAttribute:
     data: bytes
 
     def __post_init__(self) -> None:
-        if not 0 <= self.attr_id <= 0xFF:
-            raise ValueError(f"attribute id out of range: {self.attr_id}")
+        if not isinstance(self.attr_id, WHOLE) or not 0 <= self.attr_id <= 0xFF:
+            raise ValueError(f"attribute id must be an integer in 0..255: {self.attr_id!r}")
+        if not isinstance(self.data, BYTES):
+            raise ValueError(f"attribute data must be bytes: {self.data!r}")
         if len(self.data) > ATTR_MAX_DATA:
             raise PayloadTooLong("P2P attribute data limited to 65535 bytes")
 
@@ -235,15 +224,17 @@ def decide_go(initiator_intent: int, responder_intent: int, tie_bit: int) -> Neg
 
     Two devices both requiring the role (intent 15) cannot form a group.
     """
-    iv_i = IntentValue(initiator_intent)
-    iv_r = IntentValue(responder_intent)
-    bit = TieBreakerBit(tie_bit)
+    return _decide(IntentValue(initiator_intent), IntentValue(responder_intent),
+                   TieBreakerBit(tie_bit))
+
+
+def _decide(iv_i: IntentValue, iv_r: IntentValue, bit: int) -> NegotiationOutcome:
+    """``decide_go`` on values already checked, as ``negotiate``'s are."""
     if iv_i == INTENT_MANDATORY and iv_r == INTENT_MANDATORY:
         return NegotiationOutcome(OutcomeKind.FAILED_BOTH_REQUIRE_GO)
-    if iv_i != iv_r:
-        winner = OutcomeKind.INITIATOR_IS_GO if iv_i > iv_r else OutcomeKind.RESPONDER_IS_GO
-        return NegotiationOutcome(winner)
-    return NegotiationOutcome(OutcomeKind.INITIATOR_IS_GO if bit else OutcomeKind.RESPONDER_IS_GO)
+    initiator_wins = iv_i > iv_r if iv_i != iv_r else bit
+    return NegotiationOutcome(
+        OutcomeKind.INITIATOR_IS_GO if initiator_wins else OutcomeKind.RESPONDER_IS_GO)
 
 
 @dataclass(frozen=True)
@@ -288,7 +279,9 @@ class Party:
     draws a fair coin from the session RNG.  ``quit_if_go`` walks away
     whenever the outcome would make this device the owner.
     ``tamper_opening`` reveals a flipped bit, which an honest peer catches
-    as a commitment mismatch.
+    as a commitment mismatch.  ``abort_after`` walks away after the named
+    message only if this device receives it (the responder the request and
+    the confirmation, the initiator the response); otherwise it is a no-op.
     """
 
     device_id: str
@@ -299,6 +292,10 @@ class Party:
     abort_after: AbortPhase | None = None
 
 
+def _draw_bit(party: Party, rng: Random) -> int:
+    return rng.getrandbits(1) if party.tie_bit is None else TieBreakerBit(party.tie_bit)
+
+
 def negotiate(
     mode: NegotiationMode,
     initiator: Party,
@@ -307,115 +304,63 @@ def negotiate(
 ) -> tuple[NegotiationOutcome, list[Message]]:
     """Run one owner negotiation; returns the outcome and the message transcript.
 
-    RNG draws happen in a fixed order (initiator before responder), so a
-    seeded run is reproducible message for message.
+    Every mode sends request, response and confirmation; the mode changes
+    only what they carry.  RNG draws happen in a fixed order (initiator
+    before responder), so a seeded run is reproducible message for message.
     """
-    if mode is NegotiationMode.STANDARD:
-        return _negotiate_standard(initiator, responder, rng)
-    if mode is NegotiationMode.PROBE_COMMIT:
-        return _negotiate_probe_commit(initiator, responder, rng)
-    if mode is NegotiationMode.INLINE_COMMIT:
-        return _negotiate_inline_commit(initiator, responder, rng)
-    raise ValueError(f"unknown negotiation mode: {mode!r}")
-
-
-def _draw_bit(party: Party, rng: Random) -> int:
-    return party.tie_bit if party.tie_bit is not None else rng.getrandbits(1)
-
-
-def _negotiate_standard(a: Party, b: Party, rng: Random):
+    probe = mode is NegotiationMode.PROBE_COMMIT
+    inline = mode is NegotiationMode.INLINE_COMMIT
+    if not (probe or inline or mode is NegotiationMode.STANDARD):
+        raise ValueError(f"unknown negotiation mode: {mode!r}")
+    a, b = initiator, responder
+    intent_a, intent_b = IntentValue(a.intent), IntentValue(b.intent)
     transcript: list[Message] = []
-    bit = TieBreakerBit(_draw_bit(a, rng))
-    transcript.append(GoNegotiationRequest(a.device_id, IntentValue(a.intent), bit))
-    if b.abort_after is AbortPhase.AFTER_REQUEST:
-        return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_REQUEST), transcript
-    # the reply carries the complement, so exactly one device sent bit 1
-    transcript.append(GoNegotiationResponse(b.device_id, IntentValue(b.intent), bit ^ 1))
-    if a.abort_after is AbortPhase.AFTER_RESPONSE:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-    outcome = decide_go(a.intent, b.intent, bit)
-    if outcome.kind is OutcomeKind.INITIATOR_IS_GO and a.quit_if_go:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-    transcript.append(GoNegotiationConfirmation(a.device_id, outcome.kind))
-    return _post_confirmation(outcome, b), transcript
+    bit_a = _draw_bit(a, rng)
+    if probe or inline:
+        nonce_a = random_nonce(rng)
+        commit_a = commit(nonce_a, intent_a, bit_a)
+        open_a = Opening(nonce_a, intent_a, bit_a ^ 1 if a.tamper_opening else bit_a)
 
-
-def _negotiate_probe_commit(a: Party, b: Party, rng: Random):
-    transcript: list[Message] = []
-    bit_a = TieBreakerBit(_draw_bit(a, rng))
-    nonce_a = random_nonce(rng)
-    bit_b = TieBreakerBit(_draw_bit(b, rng))
-    nonce_b = random_nonce(rng)
-    commit_a = commit(nonce_a, a.intent, bit_a)
-    commit_b = commit(nonce_b, b.intent, bit_b)
-    transcript.append(Probe(a.device_id, commit_a))
-    transcript.append(Probe(b.device_id, commit_b))
-
-    open_a = Opening(nonce_a, a.intent, bit_a ^ 1 if a.tamper_opening else bit_a)
-    transcript.append(
-        GoNegotiationRequest(a.device_id, IntentValue(a.intent), rng.getrandbits(1), opening=open_a)
-    )
-    if not verify(commit_a, open_a):
-        return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_REQUEST), transcript
-    if b.abort_after is AbortPhase.AFTER_REQUEST:
+    # the tie bit in a commitment mode's request and response is a placeholder
+    if probe:
+        bit_b = _draw_bit(b, rng)
+        nonce_b = random_nonce(rng)
+        commit_b = commit(nonce_b, intent_b, bit_b)
+        transcript += (Probe(a.device_id, commit_a), Probe(b.device_id, commit_b))
+        request = GoNegotiationRequest(a.device_id, intent_a, rng.getrandbits(1), opening=open_a)
+    elif inline:
+        request = GoNegotiationRequest(a.device_id, intent_a, rng.getrandbits(1),
+                                       commitment=commit_a)
+    else:
+        request = GoNegotiationRequest(a.device_id, intent_a, bit_a)
+    transcript.append(request)
+    if (probe and not verify(commit_a, open_a)) or b.abort_after is AbortPhase.AFTER_REQUEST:
         return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_REQUEST), transcript
 
-    open_b = Opening(nonce_b, b.intent, bit_b ^ 1 if b.tamper_opening else bit_b)
+    if probe:
+        open_b = Opening(nonce_b, intent_b, bit_b ^ 1 if b.tamper_opening else bit_b)
+        response = GoNegotiationResponse(b.device_id, intent_b, rng.getrandbits(1), opening=open_b)
+    elif inline:
+        # the responder discloses its bit plainly; the initiator is already bound
+        bit_b = _draw_bit(b, rng)
+        response = GoNegotiationResponse(
+            b.device_id, intent_b, bit_b,
+            dual_outcomes=(OutcomeKind.INITIATOR_IS_GO, OutcomeKind.RESPONDER_IS_GO))
+    else:
+        # the reply carries the complement, so exactly one device sent bit 1
+        response = GoNegotiationResponse(b.device_id, intent_b, bit_a ^ 1)
+    transcript.append(response)
+    outcome = _decide(intent_a, intent_b, coin_flip(bit_a, bit_b) if probe or inline else bit_a)
+    if ((probe and not verify(commit_b, open_b)) or a.abort_after is AbortPhase.AFTER_RESPONSE
+            or (outcome.kind is OutcomeKind.INITIATOR_IS_GO and a.quit_if_go)):
+        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
+
+    # a tampering initiator names the owner its false opening would make
+    claimed = (_decide(intent_a, intent_b, coin_flip(open_a.tie_bit, bit_b))
+               if inline and a.tamper_opening else outcome)
     transcript.append(
-        GoNegotiationResponse(b.device_id, IntentValue(b.intent), rng.getrandbits(1), opening=open_b)
-    )
-    if not verify(commit_b, open_b):
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-    if a.abort_after is AbortPhase.AFTER_RESPONSE:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-
-    outcome = decide_go(a.intent, b.intent, coin_flip(open_a.tie_bit, open_b.tie_bit))
-    if outcome.kind is OutcomeKind.INITIATOR_IS_GO and a.quit_if_go:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-    transcript.append(GoNegotiationConfirmation(a.device_id, outcome.kind))
-    return _post_confirmation(outcome, b), transcript
-
-
-def _negotiate_inline_commit(a: Party, b: Party, rng: Random):
-    transcript: list[Message] = []
-    bit_a = TieBreakerBit(_draw_bit(a, rng))
-    nonce_a = random_nonce(rng)
-    commit_a = commit(nonce_a, a.intent, bit_a)
-    transcript.append(
-        GoNegotiationRequest(a.device_id, IntentValue(a.intent), rng.getrandbits(1), commitment=commit_a)
-    )
-    if b.abort_after is AbortPhase.AFTER_REQUEST:
-        return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_REQUEST), transcript
-
-    # the responder discloses its bit plainly; the initiator is already bound
-    bit_b = TieBreakerBit(_draw_bit(b, rng))
-    transcript.append(
-        GoNegotiationResponse(
-            b.device_id,
-            IntentValue(b.intent),
-            bit_b,
-            dual_outcomes=(OutcomeKind.INITIATOR_IS_GO, OutcomeKind.RESPONDER_IS_GO),
-        )
-    )
-    if a.abort_after is AbortPhase.AFTER_RESPONSE:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-
-    outcome = decide_go(a.intent, b.intent, coin_flip(bit_a, bit_b))
-    if outcome.kind is OutcomeKind.INITIATOR_IS_GO and a.quit_if_go:
-        return NegotiationOutcome.aborted(a.device_id, AbortPhase.AFTER_RESPONSE), transcript
-
-    revealed = bit_a ^ 1 if a.tamper_opening else bit_a
-    open_a = Opening(nonce_a, a.intent, revealed)
-    claimed = decide_go(a.intent, b.intent, coin_flip(revealed, bit_b))
-    transcript.append(GoNegotiationConfirmation(a.device_id, claimed.kind, opening=open_a))
-    if not verify(commit_a, open_a):
+        GoNegotiationConfirmation(a.device_id, claimed.kind, open_a if inline else None))
+    if ((inline and not verify(commit_a, open_a)) or b.abort_after is AbortPhase.AFTER_CONFIRMATION
+            or (outcome.kind is OutcomeKind.RESPONDER_IS_GO and b.quit_if_go)):
         return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_CONFIRMATION), transcript
-    return _post_confirmation(outcome, b), transcript
-
-
-def _post_confirmation(outcome: NegotiationOutcome, b: Party) -> NegotiationOutcome:
-    if outcome.kind is OutcomeKind.RESPONDER_IS_GO and b.quit_if_go:
-        return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_CONFIRMATION)
-    if b.abort_after is AbortPhase.AFTER_CONFIRMATION:
-        return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_CONFIRMATION)
-    return outcome
+    return outcome, transcript

@@ -61,6 +61,9 @@ def test_decode_opening_rejects_wrong_length():
     (bytes(32), 16, 0),
     (bytes(32), -1, 0),
     (bytes(32), 0, 2),
+    (bytes(32), 7.5, 0),
+    (bytes(32), 7, 1.0),
+    ("x" * 32, 0, 0),
 ])
 def test_opening_field_validation(nonce, intent, bit):
     with pytest.raises(ValueError):
@@ -70,6 +73,8 @@ def test_opening_field_validation(nonce, intent, bit):
 def test_commitment_digest_length_validation():
     with pytest.raises(ValueError):
         Commitment(bytes(DIGEST_LEN - 1))
+    with pytest.raises(ValueError):
+        Commitment("x" * DIGEST_LEN)
 
 
 def test_verify_accepts_true_opening():
@@ -113,9 +118,9 @@ def test_coin_flip_xor_table(a, b, expected):
     assert coin_flip(a, b) == expected
 
 
-@pytest.mark.parametrize("a,b", [(2, 0), (0, 2), (-1, 1), (1, "1")])
+@pytest.mark.parametrize("a,b", [(2, 0), (0, 2), (-1, 1), (1, "1"), (1.0, 0)])
 def test_coin_flip_rejects_non_bits(a, b):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError):
         coin_flip(a, b)
 
 

@@ -101,6 +101,10 @@ class TestVendorIeCodec:
             VendorIe(0xDD, bytes(2), 0, b"")
         with pytest.raises(ValueError):
             VendorIe(0xDD, bytes(3), 256, b"")
+        for fields in ((0xDD, "abc", 9, b""), (0xDD, bytes(3), 9, "abc"),
+                       (221.0, bytes(3), 9, b""), (0xDD, bytes(3), 9.0, b"")):
+            with pytest.raises(ValueError):
+                VendorIe(*fields)
 
 
 class TestAttributeCodec:
@@ -138,6 +142,11 @@ class TestAttributeCodec:
         with pytest.raises(PayloadTooLong):
             P2pAttribute(0, bytes(0x10000))
 
+    @pytest.mark.parametrize("attr_id,data", [(1.5, b"ab"), (1, "ab"), ("1", b"ab")])
+    def test_field_types(self, attr_id, data):
+        with pytest.raises(ValueError):
+            P2pAttribute(attr_id, data)
+
     def test_reserved_ids_are_distinct(self):
         assert len({ATTR_TIE_COMMITMENT, ATTR_TIE_OPENING, ATTR_COMPAT_TIE_BIT}) == 3
 
@@ -145,13 +154,13 @@ class TestAttributeCodec:
 class TestValueTypes:
     def test_intent_range(self):
         assert IntentValue(0) == 0 and IntentValue(15) == 15
-        for bad in (-1, 16):
+        for bad in (-1, 16, 7.5, 7.0, "7"):
             with pytest.raises(ValueError):
                 IntentValue(bad)
 
     def test_tie_bit_range(self):
         assert TieBreakerBit(0) == 0 and TieBreakerBit(1) == 1
-        for bad in (-1, 2):
+        for bad in (-1, 2, 0.9, 1.0, "1"):
             with pytest.raises(ValueError):
                 TieBreakerBit(bad)
 
@@ -191,6 +200,15 @@ class TestNegotiateCommon:
     def test_both_mandatory_fails(self, mode):
         outcome, _ = negotiate(mode, Party("a", intent=15), Party("b", intent=15), Random(0))
         assert outcome.kind is OutcomeKind.FAILED_BOTH_REQUIRE_GO
+
+    @pytest.mark.parametrize("a,b", [
+        (Party("a", intent=7.5), Party("b", intent=7)),
+        (Party("a", intent=7), Party("b", intent="7")),
+        (Party("a", tie_bit=0.5), Party("b")),
+    ], ids=["float_intent", "str_intent", "float_tie_bit"])
+    def test_party_values_must_be_integers(self, mode, a, b):
+        with pytest.raises(ValueError):
+            negotiate(mode, a, b, Random(0))
 
 
 class TestStandardHandshake:
@@ -297,6 +315,16 @@ class TestInlineCommitDetails:
         assert outcome.kind is OutcomeKind.ABORTED
         assert outcome.abort_phase is AbortPhase.AFTER_CONFIRMATION
 
+    def test_tampered_confirmation_names_the_owner_its_opening_implies(self):
+        # committed 1 XOR disclosed 0 hands the tie to a; the false opening's 0 to b
+        outcome, transcript = negotiate(
+            NegotiationMode.INLINE_COMMIT,
+            Party("a", tie_bit=1, tamper_opening=True), Party("b", tie_bit=0), Random(3))
+        confirmation = transcript[-1]
+        assert confirmation.opening.tie_bit == 0
+        assert confirmation.selected is OutcomeKind.RESPONDER_IS_GO
+        assert outcome.kind is OutcomeKind.ABORTED
+
 
 class TestWalkouts:
     def test_initiator_quits_owner_role(self):
@@ -320,6 +348,33 @@ class TestWalkouts:
             Party("a"), Party("b", abort_after=AbortPhase.AFTER_REQUEST), Random(0))
         assert outcome.kind is OutcomeKind.ABORTED
         assert len(transcript) == 1
+
+
+# The receiver of a message may abort after it: b after the request and the
+# confirmation, a after the response.  Any other scripted abort does nothing.
+RECEIVERS = {AbortPhase.AFTER_REQUEST: "b", AbortPhase.AFTER_RESPONSE: "a",
+             AbortPhase.AFTER_CONFIRMATION: "b"}
+PROBES = {NegotiationMode.STANDARD: 0, NegotiationMode.PROBE_COMMIT: 2,
+          NegotiationMode.INLINE_COMMIT: 0}
+
+
+@pytest.mark.parametrize("mode", list(NegotiationMode))
+@pytest.mark.parametrize("party", ["a", "b"])
+@pytest.mark.parametrize("phase", list(AbortPhase))
+def test_only_the_receiver_of_a_message_aborts_after_it(mode, party, phase):
+    # tie bits 1 and 0 hand the tie to the initiator in every mode
+    script = {"abort_after": phase}
+    a = Party("a", intent=7, tie_bit=1, **(script if party == "a" else {}))
+    b = Party("b", intent=7, tie_bit=0, **(script if party == "b" else {}))
+    outcome, transcript = negotiate(mode, a, b, Random(0))
+    if RECEIVERS[phase] == party:
+        assert outcome.kind is OutcomeKind.ABORTED
+        assert (outcome.aborted_by, outcome.abort_phase) == (party, phase)
+        assert len(transcript) == PROBES[mode] + list(AbortPhase).index(phase) + 1
+    else:
+        assert outcome.kind is OutcomeKind.INITIATOR_IS_GO
+        assert (outcome.aborted_by, outcome.abort_phase) == (None, None)
+        assert len(transcript) == PROBES[mode] + 3
 
 
 def test_decode_errors_are_value_errors():

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 SIM = "wfdsim/simulation.py"
 LEARNING = "wfdsim/learning.py"
 CLI = "wfdsim/cli.py"
+PROTOCOL = "wfdsim/protocol.py"
 DECIDED = "tests/test_simulation.py::TestDecidedTicks::test_"
 QUIET = "TestQuietInstant::test_"
 QUIET_LINE = ("rec.verdict, rec.until = False, "
@@ -124,6 +125,20 @@ MUTANTS = (
            "statistics.stdev(self.seed_days)", "statistics.pstdev(self.seed_days)",
            ("tests/test_cli.py::TestResultRow::test_summary_follows_seed_days",
             "tests/test_golden.py::test_preset_depletion_digest[attacker_ratio_5]")),
+    # the handshake driver
+    Mutant("probe_request_opening_unverified", PROTOCOL,
+           "(probe and not verify(commit_a, open_a)) or ", "",
+           ("tests/test_protocol.py::TestCommitmentHandshakes::"
+            "test_tampered_reveal_is_caught[NegotiationMode.PROBE_COMMIT]",)),
+    Mutant("coin_is_the_initiator_bit", PROTOCOL, "coin_flip(bit_a, bit_b)", "bit_a",
+           ("tests/test_protocol.py::TestCommitmentHandshakes::test_owner_follows_xor_exhaustively",)),
+    Mutant("tampered_claim_is_the_true_owner", PROTOCOL,
+           "if inline and a.tamper_opening else outcome)", "if False else outcome)",
+           ("tests/test_protocol.py::TestInlineCommitDetails::"
+            "test_tampered_confirmation_names_the_owner_its_opening_implies",)),
+    Mutant("no_abort_after_confirmation", PROTOCOL,
+           "b.abort_after is AbortPhase.AFTER_CONFIRMATION", "False",
+           ("tests/test_protocol.py::test_only_the_receiver_of_a_message_aborts_after_it",)),
 )
 
 # Mutants that no test can kill, each with the reason they are equivalent.
