@@ -211,16 +211,17 @@ class PeerProfile:
         buckets.append(bucket)
         return bucket
 
-    def record_negotiation(self, day: int, self_was_go: bool, peer_quit_prematurely: bool) -> None:
+    def record_negotiation(self, day: int, self_was_go: int, peer_quit_prematurely: int,
+                           negotiations: int = 1) -> None:
+        """Record ``negotiations`` on ``day``; the two flags add as counts,
+        of those this device won and those the peer quit."""
         bucket = self._bucket_for(day)
-        bucket.negotiations += 1
-        self.negotiations += 1
-        if self_was_go:
-            bucket.self_go_wins += 1
-            self.self_go_wins += 1
-        if peer_quit_prematurely:
-            bucket.peer_premature_quits += 1
-            self.peer_premature_quits += 1
+        bucket.negotiations += negotiations
+        self.negotiations += negotiations
+        bucket.self_go_wins += self_was_go
+        self.self_go_wins += self_was_go
+        bucket.peer_premature_quits += peer_quit_prematurely
+        self.peer_premature_quits += peer_quit_prematurely
 
     def record_group_time(self, day: int, self_go_seconds: int, comm_seconds: int) -> None:
         if comm_seconds < 0 or self_go_seconds < 0:

@@ -5,8 +5,9 @@ initiates a session with a peer and, if negotiation settles, a group runs
 for ``group_duration`` seconds.  Energy drains by role (idle 1, client 2,
 owner 11 units/second) from a battery sized to last 365 idle days.  The
 run is driven by a single seeded RNG, a heap of schedule ticks and the
-death instant each device has booked; a pair that does not learn takes
-its ticks in batches until a death could come within reach.  At one
+death instant each device has booked; a pair whose one ticker does not
+learn takes its ticks in batches up to the first instant at which a death,
+the horizon or the other device's guard could change an outcome.  At one
 instant deaths resolve before ticks, and a group's owner before its
 client.  A group ends at its scheduled end without an event of its own.
 Equal configuration and seed reproduce the result byte for byte.
@@ -339,18 +340,27 @@ class _Simulator:
     death resolves first and makes the tick busy (its peer died) or void
     (its device died).  A learning survivor stays on the loop, as its guard
     still avoids a flagged dead peer, and so does one of three or more devices.
-    A pair that does not learn, with one device ticking, has a session at
-    every tick until a death, each group ending by the next tick.
-    ``_pair_batches`` runs such ticks in batches before the loop: each
-    negotiates with the same draws, and energy and role seconds are booked
-    once per batch.  A period drains a device by at most ``worst = idle *
-    period + (top - idle) * group_duration``, ``top`` the owner rate, so
-    tick ``i`` of a batch finds at least ``left - i * worst``, ``left`` the
-    lower charge at its first.  All ``k = (left - top * group_duration) //
-    worst + 1`` ticks of a batch then fund a whole group at ``top``: no
-    death falls before its last group ends.  A batch stops a period short
-    of the horizon.  The deaths ``_set_role`` books from that end may fall
-    before the next tick, and the loop resolves them as before.
+    A pair whose one ticker does not learn has a session at every tick
+    while both live and the other device's guard says no, each group
+    ending by the next tick.  ``_batch`` runs ``k`` such ticks in one step:
+    each negotiates through ``_negotiate`` with the same draws, and energy
+    and role seconds are booked once.  Three bounds on ``k`` keep every
+    outcome decided before the batch starts, the lookahead of conservative
+    simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  It stops a period
+    short of the horizon.  A period drains a device by at most ``worst =
+    idle * period + (top - idle) * group_duration``, ``top`` the owner
+    rate, so tick ``i`` finds at least ``left - i * worst``, ``left`` the
+    lower charge at the first, and all ``(left - top * group_duration) //
+    worst + 1`` ticks fund a whole group at ``top``: no death falls before
+    the last group ends.  And it takes only ticks before a learner's
+    standing no lapses at ``until`` (below; the horizon for a device that
+    does not learn), so no batch starts without a record or under a yes.
+    That no ends by the next midnight, so a learner's batch lies in one day
+    and nothing reads its profile during it: ``_negotiate`` treats it as
+    not learning, and one tally books its negotiations and the time of
+    every group but the last, which stays open and is closed like any
+    other.  The deaths ``_set_role`` books from that end may fall before
+    the next tick, and the loop resolves them as before.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
     The guard runs only where its answer can change.  Round one, the only
@@ -453,6 +463,8 @@ class _Simulator:
             if not peer.alive and dev.peers is None:
                 # a pair's survivor that does not learn (class docstring)
                 dev.skips_busy += len(self._decided_ticks(dev, t))
+                return
+            if dev.peers is None and peer.schedule is None and self._batch(t, dev, peer):
                 return
         else:
             # what randrange(n) draws, from the same bits, without its wrapper
@@ -613,27 +625,53 @@ class _Simulator:
             self.heap.append((nxt, self.seq, dev))
         return ticks
 
-    def _pair_batches(self) -> None:
-        """Run a pair's sessions in batches no death or horizon can reach."""
-        ((t, seq, dev),) = self.heap
-        peer = self.devices[1 - dev.index]
+    def _batch(self, t: int, dev: _Device, peer: _Device) -> bool:
+        """Run the sessions of ``dev``'s ticks from ``t`` on in one batch
+        (class docstring), or return False when no batch can start at ``t``.
+        ``peer``, alive and without a schedule, is ``dev``'s one partner."""
+        peers, until = peer.peers, self.horizon
+        if peers is not None:
+            rec = peers.get(dev.id)
+            if rec is None or rec.verdict or t >= rec.until:
+                return False
+            until = rec.until
         period, duration = dev.schedule.period, dev.schedule.group_duration
         idle, top = _RATES[_IDLE], _RATES[_GO]
         worst = idle * period + (top - idle) * duration   # the most one period drains
-        while True:
-            left = min(d.capacity - idle * t - d.spent for d in self.devices)
-            k = min((self.horizon - 1 - t) // period, (left - top * duration) // worst + 1)
-            if k <= 0:
-                break
-            owners = [self._negotiate(tick, dev, peer) for tick in range(t, t + k * period, period)]
-            for member, partner in ((dev, peer), (peer, dev)):
-                for role, n in ((_GO, owners.count(member)), (_CLIENT, owners.count(partner))):
-                    member.role_seconds[role] += n * duration
-                    member.spent += (_RATES[role] - idle) * n * duration
-            t += k * period
-            for member in self.devices:   # idle from the last group's end
-                self._set_role(member, t - period + duration, _IDLE, t - period + duration)
-        self.heap[0] = (t, seq, dev)
+        left = min(d.capacity - idle * t - d.spent for d in self.devices)
+        k = min((self.horizon - 1 - t) // period, -((t - until) // period),
+                (left - top * duration) // worst + 1)
+        if k <= 0:
+            return False
+        # the guard can only say no until ``until``: the batch negotiates as
+        # if ``peer`` did not learn, and books its records as one tally after
+        negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
+        peer.peers = None
+        owners = [self._negotiate(tick, dev, peer) for tick in range(t, t + k * period, period)]
+        peer.peers = peers
+        for member, partner in ((dev, peer), (peer, dev)):
+            for role, n in ((_GO, owners.count(member)), (_CLIENT, owners.count(partner))):
+                member.role_seconds[role] += n * duration
+                member.spent += (_RATES[role] - idle) * n * duration
+        last = t + (k - 1) * period
+        for member in self.devices:   # idle from the last group's end
+            self._set_role(member, last + duration, _IDLE, last + duration)
+        owner = owners.pop()
+        if owner is not None:
+            # the last group stays open, to be closed and booked as any other
+            member = peer if owner is dev else dev
+            owner.group = member.group = _Group(owner, member, last, last + duration)
+        if peers is not None:
+            # the tick that set ``until`` negotiated today, so the window
+            # is not empty and the pair's age runs on
+            day = t // SECONDS_PER_DAY
+            rec.record_negotiation(day, peer.go_wins - wins, peer.peer_quits_observed - quits,
+                                   peer.negotiations - negotiations)
+            rec.record_group_time(day, owners.count(peer) * duration,
+                                  (len(owners) - owners.count(None)) * duration)
+        # the heap holds only ``dev``'s next tick, pushed by ``_tick``
+        self.heap[0] = (last + period, self.seq, dev)
+        return True
 
     def run(self) -> SimResult:
         for dev in self.devices:
@@ -647,8 +685,6 @@ class _Simulator:
                 if phase < self.horizon:
                     self.seq += 1
                     heapq.heappush(self.heap, (phase, self.seq, dev))
-        if len(self.heap) == 1 and len(self.devices) == 2 and all(d.peers is None for d in self.devices):
-            self._pair_batches()   # a pair with one ticker and no guard (class docstring)
         heap = self.heap
         pop = heapq.heappop
         while True:

@@ -11,7 +11,9 @@ finished early.
 
 Only the public types of ``wfdsim.simulation`` and ``wfdsim.learning`` are
 reused, not the loop, so a run here and a run of ``run`` with the session
-log on must give the same ``SimResult.to_json()`` for equal inputs.
+log on must give the same ``SimResult.to_json()`` for equal inputs.  After
+a run, each device's ``profiles`` and ``pair_start`` hold the records a
+learning device of ``run`` must end with.
 """
 
 import heapq
@@ -293,8 +295,3 @@ class ReferenceSimulator:
             ))
         return SimResult(seed=self.seed, horizon_seconds=self.horizon, devices=tuple(stats),
                          sessions=tuple(self.sessions))
-
-
-def reference_run(devices, horizon, seed):
-    """What ``run(devices, horizon, seed, log_sessions=True)`` must return."""
-    return ReferenceSimulator(devices, horizon, seed).run()

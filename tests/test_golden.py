@@ -17,7 +17,9 @@ pins cover the sweep plumbing and the CSV format (presets of the same
 shape share a pin).  A second set of preset pins runs each preset at its
 own 400-day horizon on a slice small enough to be quick, where every
 victim depletes, so the pins also tell the presets' populations,
-schedules and attacks apart.
+schedules and attacks apart.  Those slices field no learning victim in a
+pair, so a third set pins the full ``to_json()`` of five 400-day pair
+cells whose victim learns, one run each at seed 0.
 The run pins cover behaviour.  A change meant to alter results updates
 the pins in the same commit and says why in CHANGES.md.
 """
@@ -27,7 +29,7 @@ import hashlib
 
 import pytest
 
-from wfdsim.cli import PRESET_NAMES, emit_csv, preset, run_experiment
+from wfdsim.cli import PRESET_NAMES, build_devices, emit_csv, preset, run_experiment
 from wfdsim.learning import SECONDS_PER_DAY
 from wfdsim.simulation import (
     AttackProfile,
@@ -181,6 +183,17 @@ DEPLETION_SLICES = {
     "attacker_ratio_10": dict(seeds=2),
 }
 
+# (preset, grid value, mode) -> digest of the cell's run at seed 0: L and
+# LC where the victim owns most groups (0.2) and where it owns all it can
+# (1.0), and LC under an attacker that quits as owner (0.2)
+LEARNING_PAIR_DIGESTS = {
+    ("var_tbb_strength", 0.2, "L"): "62718067e12d073e54d973f2cd05ccb2139fc0d408206fcf02133d48ad3825ff",
+    ("var_tbb_strength", 0.2, "LC"): "4704a05e60a934cbdab15f63da4b5d7c3bb2e3a42a4d24fd1266ddef9975d537",
+    ("var_tbb_strength", 1.0, "L"): "20b052c1c7e9dc6acaa03f8de8463b94bac8c3da6d97ea747813f65fde5ce487",
+    ("var_tbb_strength", 1.0, "LC"): "bc9829ee2e3b6763ee3211abbcdb8bba54aa1b7459903f34bbaed2d6d7238678",
+    ("var_r_strength", 0.2, "LC"): "691f5604d014692adad08f2e6fbeab39cbd9d47776e66d23c224a1f662b5794a",
+}
+
 DEPLETION_DIGESTS = {
     "var_tbb_strength": "27d3b965ee4aee4b60035c9daa6bbe8756769b1bfaf995870d26c8f4a5050bd4",
     "var_r_strength": "6c15df89242864dc3a0db99e08384cf21046b9f8def8912d4a9e8868053771c9",
@@ -247,6 +260,14 @@ def test_survivors_outlive_their_peers():
     learner = run(LEARNING_SURVIVOR, horizon=6 * DAY, seed=12, log_sessions=True)
     last_death = max(learner.device(i).depletion_day for i in ("attacker", "bystander")) * DAY
     assert any(t > last_death and kind == "avoided" for t, kind, *_ in learner.sessions)
+
+
+@pytest.mark.parametrize("name, value, mode", sorted(LEARNING_PAIR_DIGESTS))
+def test_learning_pair_cell_digest(name, value, mode):
+    cfg = preset(name)
+    result = run(build_devices(cfg, DefenseMode(mode), value), cfg.horizon_days * DAY, 0)
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == LEARNING_PAIR_DIGESTS[name, value, mode]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

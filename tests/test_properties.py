@@ -9,11 +9,13 @@ to four devices on hour-scale schedules, one of them learning, over 31 to
 120 days, so profile buckets expire and flag holds lapse; those runs are
 compared with ``reference_sim`` only, and labelled with
 ``hypothesis.event`` by what the learner's guard went through
-(``--hypothesis-show-statistics`` counts them).  A third draws a pair that
-does not learn, one of them on a schedule, whose batteries last tens to
-thousands of periods, with phases that include 0 and horizons that are
-sometimes a whole number of periods; those runs too are compared with
-``reference_sim`` only.  For every run:
+(``--hypothesis-show-statistics`` counts them).  A third draws a pair with
+one device on a schedule, whose batteries last tens to thousands of
+periods, with phases that include 0 and horizons that are sometimes a
+whole number of periods: either neither device learns, or the one without
+a schedule does, on schedules of a minute to 12 hours and horizons of up
+to 200 days.  Those runs too are compared with ``reference_sim`` only.
+For every run:
 
 * every device's energy books balance (``energy_conserved``);
 * a device's role seconds cover the horizon, or the whole seconds it lived;
@@ -30,12 +32,15 @@ sometimes a whole number of periods; those runs too are compared with
   event loop that settles energy at every role change.  ``run`` books a
   group's energy when the group starts and derives idle seconds and the
   remaining charge from that ledger, so the first two points hold there
-  by construction; this comparison is the independent check of its books.
+  by construction; this comparison is the independent check of its books;
+* every learning device ends with the reference's records of its peers:
+  the same window buckets, and the same instant its pair's age started.
 
 Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
 of the retained buckets, a roll to the current day changes nothing and a
-roll back in time raises ``ClockRegression``.
+roll back in time raises ``ClockRegression``.  A day's records booked as
+one tally leave the same window as the records booked one by one.
 
 The codecs take generated vendor IEs, attribute lists and commitment
 openings, which decode back to themselves, and arbitrary or damaged bytes,
@@ -71,9 +76,10 @@ from wfdsim.simulation import (  # noqa: E402
     Schedule,
     energy_conserved,
     run,
+    _Simulator,
 )
 
-from reference_sim import reference_run  # noqa: E402
+from reference_sim import ReferenceSimulator  # noqa: E402
 
 attacks = st.none() | st.builds(
     AttackProfile,
@@ -110,6 +116,10 @@ def scenarios(draw):
     return devices, horizon, draw(st.integers(0, 2**32))
 
 
+PLAIN = (DefenseMode.STANDARD, DefenseMode.COMMITMENT)
+LEARNING = (DefenseMode.LEARNING, DefenseMode.LEARNING_COMMITMENT)
+
+
 @st.composite
 def long_scenarios(draw):
     """(devices, horizon, seed) for one run of 31 to 120 days:
@@ -117,7 +127,7 @@ def long_scenarios(draw):
     learning, so profile buckets expire and flag holds can lapse."""
     horizon = draw(st.integers(31 * SECONDS_PER_DAY, 120 * SECONDS_PER_DAY))
     periods = schedules(12 * 3600, min_period=3600)
-    learning = st.sampled_from((DefenseMode.LEARNING, DefenseMode.LEARNING_COMMITMENT))
+    learning = st.sampled_from(LEARNING)
     devices = []
     for i in range(draw(st.integers(2, 4))):
         schedule = draw(periods if i == 0 else st.none() | periods)
@@ -129,23 +139,26 @@ def long_scenarios(draw):
 
 
 @st.composite
-def pair_scenarios(draw):
-    """(devices, horizon, seed) for a pair that does not learn, one of
-    them on a schedule: each battery lasts tens to thousands of the most
-    draining periods, phases include 0, and the horizon is sometimes a
-    whole number of periods."""
-    schedule = draw(schedules(900))
+def pair_scenarios(draw, listener=PLAIN, periods=schedules(900), ticks=4000, days=None):
+    """(devices, horizon, seed) for a pair with one device on a schedule,
+    which does not learn, and one without, whose mode is drawn from
+    ``listener``: each battery lasts tens to thousands of the most
+    draining periods, phases include 0, and the horizon, at most ``ticks``
+    periods and ``days`` days, is sometimes a whole number of periods."""
+    schedule = draw(periods)
     period = schedule.period
     # a period spent idle but for one group owned, at 1 and 11 units a second
     worst = period + 10 * schedule.group_duration
     ticker = draw(st.integers(0, 1))
     devices = [DeviceConfig(
-        f"d{i}", defense=draw(st.sampled_from((DefenseMode.STANDARD, DefenseMode.COMMITMENT))),
+        f"d{i}", defense=draw(st.sampled_from(PLAIN if i == ticker else listener)),
         schedule=schedule if i == ticker else None, attack=draw(attacks),
         battery_capacity=draw(st.integers(10 * worst, 3000 * worst)),
         phase=draw(st.just(0) | st.none() | st.integers(0, period - 1)) if i == ticker else None)
         for i in range(2)]
-    horizon = draw(st.integers(1, 4000).map(lambda n: n * period) | st.integers(1, 4000 * period))
+    horizon = draw(st.integers(1, ticks).map(lambda n: n * period) | st.integers(1, ticks * period))
+    if days is not None:
+        horizon = min(horizon, days * SECONDS_PER_DAY)
     return devices, horizon, draw(st.integers(0, 2**32))
 
 
@@ -319,9 +332,32 @@ PAIR_HORIZON_ON_A_TICK = headline_pair(DEFAULT_CAPACITY, 50 * 360)
 
 
 def assert_matches_reference(scenario):
+    """A logged run gives the ``to_json()`` of ``reference_sim``, and each
+    learning device ends with the same records: every window bucket, and
+    the instant its pair's age last started."""
     devices, horizon, seed = scenario
-    result = run(devices, horizon=horizon, seed=seed, log_sessions=True)
-    assert result.to_json() == reference_run(devices, horizon, seed).to_json()
+    sim = _Simulator(devices, horizon, seed, True)
+    result = sim.run()
+    reference = ReferenceSimulator(devices, horizon, seed)
+    assert result.to_json() == reference.run().to_json()
+    # the reference closes each group at its end, ``run`` when something
+    # next touches a member: close the groups nothing touched since
+    for dev in sim.devices:
+        if dev.group is not None:
+            sim._end_group(dev.group)
+    for dev, ref in zip(sim.devices, reference.devices):
+        if dev.peers is None:
+            continue
+        assert dev.peers.keys() == ref.profiles.keys()
+        for peer_id, rec in dev.peers.items():
+            profile = ref.profiles[peer_id]
+            # the reference rolls a window at every guard call, ``run`` only
+            # at a full check: roll both to the later day
+            day = max(rec.current_day, profile.current_day)
+            rec.roll_to(day)
+            profile.roll_to(day)
+            assert rec.buckets() == profile.buckets(), (dev.id, peer_id)
+            assert rec.since == ref.pair_start[peer_id], (dev.id, peer_id)
     return result
 
 
@@ -389,9 +425,27 @@ def test_run_matches_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 
 
+# Three learners and a quitting attacker over 101 days, where the day on
+# which a group's time is booked shows: a learner books it on the day the
+# group ends.  Booked on the day it started, a group that spans midnight
+# moves ``d2``'s window by a day, and ``d2`` avoids 1,081 initiations
+# instead of 1,077.
+GROUP_TIME_ON_ITS_END_DAY = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING, schedule=Schedule(21600, 21071),
+                  battery_capacity=10**7),
+     DeviceConfig("d1", schedule=Schedule(7200, 3427),
+                  attack=AttackProfile(tbb_strength=0.6, r_strength=0.5),
+                  battery_capacity=3 * 10**7),
+     DeviceConfig("d2", defense=DefenseMode.LEARNING, schedule=Schedule(3600, 2606),
+                  battery_capacity=10**7),
+     DeviceConfig("d3", defense=DefenseMode.LEARNING, schedule=Schedule(43200, 20717))],
+    101 * SECONDS_PER_DAY, 17)
+
+
 # a fixed 40 runs of up to 120 days, each against the reference: about 2 s
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(long_scenarios())
+@example(GROUP_TIME_ON_ITS_END_DAY)
 def test_long_runs_match_the_reference_simulator(scenario):
     result = assert_matches_reference(scenario)
     for name in sorted(learner_events(scenario[0], scenario[1], result)):
@@ -403,6 +457,52 @@ def test_long_runs_match_the_reference_simulator(scenario):
 @example(PAIR_DEATH_ON_A_TICK)
 @example(PAIR_HORIZON_ON_A_TICK)
 def test_pairs_that_do_not_learn_match_the_reference_simulator(scenario):
+    assert_matches_reference(scenario)
+
+
+# Learning pairs where a batch of the ticker's sessions meets an edge of
+# the learner's standing no.  The ticker's tick at midnight, where the no
+# ends with the day, ends a batch: booked with the day before, it would move
+# the learner's window.  A batch ends on a tick at an ``until`` that the
+# slack rule set before midnight.  A batch's last group spans midnight,
+# and is booked on the day it ends.  And the learner's first refusal is a
+# decline as owner in round 2, with no refusal at a tick before it: its yes
+# stands at the next tick, where no batch may start.
+BATCH_TO_MIDNIGHT = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING,
+                  attack=AttackProfile(r_strength=0.9, retry_cap=1)),
+     DeviceConfig("d1", schedule=Schedule(3600, 3600), phase=0,
+                  attack=AttackProfile(r_strength=0.5, retry_cap=2))],
+    298800, 0)
+BATCH_TO_UNTIL = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING,
+                  attack=AttackProfile(r_strength=0.5, retry_cap=1), battery_capacity=148903),
+     DeviceConfig("d1", schedule=Schedule(60, 34), phase=0, battery_capacity=793131)],
+    19740, 1)
+LAST_GROUP_PAST_MIDNIGHT = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING_COMMITMENT),
+     DeviceConfig("d1", defense=DefenseMode.COMMITMENT, schedule=Schedule(2514, 2514), phase=0,
+                  attack=AttackProfile(tbb_strength=1.0, r_strength=0.1, retry_cap=0))],
+    95532, 0)
+FIRST_FLAG_IN_ROUND_TWO = (
+    [DeviceConfig("d0", defense=DefenseMode.LEARNING_COMMITMENT,
+                  attack=AttackProfile(r_strength=0.8, retry_cap=2)),
+     DeviceConfig("d1", schedule=Schedule(3600, 3514), phase=0,
+                  attack=AttackProfile(tbb_strength=0.6, r_strength=1.0, retry_cap=3),
+                  battery_capacity=640635)],
+    392400, 51)
+
+
+# periods of a minute to 12 hours, so that over 864 s a horizon of 3,000
+# periods passes the 30-day window
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pair_scenarios(listener=LEARNING, periods=schedules(12 * 3600, min_period=60),
+                      ticks=3000, days=200))
+@example(BATCH_TO_MIDNIGHT)
+@example(BATCH_TO_UNTIL)
+@example(LAST_GROUP_PAST_MIDNIGHT)
+@example(FIRST_FLAG_IN_ROUND_TWO)
+def test_learning_pairs_match_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 
 
@@ -476,6 +576,52 @@ def test_peer_profile_window(steps):
 
         profile.roll_to(day)
         assert window(profile) == (buckets, totals)
+
+
+def replay(profile, steps):
+    """Feed ``profile`` the records and rolls of ``profile_steps``."""
+    for kind, *args in steps:
+        day = profile.current_day + args[0]
+        if kind == "negotiation":
+            profile.record_negotiation(day, *args[1:])
+        elif kind == "group_time":
+            profile.record_group_time(day, *args[1])
+        elif kind == "roll":
+            profile.roll_to(day)
+
+
+# one day's records, as a batch makes them: a negotiation first, then
+# negotiations and the time of groups between them
+negotiation_records = st.tuples(st.just("negotiation"), st.booleans(), st.booleans())
+day_records = st.builds(lambda first, rest: [first, *rest], negotiation_records, st.lists(
+    negotiation_records | st.tuples(st.just("group_time"), st.integers(0, 3600).flatmap(
+        lambda comm: st.tuples(st.integers(0, comm), st.just(comm)))),
+    max_size=39))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(profile_steps, day_steps, day_records)
+def test_one_tally_books_a_day_of_records(history, gap, records):
+    """A batch books a day's records as one tally: two calls whose counts
+    are their sums.  It leaves the same window and totals as the records
+    fed one by one.  (The pair's age is compared with the reference
+    simulator's, by ``assert_matches_reference``.)"""
+    by_record, tally = PeerProfile("peer"), PeerProfile("peer")
+    replay(by_record, history)
+    replay(tally, history)
+    day = by_record.current_day + gap
+    for kind, *args in records:
+        if kind == "negotiation":
+            by_record.record_negotiation(day, *args)
+        else:
+            by_record.record_group_time(day, *args[0])
+    rounds = [args for kind, *args in records if kind == "negotiation"]
+    times = [args[0] for kind, *args in records if kind == "group_time"]
+    tally.record_negotiation(day, sum(won for won, _ in rounds), sum(quit for _, quit in rounds),
+                             len(rounds))
+    tally.record_group_time(day, sum(own for own, _ in times), sum(comm for _, comm in times))
+    assert tally.current_day == by_record.current_day == day
+    assert window(tally) == window(by_record)
 
 
 # codecs: generated valid frames round-trip; any bytes decode and re-encode

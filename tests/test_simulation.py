@@ -445,8 +445,8 @@ class TestDecidedTicks:
     """Runs of ticks that are decided before they happen, taken in one step:
     the ticks of a pair's survivor that does not learn, from its first tick
     past its partner's death, a refusal storm, and the sessions of a pair
-    that does not learn, taken in batches.  These steps only save work and
-    change no result, so these tests count the work: the calls of
+    whose ticker does not learn, taken in batches.  These steps only save
+    work and change no result, so these tests count the work: the calls of
     ``_tick``, ``_refuse`` and ``_session`` on one run."""
 
     def traced_run(self, devices, horizon, seed):
@@ -494,6 +494,14 @@ class TestDecidedTicks:
         # the headline pair: all but a few of its sessions run in batches
         assert result.device("victim").negotiations == 32850
         assert len(ticks) < 100 and len(sessions) < 100
+
+    def test_learning_pair_sessions_are_batched(self):
+        pair = two_device_configs(DefenseMode.LEARNING_COMMITMENT)
+        result, ticks, _, sessions = self.traced_run(pair, days(400), 0)
+        # the LC victim's guard says no until midnight at its first check of
+        # a day, and a batch takes that day's later ticks
+        assert result.device("victim").negotiations == 45690
+        assert len(ticks) < 1000 and len(sessions) < 500
 
 
 class TestPrematureQuits:

@@ -50,6 +50,8 @@ QUIET_LINE = ("rec.verdict, rec.until = False, "
               "min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)")
 ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
 PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_reference_simulator"
+LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
+LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simulator"
 
 MUTANTS = (
     # the guard's standing verdict
@@ -100,8 +102,22 @@ MUTANTS = (
     Mutant("pair_batch_one_tick_long", SIM,
            "(left - top * duration) // worst + 1)", "(left - top * duration) // worst + 2)",
            (PAIR_ORACLE,)),
-    Mutant("no_pair_batch", SIM, "if len(self.heap) == 1 and", "if False and len(self.heap) == 1 and",
-           (f"{DECIDED}pair_sessions_are_batched",)),
+    Mutant("no_pair_batch", SIM, "if dev.peers is None and peer.schedule is None and self._batch(",
+           "if False and dev.peers is None and peer.schedule is None and self._batch(",
+           (f"{DECIDED}pair_sessions_are_batched", f"{DECIDED}learning_pair_sessions_are_batched")),
+    Mutant("batch_until_one_tick_long", SIM,
+           "-((t - until) // period),", "-((t - until) // period) + 1,", (LEARNING_PAIR_ORACLE,)),
+    Mutant("batch_under_a_standing_yes", SIM,
+           "if rec is None or rec.verdict or t >= rec.until:", "if rec is None or t >= rec.until:",
+           (LEARNING_PAIR_ORACLE,)),
+    Mutant("last_group_also_in_the_tally", SIM, "owner = owners.pop()", "owner = owners[-1]",
+           (LEARNING_PAIR_ORACLE,)),
+    Mutant("learner_records_each_round_of_a_batch", SIM, "        peer.peers = None\n", "",
+           (LEARNING_PAIR_ORACLE,)),
+    # the day on which a learner books a group's time
+    Mutant("group_time_on_its_start_day", SIM,
+           "day = group.end // SECONDS_PER_DAY", "day = group.start // SECONDS_PER_DAY",
+           (LONG_ORACLE,)),
     # the order of two deaths in one second
     Mutant("client_before_owner_on_a_tie", SIM,
            "                if group is not None and dev is group.client and group.go.die_at == t:\n"
