@@ -214,7 +214,14 @@ class PeerProfile:
     def record_negotiation(self, day: int, self_was_go: int, peer_quit_prematurely: int,
                            negotiations: int = 1) -> None:
         """Record ``negotiations`` on ``day``; the two flags add as counts,
-        of those this device won and those the peer quit."""
+        of those this device won and those the peer quit.  A peer quits only
+        a round this device did not win: a tally of no negotiation, with a
+        negative count, or whose counts add up past ``negotiations`` raises
+        ``ValueError`` before anything is recorded."""
+        if not (negotiations >= 1 and self_was_go >= 0 and peer_quit_prematurely >= 0
+                and self_was_go + peer_quit_prematurely <= negotiations):
+            raise ValueError(f"not a tally of {negotiations} negotiation(s): "
+                             f"{self_was_go} won, {peer_quit_prematurely} quit")
         bucket = self._bucket_for(day)
         bucket.negotiations += negotiations
         self.negotiations += negotiations

@@ -7,7 +7,8 @@ owner 11 units/second) from a battery sized to last 365 idle days.  The
 run is driven by a single seeded RNG, a heap of schedule ticks and the
 death instant each device has booked; a pair whose one ticker does not
 learn takes its ticks in batches up to the first instant at which a death,
-the horizon or the other device's guard could change an outcome.  At one
+the horizon or the other device's guard could change an outcome, each
+session of a batch drawing what it would draw on its own.  At one
 instant deaths resolve before ticks, and a group's owner before its
 client.  A group ends at its scheduled end without an event of its own.
 Equal configuration and seed reproduce the result byte for byte.
@@ -343,24 +344,25 @@ class _Simulator:
     A pair whose one ticker does not learn has a session at every tick
     while both live and the other device's guard says no, each group
     ending by the next tick.  ``_batch`` runs ``k`` such ticks in one step:
-    each negotiates through ``_negotiate`` with the same draws, and energy
-    and role seconds are booked once.  Three bounds on ``k`` keep every
-    outcome decided before the batch starts, the lookahead of conservative
-    simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  It stops a period
-    short of the horizon.  A period drains a device by at most ``worst =
-    idle * period + (top - idle) * group_duration``, ``top`` the owner
-    rate, so tick ``i`` finds at least ``left - i * worst``, ``left`` the
-    lower charge at the first, and all ``(left - top * group_duration) //
-    worst + 1`` ticks fund a whole group at ``top``: no death falls before
-    the last group ends.  And it takes only ticks before a learner's
-    standing no lapses at ``until`` (below; the horizon for a device that
-    does not learn), so no batch starts without a record or under a yes.
-    That no ends by the next midnight, so a learner's batch lies in one day
-    and nothing reads its profile during it: ``_negotiate`` treats it as
-    not learning, and one tally books its negotiations and the time of
-    every group but the last, which stays open and is closed like any
-    other.  The deaths ``_set_role`` books from that end may fall before
-    the next tick, and the loop resolves them as before.
+    ``_negotiate_batch`` negotiates them in one loop that draws the same
+    numbers in the same order as ``k`` calls of ``_negotiate`` and counts
+    and logs alike; energy and role seconds are booked once.  Three
+    bounds on ``k`` keep every outcome decided before the batch starts, the
+    lookahead of conservative simulation (Chandy and Misra, IEEE TSE 5(5),
+    1979).  It stops a period short of the horizon.  A period drains a
+    device by at most ``worst = idle * period + (top - idle) *
+    group_duration``, ``top`` the owner rate, so tick ``i`` finds at least
+    ``left - i * worst``, ``left`` the lower charge at the first, and all
+    ``(left - top * group_duration) // worst + 1`` ticks fund a whole group
+    at ``top``: no death falls before the last group ends.  And it takes
+    only ticks before a learner's standing no lapses at ``until`` (below;
+    the horizon for a device that does not learn), so no batch starts
+    without a record or under a yes.  That no ends by the next midnight, so
+    a learner's batch lies in one day and nothing reads its profile during
+    it: the loop reads no guard, and one tally books its negotiations and
+    the time of every group but the last, which stays open and is closed
+    like any other.  The deaths ``_set_role`` books from that end may fall
+    before the next tick, and the loop resolves them as before.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
     The guard runs only where its answer can change.  Round one, the only
@@ -569,6 +571,54 @@ class _Simulator:
                 self.sessions.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
             return owner
 
+    def _negotiate_batch(self, ticks: range, initiator: _Device,
+                         responder: _Device) -> tuple[int, int, _Device | None]:
+        """Negotiate the sessions ``initiator`` starts at ``ticks`` as ``_negotiate``
+        would, but reading no guard (class docstring).  Returns the groups
+        ``initiator`` and ``responder`` owned, and the last session's owner or None."""
+        random, getrandbits = self.rng.random, self.rng.getrandbits
+        committed = initiator.uses_commitment or responder.uses_commitment
+        log, ids = self.sessions, (initiator.id, responder.id)
+        # the owner each tie bit makes, and its chance of quitting as owner;
+        # each party's chance of forcing its declared bit, None for a fair bit
+        parties = (responder, initiator)
+        chances = [0.0 if p.attack is None else p.attack.r_strength for p in parties]
+        init_force, resp_force = (None if p.attack is None else p.attack.tbb_strength
+                                  for p in (initiator, responder))
+        walked, groups, owner = [0, 0], [0, 0], None   # by tie bit: rounds quit, groups owned
+        for t in ticks:
+            quits = 0
+            while True:
+                # ``attacker_choose_tbb`` for an attacker, a fair bit otherwise
+                bit = getrandbits(1) if init_force is None or random() >= init_force else 0
+                if committed:
+                    bit ^= getrandbits(1) if resp_force is None or random() >= resp_force else 0
+                chance = chances[bit]
+                if chance > 0.0 and random() < chance:
+                    quits += 1
+                    walked[bit] += 1
+                    if quits <= parties[bit].attack.retry_cap:
+                        continue
+                    owner = None
+                    if log is not None:
+                        log.append((t, "exhausted", *ids, "", quits, quits))
+                else:
+                    groups[bit] += 1
+                    owner = parties[bit]
+                    if log is not None:
+                        log.append((t, "group", *ids, owner.id, quits + 1, quits))
+                break
+        # a round ends in a quit or a group, and a session in a group unless exhausted
+        rounds = sum(walked) + sum(groups)
+        for bit, dev in enumerate(parties):
+            dev.tie_rounds += rounds
+            dev.negotiations += rounds
+            dev.go_assignments += walked[bit] + groups[bit]
+            dev.go_wins += walked[bit] + groups[bit]
+            dev.peer_quits_observed += walked[1 - bit]
+        initiator.sessions_exhausted += len(ticks) - sum(groups)
+        return groups[1], groups[0], owner
+
     def _end_group(self, group: _Group) -> None:
         """Close ``group``: clear its members' group pointers and give
         learning members its group time, recorded on the day of its ``end``."""
@@ -643,20 +693,18 @@ class _Simulator:
                 (left - top * duration) // worst + 1)
         if k <= 0:
             return False
-        # the guard can only say no until ``until``: the batch negotiates as
-        # if ``peer`` did not learn, and books its records as one tally after
+        # the guard can only say no until ``until``: the batch reads no guard,
+        # and books the learner's records as one tally after
         negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
-        peer.peers = None
-        owners = [self._negotiate(tick, dev, peer) for tick in range(t, t + k * period, period)]
-        peer.peers = peers
-        for member, partner in ((dev, peer), (peer, dev)):
-            for role, n in ((_GO, owners.count(member)), (_CLIENT, owners.count(partner))):
+        dev_groups, peer_groups, owner = self._negotiate_batch(
+            range(t, t + k * period, period), dev, peer)
+        for member, go, client in ((dev, dev_groups, peer_groups), (peer, peer_groups, dev_groups)):
+            for role, n in ((_GO, go), (_CLIENT, client)):
                 member.role_seconds[role] += n * duration
                 member.spent += (_RATES[role] - idle) * n * duration
         last = t + (k - 1) * period
         for member in self.devices:   # idle from the last group's end
             self._set_role(member, last + duration, _IDLE, last + duration)
-        owner = owners.pop()
         if owner is not None:
             # the last group stays open, to be closed and booked as any other
             member = peer if owner is dev else dev
@@ -667,8 +715,8 @@ class _Simulator:
             day = t // SECONDS_PER_DAY
             rec.record_negotiation(day, peer.go_wins - wins, peer.peer_quits_observed - quits,
                                    peer.negotiations - negotiations)
-            rec.record_group_time(day, owners.count(peer) * duration,
-                                  (len(owners) - owners.count(None)) * duration)
+            rec.record_group_time(day, (peer_groups - (owner is peer)) * duration,
+                                  (dev_groups + peer_groups - (owner is not None)) * duration)
         # the heap holds only ``dev``'s next tick, pushed by ``_tick``
         self.heap[0] = (last + period, self.seq, dev)
         return True

@@ -231,6 +231,21 @@ class TestPeerProfileWindow:
                 [getattr(p, name) for name in ("negotiations", "self_go_wins", "peer_premature_quits",
                                                "self_go_seconds", "comm_seconds")])
 
+    @pytest.mark.parametrize("won,quit_,n", [
+        (0, 0, 0), (0, 0, -1),             # no negotiation to record
+        (-1, 1, 2), (1, -1, 2),            # a negative count
+        (True, True, 1), (2, 2, 3),        # a quit of a round this device won
+    ])
+    def test_bad_tallies_leave_profile_unchanged(self, won, quit_, n):
+        p = PeerProfile("peer")
+        p.record_negotiation(1, True, False)
+        before = self.snapshot(p)
+        with pytest.raises(ValueError, match="not a tally"):
+            p.record_negotiation(WINDOW_DAYS + 5, won, quit_, n)
+        assert self.snapshot(p) == before
+        p.record_negotiation(1, 2, 1, 3)   # every round either won or quit
+        assert (p.negotiations, p.self_go_wins, p.peer_premature_quits) == (4, 3, 1)
+
     @pytest.mark.parametrize("go_s,comm_s", [(-1, 10), (0, -1), (-5, -1), (20, 10)])
     def test_rejected_durations_leave_profile_unchanged(self, go_s, comm_s):
         # validation runs before the clock rolls or a bucket is opened
@@ -243,7 +258,7 @@ class TestPeerProfileWindow:
         assert self.snapshot(p) == before
 
     @pytest.mark.parametrize("record", [
-        lambda p, day: p.record_negotiation(day, True, True),
+        lambda p, day: p.record_negotiation(day, False, True),
         lambda p, day: p.record_group_time(day, 10, 20),
     ], ids=["negotiation", "group_time"])
     def test_records_for_an_earlier_day_are_refused(self, record):
@@ -265,7 +280,7 @@ class TestPeerProfileWindow:
             day += rng.randrange(3)
             if rng.random() < 0.7:
                 go = rng.random() < 0.6
-                quit_ = rng.random() < 0.2
+                quit_ = rng.random() < 0.2 and not go   # only a round not won
                 p.record_negotiation(day, go, quit_)
                 ledger.append((day, 1, int(go), int(quit_), 0, 0))
             else:
@@ -331,10 +346,10 @@ class TestAssessment:
         (120, HistoryDepth.AMPLE, True),
     ], ids=lambda v: getattr(v, "name", None))
     def test_same_shares_turn_hostile_with_depth(self, n, depth, hostile):
-        # two wins in three, a quit in four, two thirds of the time as owner
+        # two wins in three, a quit in four, two thirds of the time as owner,
+        # as one tally of the day
         p = PeerProfile("mallory")
-        for i in range(n):
-            p.record_negotiation(1, self_was_go=i % 3 != 0, peer_quit_prematurely=i % 4 == 0)
+        p.record_negotiation(1, n - (n + 2) // 3, (n + 3) // 4, n)
         p.record_group_time(1, 400 * n, 600 * n)
         a = assess(p)
         assert a.features.depth is depth

@@ -36,6 +36,11 @@ For every run:
 * every learning device ends with the reference's records of its peers:
   the same window buckets, and the same instant its pair's age started.
 
+The loop that negotiates a batch of a pair's sessions takes generated
+attack profiles, with and without commitment, and 1 to 200 ticks.  It
+leaves the same owners, device counters, session log and RNG state as one
+``_negotiate`` call per tick.
+
 Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
 of the retained buckets, a roll to the current day changes nothing and a
@@ -71,11 +76,13 @@ from wfdsim.protocol import (  # noqa: E402
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
     DEFAULT_CAPACITY,
+    MINUTE_SCHEDULE,
     DefenseMode,
     DeviceConfig,
     Schedule,
     energy_conserved,
     run,
+    _COUNTS,
     _Simulator,
 )
 
@@ -506,6 +513,29 @@ def test_learning_pairs_match_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(attacks, attacks), st.tuples(st.sampled_from(PLAIN), st.sampled_from(PLAIN)),
+       st.integers(1, 200), st.integers(0, 2**32))
+def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
+    """The loop that negotiates a batch and ``k`` calls of ``_negotiate``,
+    from the same RNG state, leave the same owners, counters, log and RNG
+    state.  This pins the random stream itself; the digests and reference
+    properties pin it only through its effects."""
+    configs = [DeviceConfig("d0", defense=defense[0], schedule=MINUTE_SCHEDULE, attack=attack[0]),
+               DeviceConfig("d1", defense=defense[1], attack=attack[1])]
+    ticks = range(0, k * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period)
+    looped, called = (_Simulator(configs, 1, seed, True) for _ in range(2))
+    *groups, last = looped._negotiate_batch(ticks, *looped.devices)
+    owners = [called._negotiate(t, *called.devices) for t in ticks]
+    assert groups == [owners.count(dev) for dev in called.devices]
+    assert getattr(last, "id", None) == getattr(owners[-1], "id", None)
+    for dev, other in zip(looped.devices, called.devices):
+        assert {name: getattr(dev, name) for name in _COUNTS} == {
+            name: getattr(other, name) for name in _COUNTS}
+    assert looped.sessions == called.sessions
+    assert looped.rng.getstate() == called.rng.getstate()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 @example(EVERY_SESSION_KIND)
@@ -530,8 +560,12 @@ COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits",
 day_steps = (st.sampled_from((0, 1, WINDOW_DAYS - 1, WINDOW_DAYS, WINDOW_DAYS + 1))
              | st.integers(0, 45))
 
+# a negotiation record's flags: won, quit by the peer, or neither (a peer
+# quits only a round this device did not win)
+round_flags = st.sampled_from(((False, False), (True, False), (False, True)))
+
 profile_steps = st.lists(st.one_of(
-    st.tuples(st.just("negotiation"), day_steps, st.booleans(), st.booleans()),
+    st.builds(lambda day, flags: ("negotiation", day, *flags), day_steps, round_flags),
     st.tuples(st.just("group_time"), day_steps,
               st.integers(0, 3600).flatmap(lambda comm: st.tuples(st.integers(0, comm),
                                                                   st.just(comm)))),
@@ -592,7 +626,7 @@ def replay(profile, steps):
 
 # one day's records, as a batch makes them: a negotiation first, then
 # negotiations and the time of groups between them
-negotiation_records = st.tuples(st.just("negotiation"), st.booleans(), st.booleans())
+negotiation_records = round_flags.map(lambda flags: ("negotiation", *flags))
 day_records = st.builds(lambda first, rest: [first, *rest], negotiation_records, st.lists(
     negotiation_records | st.tuples(st.just("group_time"), st.integers(0, 3600).flatmap(
         lambda comm: st.tuples(st.integers(0, comm), st.just(comm)))),

@@ -347,10 +347,10 @@ class TestQuietInstant:
         return sim, *sim.devices
 
     def negotiate(self, victim):
-        # 39 negotiations the victim owned and the attacker quit: hostile
-        # as soon as the owner-time share passes 3/5 by enough for z = 0.4
+        # 39 negotiations the victim owned: hostile as soon as the
+        # owner-time share passes 3/5 by enough for z = 0.4
         for _ in range(39):
-            victim.learn_negotiation("attacker", self.START, True, True)
+            victim.learn_negotiation("attacker", self.START, True, False)
 
     def test_guard_evaluates_when_owner_seconds_can_pass_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
@@ -426,11 +426,11 @@ class TestRefusalStorm:
         flag = refuser.peer("ticker")
         flag.verdict, flag.until = True, self.START + FLAG_HOLD_SECONDS
         # a fair old day, the last of the ticker's window, then 39
-        # negotiations the ticker owned and the refuser quit
+        # negotiations the ticker owned
         record = ticker.peer("refuser")
         record.record_group_time(self.DAY - WINDOW_DAYS + 1, 0, 10000)
         for _ in range(39):
-            ticker.learn_negotiation("refuser", self.START, True, True)
+            ticker.learn_negotiation("refuser", self.START, True, False)
         record.record_group_time(self.DAY, 2000, 2000)   # S = 2000, C = 12000
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
         sim._tick(midnight - 600, ticker)
@@ -502,6 +502,23 @@ class TestDecidedTicks:
         # a day, and a batch takes that day's later ticks
         assert result.device("victim").negotiations == 45690
         assert len(ticks) < 1000 and len(sessions) < 500
+
+    @pytest.mark.parametrize("mode", [DefenseMode.STANDARD, DefenseMode.LEARNING_COMMITMENT],
+                             ids=lambda mode: mode.value)
+    def test_batched_sessions_negotiate_in_one_loop(self, mode):
+        # a batch's sessions are negotiated by its own loop, not one
+        # ``_negotiate`` call each: the headline pairs run tens of thousands
+        sim = _Simulator(two_device_configs(mode), days(400), 0, False)
+        calls = []
+        negotiate = sim._negotiate
+
+        def traced_negotiate(t, initiator, responder):
+            calls.append(t)
+            return negotiate(t, initiator, responder)
+
+        sim._negotiate = traced_negotiate
+        assert sim.run().device("victim").negotiations > 30000
+        assert len(calls) < 1000
 
 
 class TestPrematureQuits:

@@ -52,6 +52,7 @@ ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
 PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_reference_simulator"
 LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
 LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simulator"
+BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
 
 MUTANTS = (
     # the guard's standing verdict
@@ -73,8 +74,10 @@ MUTANTS = (
     Mutant("owner_rechecked_from_round_three", SIM, "if quits and", "if quits > 1 and",
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
     # the negotiation counter
+    # (a pair that does not learn negotiates in the batch loop, so only
+    # populations of three or more devices, or with a learner, reach this one)
     Mutant("retry_cap_one_short", SIM, "quits <= attack.retry_cap", "quits < attack.retry_cap",
-           ("tests/test_simulation.py::TestAttackerDecisions::test_quits_stop_at_retry_cap",)),
+           (ORACLE,)),
     Mutant("group_log_rounds", SIM, '"group", initiator.id, responder.id, owner.id, quits + 1',
            '"group", initiator.id, responder.id, owner.id, quits', (ORACLE, "tests/test_golden.py")),
     # decided runs of ticks
@@ -110,10 +113,26 @@ MUTANTS = (
     Mutant("batch_under_a_standing_yes", SIM,
            "if rec is None or rec.verdict or t >= rec.until:", "if rec is None or t >= rec.until:",
            (LEARNING_PAIR_ORACLE,)),
-    Mutant("last_group_also_in_the_tally", SIM, "owner = owners.pop()", "owner = owners[-1]",
+    Mutant("last_group_also_in_the_tally", SIM,
+           "(peer_groups - (owner is peer)) * duration,\n"
+           "                                  (dev_groups + peer_groups - (owner is not None))",
+           "peer_groups * duration,\n"
+           "                                  (dev_groups + peer_groups)",
            (LEARNING_PAIR_ORACLE,)),
-    Mutant("learner_records_each_round_of_a_batch", SIM, "        peer.peers = None\n", "",
-           (LEARNING_PAIR_ORACLE,)),
+    Mutant("learner_tally_counts_sessions", SIM,
+           "peer.negotiations - negotiations)", "k)", (LEARNING_PAIR_ORACLE,)),
+    # the batch loop's own copy of the round rules
+    Mutant("batch_retry_cap_one_short", SIM,
+           "quits <= parties[bit].attack.retry_cap", "quits < parties[bit].attack.retry_cap",
+           ("tests/test_simulation.py::TestAttackerDecisions::test_quits_stop_at_retry_cap",
+            *BATCH_KILLERS)),
+    Mutant("batch_responder_bit_not_xored", SIM,
+           "bit ^= getrandbits(1) if resp_force", "getrandbits(1) if resp_force", BATCH_KILLERS),
+    Mutant("batch_exhausted_log_rounds", SIM,
+           '"exhausted", *ids, "", quits, quits)', '"exhausted", *ids, "", quits + 1, quits)',
+           BATCH_KILLERS),
+    Mutant("batch_group_to_the_other_owner", SIM,
+           "groups[bit] += 1", "groups[1 - bit] += 1", BATCH_KILLERS),
     # the day on which a learner books a group's time
     Mutant("group_time_on_its_start_day", SIM,
            "day = group.end // SECONDS_PER_DAY", "day = group.start // SECONDS_PER_DAY",
