@@ -305,9 +305,15 @@ class _Device:
 class _Simulator:
     """One seeded run.
 
-    The heap holds only ticks.  Deaths stay off it: each device keeps its
-    ``die_at``, and ``next_death`` is a device with the earliest.  A
-    booking never moves a death later, so ``_set_role`` only compares.
+    The heap holds only ticks.  The tick being taken stays on top until
+    ``_tick`` replaces it with the device's next tick in one
+    ``heapreplace``, or pops it when the device is dead or its next tick
+    reaches the horizon; so ``_decided_ticks`` and ``_batch`` find the
+    ticker's next tick at ``heap[0]``.  Every ``(time, seq)`` key is
+    unique, so ticks leave the heap in the order of their keys alone.
+    Deaths stay off it: each device keeps its ``die_at``, and
+    ``next_death`` is a device with the earliest.  A booking never moves
+    a death later, so ``_set_role`` and ``_start_group`` only compare.
     Only a death moves one later: the dead device's ``die_at`` turns to
     ``inf``, and its partner's refund retimes the partner, so after each
     death the loop looks for the earliest again.  At one instant deaths
@@ -315,10 +321,13 @@ class _Simulator:
     between the two members of one group, and there the owner resolves
     first: its death ends the group and drops the client to the idle rate.
 
-    Energy is booked, not settled per event.  When a group starts,
-    ``_set_role`` books each member's drain beyond the idle rate and its
-    client or owner seconds up to the group's ``end``, and schedules the
-    member's death assuming it turns idle there.  A death before ``end``
+    Energy is booked, not settled per event.  ``_start_group`` opens a
+    group and books both members in one step: each member's drain beyond
+    the idle rate and its client or owner seconds up to the group's
+    ``end``, and its death assuming it turns idle there.  ``next_death``
+    then moves at most once, to the earlier of the two deaths if it comes first.
+    ``_set_role`` books a device idle: at the start of the run, a death's
+    partner and every device after a batch.  A death before ``end``
     cuts the group short: both members give back what was booked past the
     death second, and the partner's death is rescheduled at the idle rate.
     ``_stop`` settles a device's remaining energy and idle seconds at its
@@ -384,8 +393,10 @@ class _Simulator:
         self.horizon = horizon
         self.seed = seed
         self.rng = random.Random(seed)
+        self.getrandbits = self.rng.getrandbits   # bound once: the peer draw runs every tick
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
-        self.peer_bits = (len(configs) - 1).bit_length()
+        self.others = len(configs) - 1   # the devices a tick can pick its peer from
+        self.peer_bits = self.others.bit_length()
         # ticks are ``(time, seq, device)``: ``seq`` is unique, so the
         # device never takes part in a comparison
         self.heap: list[tuple] = []
@@ -393,22 +404,38 @@ class _Simulator:
         self.next_death = self.devices[0]   # no device has booked a death yet
         self.sessions: list[tuple] | None = [] if log_sessions else None
 
-    def _set_role(self, dev: _Device, now: int, role: int, end: int) -> None:
-        """Book ``dev`` in ``role`` from ``now`` until ``end``, idle after
-        it, and set the death instant this implies."""
-        idle, rate = _RATES[_IDLE], _RATES[role]
-        left = dev.capacity - idle * now - dev.spent
-        if left < 0:
+    def _set_role(self, dev: _Device, now: int) -> None:
+        """Book ``dev`` idle from ``now`` on, and set the death instant this implies."""
+        idle = _RATES[_IDLE]
+        if dev.capacity - idle * now - dev.spent < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={now}")
-        dev.spent += (rate - idle) * (end - now)
-        dev.role_seconds[role] += end - now
-        # a death due at ``end`` itself falls after the switch to idle
-        die_at = now + left // rate
-        if die_at >= end:
-            die_at = (dev.capacity - dev.spent) // idle
-        dev.die_at = die_at
+        die_at = dev.die_at = (dev.capacity - dev.spent) // idle
         if die_at < self.next_death.die_at:
             self.next_death = dev
+
+    def _start_group(self, now: int, owner: _Device, member: _Device, end: int) -> None:
+        """Open the group ``owner`` runs for ``member`` from ``now`` until
+        ``end``: book each in its role until ``end`` and idle after it, and
+        set the death instants this implies (class docstring)."""
+        owner.group = member.group = _Group(owner, member, now, end)
+        idle, client, go = _RATES
+        span = end - now
+        owner_left = owner.capacity - idle * now - owner.spent
+        member_left = member.capacity - idle * now - member.spent
+        if owner_left < 0 or member_left < 0:
+            raise RuntimeError(f"{owner.id}, {member.id}: energy went negative at t={now}")
+        owner.spent += (go - idle) * span
+        owner.role_seconds[_GO] += span
+        member.spent += (client - idle) * span
+        member.role_seconds[_CLIENT] += span
+        # a death due at ``end`` itself falls after the switch to idle
+        die_at = now + owner_left // go
+        owner.die_at = die_at if die_at < end else (owner.capacity - owner.spent) // idle
+        die_at = now + member_left // client
+        member.die_at = die_at if die_at < end else (member.capacity - member.spent) // idle
+        first = member if member.die_at < owner.die_at else owner
+        if first.die_at < self.next_death.die_at:
+            self.next_death = first
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
         """Whether ``dev`` currently refuses to deal with ``peer``."""
@@ -418,7 +445,8 @@ class _Simulator:
         if now < rec.until:
             return rec.verdict
         day = now // SECONDS_PER_DAY
-        rec.roll_to(day)
+        if day != rec.current_day:
+            rec.roll_to(day)
         n = rec.negotiations
         # an insufficient history, a young pair, or an owner-time share at
         # or below the fairness threshold rules rejection out whatever the
@@ -441,16 +469,20 @@ class _Simulator:
         # before the quiet instant no check can find 5S > 3C (class docstring)
         slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
         if slack > 0:
-            rec.verdict, rec.until = False, min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)
+            until, midnight = now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY
+            rec.verdict, rec.until = False, until if until < midnight else midnight
         return False
 
     def _tick(self, t: int, dev: _Device) -> None:
-        if not dev.alive:
-            return
+        """Take ``dev``'s tick at ``t``, the top of the heap (class docstring)."""
         nxt = t + dev.schedule.period
-        if nxt < self.horizon:
+        if dev.alive and nxt < self.horizon:
             self.seq += 1
-            heapq.heappush(self.heap, (nxt, self.seq, dev))
+            heapq.heapreplace(self.heap, (nxt, self.seq, dev))
+        else:
+            heapq.heappop(self.heap)
+            if not dev.alive:
+                return
         group = dev.group
         if group is not None:
             if t < group.end:
@@ -459,7 +491,7 @@ class _Simulator:
             self._end_group(group)
         # a uniform pick among the other devices, skipping this one
         devices = self.devices
-        n = len(devices) - 1
+        n = self.others
         if n == 1:
             peer = devices[1 - dev.index]
             if not peer.alive and dev.peers is None:
@@ -470,10 +502,10 @@ class _Simulator:
                 return
         else:
             # what randrange(n) draws, from the same bits, without its wrapper
-            getrandbits = self.rng.getrandbits
-            i = getrandbits(self.peer_bits)
+            getrandbits, bits = self.getrandbits, self.peer_bits
+            i = getrandbits(bits)
             while i >= n:
-                i = getrandbits(self.peer_bits)
+                i = getrandbits(bits)
             peer = devices[i + 1 if i >= dev.index else i]
         if dev.peers is not None and self._rejects(dev, peer, t):
             dev.initiations_avoided += 1
@@ -489,7 +521,11 @@ class _Simulator:
         if peer.peers is not None and self._rejects(peer, dev, t):
             self._refuse(peer, dev, t)
             return
-        self._session(t, dev, peer)
+        owner = self._negotiate(t, dev, peer)
+        if owner is not None:
+            end = t + dev.schedule.group_duration
+            self._start_group(t, owner, peer if owner is dev else dev,
+                              end if end < self.horizon else self.horizon)
 
     def _refuse(self, refuser: _Device, dev: _Device, t: int) -> None:
         """``refuser`` refuses the tick of ``dev`` at ``t``; in a refusal
@@ -506,15 +542,6 @@ class _Simulator:
         refuser.rejections_issued += len(refused)
         if self.sessions is not None:
             self.sessions.extend((r, "rejected", dev.id, refuser.id, "", 0, 0) for r in refused)
-
-    def _session(self, t: int, initiator: _Device, responder: _Device) -> None:
-        owner = self._negotiate(t, initiator, responder)
-        if owner is not None:
-            end = min(t + initiator.schedule.group_duration, self.horizon)
-            member = responder if owner is initiator else initiator
-            owner.group = member.group = _Group(owner, member, t, end)
-            self._set_role(owner, t, _GO, end)
-            self._set_role(member, t, _CLIENT, end)
 
     def _negotiate(self, t: int, initiator: _Device, responder: _Device) -> _Device | None:
         """Negotiate the session ``initiator`` starts at ``t``: its group's owner, or None."""
@@ -647,7 +674,7 @@ class _Simulator:
                     member.spent -= (_RATES[role] - _RATES[_IDLE]) * (group.end - t)
                 rate = _RATES[_GO if dev is group.go else _CLIENT]
                 group.end = t
-                self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)
+                self._set_role(group.client if dev is group.go else group.go, t)
             self._end_group(group)
         dev.alive = False
         dev.die_at = math.inf
@@ -704,7 +731,7 @@ class _Simulator:
                 member.spent += (_RATES[role] - idle) * n * duration
         last = t + (k - 1) * period
         for member in self.devices:   # idle from the last group's end
-            self._set_role(member, last + duration, _IDLE, last + duration)
+            self._set_role(member, last + duration)
         if owner is not None:
             # the last group stays open, to be closed and booked as any other
             member = peer if owner is dev else dev
@@ -717,7 +744,7 @@ class _Simulator:
                                    peer.negotiations - negotiations)
             rec.record_group_time(day, (peer_groups - (owner is peer)) * duration,
                                   (dev_groups + peer_groups - (owner is not None)) * duration)
-        # the heap holds only ``dev``'s next tick, pushed by ``_tick``
+        # the heap holds only ``dev``'s next tick, which ``_tick`` put on top
         self.heap[0] = (last + period, self.seq, dev)
         return True
 
@@ -725,7 +752,7 @@ class _Simulator:
         for dev in self.devices:
             # seed the idle-drain death event so even a silent device
             # depletes on schedule
-            self._set_role(dev, 0, _IDLE, 0)
+            self._set_role(dev, 0)
             if dev.schedule is not None:
                 phase = dev.cfg.phase
                 if phase is None:
@@ -733,14 +760,13 @@ class _Simulator:
                 if phase < self.horizon:
                     self.seq += 1
                     heapq.heappush(self.heap, (phase, self.seq, dev))
-        heap = self.heap
-        pop = heapq.heappop
+        heap, tick = self.heap, self._tick
         while True:
             dev = self.next_death
             t = dev.die_at
             if heap and heap[0][0] < t:
-                t, _seq, dev = pop(heap)
-                self._tick(t, dev)
+                t, _seq, dev = heap[0]   # ``_tick`` replaces or pops it
+                tick(t, dev)
             elif t <= self.horizon:
                 group = dev.group
                 if group is not None and dev is group.client and group.go.die_at == t:

@@ -19,7 +19,11 @@ own 400-day horizon on a slice small enough to be quick, where every
 victim depletes, so the pins also tell the presets' populations,
 schedules and attacks apart.  Those slices field no learning victim in a
 pair, so a third set pins the full ``to_json()`` of five 400-day pair
-cells whose victim learns, one run each at seed 0.
+cells whose victim learns, one run each at seed 0.  A fourth pins the
+logged ``to_json()`` of the 400-day ten-device cells at half attackers
+(S and L, seed 0), where every tick draws a peer and no batch applies:
+the depletion CSV shows only the victim, these every device's counters
+and every session.
 The run pins cover behaviour.  A change meant to alter results updates
 the pins in the same commit and says why in CHANGES.md.
 """
@@ -194,6 +198,12 @@ LEARNING_PAIR_DIGESTS = {
     ("var_r_strength", 0.2, "LC"): "691f5604d014692adad08f2e6fbeab39cbd9d47776e66d23c224a1f662b5794a",
 }
 
+# (preset, grid value, mode) -> digest of the cell's logged run at seed 0
+CROWD_CELL_DIGESTS = {
+    ("attacker_ratio_10", 0.5, "S"): "67bb65dc2c25bb7cb1db5f96769911c08411b95bcda380f24dce6a7e0863508a",
+    ("attacker_ratio_10", 0.5, "L"): "332a7a27fb1051980d474b22183b722cb182d9626d80feb2b6431b1bd68ebeda",
+}
+
 DEPLETION_DIGESTS = {
     "var_tbb_strength": "27d3b965ee4aee4b60035c9daa6bbe8756769b1bfaf995870d26c8f4a5050bd4",
     "var_r_strength": "6c15df89242864dc3a0db99e08384cf21046b9f8def8912d4a9e8868053771c9",
@@ -205,6 +215,13 @@ DEPLETION_DIGESTS = {
 def run_digest(name: str) -> str:
     devices, horizon, seed = RUNS[name]
     result = run(devices, horizon, seed, log_sessions=True)
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+def cell_digest(name: str, value: float, mode: str, log_sessions: bool) -> str:
+    cfg = preset(name)
+    result = run(build_devices(cfg, DefenseMode(mode), value), cfg.horizon_days * DAY, 0,
+                 log_sessions=log_sessions)
     return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
@@ -264,10 +281,12 @@ def test_survivors_outlive_their_peers():
 
 @pytest.mark.parametrize("name, value, mode", sorted(LEARNING_PAIR_DIGESTS))
 def test_learning_pair_cell_digest(name, value, mode):
-    cfg = preset(name)
-    result = run(build_devices(cfg, DefenseMode(mode), value), cfg.horizon_days * DAY, 0)
-    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
-    assert digest == LEARNING_PAIR_DIGESTS[name, value, mode]
+    assert cell_digest(name, value, mode, False) == LEARNING_PAIR_DIGESTS[name, value, mode]
+
+
+@pytest.mark.parametrize("name, value, mode", sorted(CROWD_CELL_DIGESTS))
+def test_crowd_cell_digest(name, value, mode):
+    assert cell_digest(name, value, mode, True) == CROWD_CELL_DIGESTS[name, value, mode]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -282,6 +282,21 @@ class TestDepletionAnchors:
         assert (attacker.client_seconds, attacker.idle_seconds, attacker.remaining) == (9, 182, 0)
         assert attacker.depletion_day * SECONDS_PER_DAY == pytest.approx(191.0)
 
+    def test_client_death_that_comes_first_is_found(self):
+        # the client's first group leaves it 100 units at 100 s, so it dies
+        # at 200 s, before the bystander (280 s), the earliest death when
+        # the group started; missed, it would tick again at 220 s
+        cfgs = [DeviceConfig("client", schedule=Schedule(220, 100), phase=0,
+                             attack=AttackProfile(tbb_strength=1.0), battery_capacity=300),
+                DeviceConfig("owner", battery_capacity=10**6),
+                DeviceConfig("bystander", battery_capacity=280)]
+        result = run(cfgs, horizon=2000, seed=1, log_sessions=True)
+        client = result.device("client")
+        assert [session[:5] for session in result.sessions] == [
+            (0, "group", "client", "owner", "owner")]
+        assert (client.client_seconds, client.idle_seconds, client.remaining) == (100, 100, 0)
+        assert client.depletion_day * SECONDS_PER_DAY == pytest.approx(200.0)
+
     def test_back_to_back_owner_groups(self):
         # groups as long as the period keep the victim owner every second,
         # so a 365-idle-day battery lasts 365/11 days
@@ -433,11 +448,17 @@ class TestRefusalStorm:
             ticker.learn_negotiation("refuser", self.START, True, False)
         record.record_group_time(self.DAY, 2000, 2000)   # S = 2000, C = 12000
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
-        sim._tick(midnight - 600, ticker)
+
+        def tick(t):
+            # ``_tick`` takes the tick on top of the heap, as ``run`` leaves it
+            sim.heap[:] = [(t, 0, ticker)]
+            sim._tick(t, ticker)
+
+        tick(midnight - 600)
         assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 0)
         # the old day expires at midnight, the share jumps to 1, and the
         # ticker flags the refuser instead of ticking into its hold
-        sim._tick(midnight, ticker)
+        tick(midnight)
         assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 1)
 
 
@@ -447,12 +468,13 @@ class TestDecidedTicks:
     past its partner's death, a refusal storm, and the sessions of a pair
     whose ticker does not learn, taken in batches.  These steps only save
     work and change no result, so these tests count the work: the calls of
-    ``_tick``, ``_refuse`` and ``_session`` on one run."""
+    ``_tick``, ``_refuse`` and ``_start_group`` on one run (a session that
+    runs outside a batch and ends in a group opens it)."""
 
     def traced_run(self, devices, horizon, seed):
         sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
-        tick, refuse, session = sim._tick, sim._refuse, sim._session
+        tick, refuse, start_group = sim._tick, sim._refuse, sim._start_group
 
         def traced_tick(t, dev):
             ticks.append(t)
@@ -462,11 +484,11 @@ class TestDecidedTicks:
             refusals.append(t)
             refuse(refuser, dev, t)
 
-        def traced_session(t, initiator, responder):
-            sessions.append(t)
-            session(t, initiator, responder)
+        def traced_start_group(now, owner, member, end):
+            sessions.append(now)
+            start_group(now, owner, member, end)
 
-        sim._tick, sim._refuse, sim._session = traced_tick, traced_refuse, traced_session
+        sim._tick, sim._refuse, sim._start_group = traced_tick, traced_refuse, traced_start_group
         return sim.run(), ticks, refusals, sessions
 
     def test_lone_survivor_ticks_are_not_popped(self):

@@ -46,8 +46,7 @@ CLI = "wfdsim/cli.py"
 PROTOCOL = "wfdsim/protocol.py"
 DECIDED = "tests/test_simulation.py::TestDecidedTicks::test_"
 QUIET = "TestQuietInstant::test_"
-QUIET_LINE = ("rec.verdict, rec.until = False, "
-              "min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)")
+QUIET_LINE = "rec.verdict, rec.until = False, until if until < midnight else midnight"
 ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
 PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_reference_simulator"
 LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
@@ -57,7 +56,7 @@ BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
 MUTANTS = (
     # the guard's standing verdict
     Mutant("stale_verdict", SIM, QUIET_LINE,
-           "rec.until = min(now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY)",
+           "rec.until = until if until < midnight else midnight",
            (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
     Mutant("verdict_stands_at_until", SIM, "if now < rec.until:", "if now <= rec.until:",
            (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
@@ -65,7 +64,7 @@ MUTANTS = (
            (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
     # the quiet instant and the round-one skip
     Mutant("no_midnight_cap", SIM, QUIET_LINE,
-           "rec.verdict, rec.until = False, now + slack // 2 + 1",
+           "rec.verdict, rec.until = False, until",
            (f"tests/test_simulation.py::{QUIET}guard_evaluates_at_midnight",)),
     Mutant("quiet_one_second_late", SIM, "slack // 2 + 1, (day", "slack // 2 + 2, (day",
            (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
@@ -133,6 +132,35 @@ MUTANTS = (
            BATCH_KILLERS),
     Mutant("batch_group_to_the_other_owner", SIM,
            "groups[bit] += 1", "groups[1 - bit] += 1", BATCH_KILLERS),
+    # the tick's one heap operation
+    Mutant("tick_on_the_horizon", SIM,
+           "if dev.alive and nxt < self.horizon:", "if dev.alive and nxt <= self.horizon:",
+           ("tests/test_golden.py::test_pair_sessions_stop_a_tick_short_of_a_horizon_on_a_tick",
+            "tests/test_golden.py::test_run_json_digest[standard_to_horizon]")),
+    Mutant("dead_tick_replaced", SIM,
+           "        if dev.alive and nxt < self.horizon:\n"
+           "            self.seq += 1\n"
+           "            heapq.heapreplace(self.heap, (nxt, self.seq, dev))\n"
+           "        else:\n"
+           "            heapq.heappop(self.heap)\n"
+           "            if not dev.alive:\n"
+           "                return\n",
+           "        if nxt < self.horizon:\n"
+           "            self.seq += 1\n"
+           "            heapq.heapreplace(self.heap, (nxt, self.seq, dev))\n"
+           "        else:\n"
+           "            heapq.heappop(self.heap)\n"
+           "        if not dev.alive:\n"
+           "            return\n",
+           (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
+    # a group's one booking step
+    Mutant("member_booked_at_owner_rate", SIM,
+           "member.spent += (client - idle) * span", "member.spent += (go - idle) * span",
+           ("tests/test_golden.py", ORACLE)),
+    Mutant("next_death_ignores_an_earlier_member", SIM,
+           "first = member if member.die_at < owner.die_at else owner", "first = owner",
+           ("tests/test_simulation.py::TestDepletionAnchors::"
+            "test_client_death_that_comes_first_is_found",)),
     # the day on which a learner books a group's time
     Mutant("group_time_on_its_start_day", SIM,
            "day = group.end // SECONDS_PER_DAY", "day = group.start // SECONDS_PER_DAY",
@@ -148,7 +176,7 @@ MUTANTS = (
            "                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (group.end - t)\n",
            "", ("tests/test_golden.py", ORACLE)),
     Mutant("partner_death_not_retimed", SIM,
-           "                self._set_role(group.client if dev is group.go else group.go, t, _IDLE, t)\n",
+           "                self._set_role(group.client if dev is group.go else group.go, t)\n",
            "", ("tests/test_golden.py", ORACLE)),
     # the window's expiry and a result row's deviation
     Mutant("bucket_kept_a_day_too_long", LEARNING,
