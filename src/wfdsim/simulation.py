@@ -308,9 +308,10 @@ class _Simulator:
     The heap holds only ticks.  The tick being taken stays on top until
     ``_tick`` replaces it with the device's next tick in one
     ``heapreplace``, or pops it when the device is dead or its next tick
-    reaches the horizon; so ``_decided_ticks`` and ``_batch`` find the
-    ticker's next tick at ``heap[0]``.  Every ``(time, seq)`` key is
-    unique, so ticks leave the heap in the order of their keys alone.
+    reaches the horizon.  ``_decided_ticks`` clears the heap and pushes
+    the ticker's tick past a decided run, as no other live device ticks
+    then.  Every ``(time, seq)`` key is unique, so ticks leave the heap in
+    the order of their keys alone.
     Deaths stay off it: each device keeps its ``die_at``, and
     ``next_death`` is a device with the earliest.  A booking never moves
     a death later, so ``_set_role`` and ``_start_group`` only compare.
@@ -339,39 +340,43 @@ class _Simulator:
     either one.  Closing it only clears the members' group pointers and
     gives learning members its group-time records.
 
-    Some runs of ticks are decided before they happen.  A pair's survivor
-    that does not learn can only count its ticks as busy.  In a refusal
-    storm a learning device without a schedule refuses every tick of its
-    one peer, which does not learn: each refusal renews a hold that
-    outlasts the peer's period.  At the first tick of either run,
-    ``_decided_ticks`` takes it in one step, up to the next pending death
-    or the horizon.  Neither spends energy, changes a profile or draws a
-    peer.  A tick at the instant of that death stays on the loop, as the
-    death resolves first and makes the tick busy (its peer died) or void
-    (its device died).  A learning survivor stays on the loop, as its guard
-    still avoids a flagged dead peer, and so does one of three or more devices.
-    A pair whose one ticker does not learn has a session at every tick
-    while both live and the other device's guard says no, each group
-    ending by the next tick.  ``_batch`` runs ``k`` such ticks in one step:
+    In a pair whose ticker does not learn, the other device's state decides
+    a run of ticks before they happen.  ``_pair_run`` reads it once and
+    takes that run in one step; ``_decided_ticks`` moves the pending tick
+    past it.  A dead peer, with a schedule or without, makes every tick
+    busy.  A standing yes (below) refuses every tick: set at an earlier tick
+    and still standing, it shows the period is shorter than the hold, so
+    each refusal renews the hold past the next tick.  Both runs end at the
+    next pending death or the horizon, spend no energy, change no profile
+    and draw no peer; a tick at the instant of that death stays on the loop,
+    as the death resolves first and makes the tick busy (its peer died) or
+    void (its device died).  A peer without a schedule, and either without a
+    guard or with a standing no, takes a session at every tick, each group
+    ending by the next tick, and ``k`` such ticks run as one batch.
     ``_negotiate_batch`` negotiates them in one loop that draws the same
     numbers in the same order as ``k`` calls of ``_negotiate`` and counts
-    and logs alike; energy and role seconds are booked once.  Three
-    bounds on ``k`` keep every outcome decided before the batch starts, the
+    and logs alike; energy and role seconds are booked once.  Three bounds
+    on ``k`` keep every outcome decided before the batch starts, the
     lookahead of conservative simulation (Chandy and Misra, IEEE TSE 5(5),
-    1979).  It stops a period short of the horizon.  A period drains a
-    device by at most ``worst = idle * period + (top - idle) *
-    group_duration``, ``top`` the owner rate, so tick ``i`` finds at least
-    ``left - i * worst``, ``left`` the lower charge at the first, and all
-    ``(left - top * group_duration) // worst + 1`` ticks fund a whole group
-    at ``top``: no death falls before the last group ends.  And it takes
-    only ticks before a learner's standing no lapses at ``until`` (below;
-    the horizon for a device that does not learn), so no batch starts
-    without a record or under a yes.  That no ends by the next midnight, so
-    a learner's batch lies in one day and nothing reads its profile during
-    it: the loop reads no guard, and one tally books its negotiations and
-    the time of every group but the last, which stays open and is closed
-    like any other.  The deaths ``_set_role`` books from that end may fall
-    before the next tick, and the loop resolves them as before.
+    1979).  Its last group ends by the horizon.  A period drains a device by
+    at most ``worst = idle * period + (top - idle) * group_duration``,
+    ``top`` the owner rate, so tick ``i`` finds at least ``left - i *
+    worst``, ``left`` the lower charge at the first, and all ``(left - top *
+    group_duration) // worst + 1`` ticks fund a whole group at ``top``: no
+    death falls before the last group ends.  And it takes only ticks before
+    a learner's standing no lapses at ``until`` (below; the horizon for a
+    peer that does not learn).  That no ends by the next midnight, so a
+    learner's batch lies in one day and nothing reads its profile during it:
+    the loop reads no guard, and one tally books its negotiations and the
+    time of every group but the last, which stays open and is closed like
+    any other.  The deaths ``_set_role`` books from that end may fall before
+    the next tick, and the loop resolves them as before.  Any other state
+    leaves the tick to the loop: a peer with a schedule, no record or a
+    lapsed verdict.  As ``_pair_run`` never runs the guard's full check, a
+    tick whose check writes a fresh verdict stays on the loop, and a run
+    starts at the next.  A learning ticker's guard can still change its mind
+    or avoid a dead peer, so its ticks stay on the loop, as do those of
+    three or more devices.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
     The guard runs only where its answer can change.  Round one, the only
@@ -494,11 +499,7 @@ class _Simulator:
         n = self.others
         if n == 1:
             peer = devices[1 - dev.index]
-            if not peer.alive and dev.peers is None:
-                # a pair's survivor that does not learn (class docstring)
-                dev.skips_busy += len(self._decided_ticks(dev, t))
-                return
-            if dev.peers is None and peer.schedule is None and self._batch(t, dev, peer):
+            if dev.peers is None and self._pair_run(t, dev, peer):
                 return
         else:
             # what randrange(n) draws, from the same bits, without its wrapper
@@ -519,7 +520,7 @@ class _Simulator:
             dev.skips_busy += 1
             return
         if peer.peers is not None and self._rejects(peer, dev, t):
-            self._refuse(peer, dev, t)
+            self._refuse(peer, dev, (t,))
             return
         owner = self._negotiate(t, dev, peer)
         if owner is not None:
@@ -527,15 +528,8 @@ class _Simulator:
             self._start_group(t, owner, peer if owner is dev else dev,
                               end if end < self.horizon else self.horizon)
 
-    def _refuse(self, refuser: _Device, dev: _Device, t: int) -> None:
-        """``refuser`` refuses the tick of ``dev`` at ``t``; in a refusal
-        storm, every later tick up to the next death or the horizon too."""
-        refused = (t,)
-        # a storm: no tick of the refuser, no third device to draw, no guard
-        # of the ticker to change its mind, and a hold that outlasts the period
-        if (refuser.schedule is None and len(self.devices) == 2 and dev.peers is None
-                and dev.schedule.period < FLAG_HOLD_SECONDS):
-            refused = self._decided_ticks(dev, t)
+    def _refuse(self, refuser: _Device, dev: _Device, refused: range | tuple[int]) -> None:
+        """``refuser`` refuses the ticks of ``dev`` at the instants ``refused``."""
         # the guard has just said yes; a refused requester restarts the hold
         # clock, and only staying away for a full window span earns a clean slate
         refuser.peers[dev.id].until = refused[-1] + FLAG_HOLD_SECONDS
@@ -688,35 +682,41 @@ class _Simulator:
             raise RuntimeError(f"{dev.id}: energy went negative at t={t}")
         dev.role_seconds[_IDLE] = t - dev.role_seconds[_CLIENT] - dev.role_seconds[_GO]
 
-    def _decided_ticks(self, dev: _Device, first: int) -> range:
-        """The instants of ``dev``'s ticks from ``first`` until the next
-        pending death or the horizon, which the caller knows are all
-        decided alike; ``dev``'s pending tick moves to the first instant
-        past them.  Every other tick on the heap must be a dead device's."""
+    def _decided_ticks(self, dev: _Device, first: int, stop: int) -> range:
+        """The instants of ``dev``'s ticks from ``first`` until ``stop`` or
+        the next pending death, which the caller knows are all decided
+        alike; ``dev``'s pending tick moves to the first instant past them.
+        Every other tick on the heap must be a dead device's."""
         period = dev.schedule.period
-        ticks = range(first, min(self.next_death.die_at, self.horizon), period)
+        ticks = range(first, min(self.next_death.die_at, stop), period)
         nxt = first + len(ticks) * period
-        self.heap.clear()
-        if nxt < self.horizon:
-            self.seq += 1
-            self.heap.append((nxt, self.seq, dev))
+        self.seq += 1
+        self.heap[:] = [(nxt, self.seq, dev)] if nxt < self.horizon else []
         return ticks
 
-    def _batch(self, t: int, dev: _Device, peer: _Device) -> bool:
-        """Run the sessions of ``dev``'s ticks from ``t`` on in one batch
-        (class docstring), or return False when no batch can start at ``t``.
-        ``peer``, alive and without a schedule, is ``dev``'s one partner."""
+    def _pair_run(self, t: int, dev: _Device, peer: _Device) -> bool:
+        """Take the run of ``dev``'s ticks from ``t`` on that the state of
+        ``peer``, its one partner, decides (class docstring), or return
+        False when that state decides none.  ``dev`` does not learn."""
+        if not peer.alive:
+            dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
+            return True
+        if peer.schedule is not None:
+            return False
         peers, until = peer.peers, self.horizon
         if peers is not None:
             rec = peers.get(dev.id)
-            if rec is None or rec.verdict or t >= rec.until:
+            if rec is None or t >= rec.until:
                 return False
+            if rec.verdict:
+                self._refuse(peer, dev, self._decided_ticks(dev, t, self.horizon))
+                return True
             until = rec.until
         period, duration = dev.schedule.period, dev.schedule.group_duration
         idle, top = _RATES[_IDLE], _RATES[_GO]
         worst = idle * period + (top - idle) * duration   # the most one period drains
         left = min(d.capacity - idle * t - d.spent for d in self.devices)
-        k = min((self.horizon - 1 - t) // period, -((t - until) // period),
+        k = min((self.horizon - t) // period, -((t - until) // period),
                 (left - top * duration) // worst + 1)
         if k <= 0:
             return False
@@ -724,7 +724,7 @@ class _Simulator:
         # and books the learner's records as one tally after
         negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
         dev_groups, peer_groups, owner = self._negotiate_batch(
-            range(t, t + k * period, period), dev, peer)
+            self._decided_ticks(dev, t, t + k * period), dev, peer)
         for member, go, client in ((dev, dev_groups, peer_groups), (peer, peer_groups, dev_groups)):
             for role, n in ((_GO, go), (_CLIENT, client)):
                 member.role_seconds[role] += n * duration
@@ -744,8 +744,6 @@ class _Simulator:
                                    peer.negotiations - negotiations)
             rec.record_group_time(day, (peer_groups - (owner is peer)) * duration,
                                   (dev_groups + peer_groups - (owner is not None)) * duration)
-        # the heap holds only ``dev``'s next tick, which ``_tick`` put on top
-        self.heap[0] = (last + period, self.seq, dev)
         return True
 
     def run(self) -> SimResult:

@@ -425,9 +425,10 @@ class TestQuietInstant:
 
 
 class TestRefusalStorm:
-    """A refuser's refusals are a storm, taken in one step, only when the
-    ticker does not learn: a learning ticker's guard can change its mind
-    while the refuser's hold lasts, and avoid the refuser from then on."""
+    """A refuser's standing yes makes its refusals a storm, taken in one
+    step by ``_pair_run``, only when the ticker does not learn: a learning
+    ticker's guard can change its mind while the refuser's hold lasts, and
+    avoid the refuser from then on."""
 
     DAY = TestQuietInstant.DAY
     START = TestQuietInstant.START
@@ -463,11 +464,11 @@ class TestRefusalStorm:
 
 
 class TestDecidedTicks:
-    """Runs of ticks that are decided before they happen, taken in one step:
-    the ticks of a pair's survivor that does not learn, from its first tick
-    past its partner's death, a refusal storm, and the sessions of a pair
-    whose ticker does not learn, taken in batches.  These steps only save
-    work and change no result, so these tests count the work: the calls of
+    """Runs of a pair's ticks that the peer's state decides, each taken in
+    one step by ``_pair_run``: busy ticks when the peer is dead, a refusal
+    storm while its standing yes lasts, and batched sessions while its
+    standing no lasts or when it has no guard.  These steps only save work
+    and change no result, so these tests count the work: the calls of
     ``_tick``, ``_refuse`` and ``_start_group`` on one run (a session that
     runs outside a batch and ends in a group opens it)."""
 
@@ -480,9 +481,9 @@ class TestDecidedTicks:
             ticks.append(t)
             tick(t, dev)
 
-        def traced_refuse(refuser, dev, t):
-            refusals.append(t)
-            refuse(refuser, dev, t)
+        def traced_refuse(refuser, dev, refused):
+            refusals.append(refused)
+            refuse(refuser, dev, refused)
 
         def traced_start_group(now, owner, member, end):
             sessions.append(now)
@@ -491,8 +492,14 @@ class TestDecidedTicks:
         sim._tick, sim._refuse, sim._start_group = traced_tick, traced_refuse, traced_start_group
         return sim.run(), ticks, refusals, sessions
 
-    def test_lone_survivor_ticks_are_not_popped(self):
-        result, ticks, _, _ = self.traced_run(LONE_ATTACKER, days(5), 10)
+    # in the second pair the victim ticks too: the survivor's step does
+    # not hang on whether its dead partner had a schedule
+    @pytest.mark.parametrize("pair", [
+        LONE_ATTACKER,
+        [dataclasses.replace(LONE_ATTACKER[0], schedule=HOUR_SCHEDULE), LONE_ATTACKER[1]],
+    ], ids=["silent_victim", "ticking_victim"])
+    def test_lone_survivor_ticks_are_not_popped(self, pair):
+        result, ticks, _, _ = self.traced_run(pair, days(5), 10)
         victim, attacker = result.device("victim"), result.device("attacker")
         late = [t for t in ticks if t > victim.depletion_day * SECONDS_PER_DAY]
         # the attacker counts hundreds of busy ticks alone: its first tick
@@ -504,11 +511,18 @@ class TestDecidedTicks:
 
     def test_refusal_storm_is_refused_in_one_call(self):
         result, ticks, refusals, _ = self.traced_run(LEARNING_STORM, days(4), 13)
-        assert result.device("victim").rejections_issued > 400
-        assert len(refusals) == 1
-        # the storm runs to the victim's death, and the attacker's first
-        # tick past it takes every tick it then has alone
-        assert len([t for t in ticks if t > refusals[0]]) == 1
+        victim = result.device("victim")
+        assert victim.rejections_issued > 400
+        # the tick at which the victim's guard flags the attacker is refused
+        # alone; from the next one its standing yes refuses every tick up to
+        # its death in one call
+        flag, storm = refusals
+        assert flag == (36132,)
+        assert storm.start == 36132 + MINUTE_SCHEDULE.period and storm.step == MINUTE_SCHEDULE.period
+        assert storm[-1] < victim.depletion_day * SECONDS_PER_DAY < storm[-1] + storm.step
+        # the attacker's first tick past the victim's death takes every
+        # tick it then has alone
+        assert len([t for t in ticks if t > storm[0]]) == 1
 
     def test_pair_sessions_are_batched(self):
         pair = two_device_configs(DefenseMode.STANDARD)

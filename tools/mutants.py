@@ -81,36 +81,45 @@ MUTANTS = (
            '"group", initiator.id, responder.id, owner.id, quits', (ORACLE, "tests/test_golden.py")),
     # decided runs of ticks
     Mutant("decided_ticks_stop_plus_one", SIM,
-           "range(first, min(self.next_death.die_at, self.horizon), period)",
-           "range(first, min(self.next_death.die_at, self.horizon) + 1, period)",
+           "range(first, min(self.next_death.die_at, stop), period)",
+           "range(first, min(self.next_death.die_at, stop) + 1, period)",
            ("tests/test_properties.py::test_tick_ledger", ORACLE)),
+    # the pair step
     Mutant("learning_ticker_in_storm", SIM,
-           "len(self.devices) == 2 and dev.peers is None", "len(self.devices) == 2",
+           "if dev.peers is None and self._pair_run(t, dev, peer):", "if self._pair_run(t, dev, peer):",
            ("tests/test_simulation.py::TestRefusalStorm::"
             "test_learning_ticker_refused_one_tick_at_a_time",)),
-    Mutant("no_survivor_finish", SIM,
-           "if not peer.alive and dev.peers is None:", "if False:",
+    Mutant("no_survivor_finish", SIM, "if not peer.alive:", "if False:",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
+    Mutant("no_survivor_finish_past_a_ticking_partner", SIM,
+           "        if not peer.alive:\n"
+           "            dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))\n"
+           "            return True\n"
+           "        if peer.schedule is not None:\n"
+           "            return False\n",
+           "        if peer.schedule is not None:\n"
+           "            return False\n"
+           "        if not peer.alive:\n"
+           "            dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))\n"
+           "            return True\n",
+           (f"{DECIDED}lone_survivor_ticks_are_not_popped[ticking_victim]",)),
     Mutant("no_storm_step", SIM,
-           "if (refuser.schedule is None and", "if (False and refuser.schedule is None and",
+           "self._refuse(peer, dev, self._decided_ticks(dev, t, self.horizon))\n"
+           "                return True",
+           "return False",
            (f"{DECIDED}refusal_storm_is_refused_in_one_call",)),
     # batched pair sessions
     Mutant("pair_batch_reaches_the_horizon", SIM,
-           "k = min((self.horizon - 1 - t) // period,", "k = min((self.horizon - t) // period,",
-           ("tests/test_golden.py::test_run_json_digest[standard_to_horizon]",
-            "tests/test_golden.py::test_run_json_digest[commitment_to_horizon]",
-            "tests/test_golden.py::test_pair_sessions_stop_a_tick_short_of_a_horizon_on_a_tick",
-            PAIR_ORACLE)),
+           "k = min((self.horizon - t) // period,", "k = min((self.horizon - t) // period + 1,",
+           ("tests/test_golden.py::test_run_json_digest[quit_and_retry]", PAIR_ORACLE)),
     Mutant("pair_batch_one_tick_long", SIM,
            "(left - top * duration) // worst + 1)", "(left - top * duration) // worst + 2)",
            (PAIR_ORACLE,)),
-    Mutant("no_pair_batch", SIM, "if dev.peers is None and peer.schedule is None and self._batch(",
-           "if False and dev.peers is None and peer.schedule is None and self._batch(",
+    Mutant("no_pair_batch", SIM, "if k <= 0:", "if True:",
            (f"{DECIDED}pair_sessions_are_batched", f"{DECIDED}learning_pair_sessions_are_batched")),
     Mutant("batch_until_one_tick_long", SIM,
            "-((t - until) // period),", "-((t - until) // period) + 1,", (LEARNING_PAIR_ORACLE,)),
-    Mutant("batch_under_a_standing_yes", SIM,
-           "if rec is None or rec.verdict or t >= rec.until:", "if rec is None or t >= rec.until:",
+    Mutant("batch_under_a_standing_yes", SIM, "if rec.verdict:", "if False:",
            (LEARNING_PAIR_ORACLE,)),
     Mutant("last_group_also_in_the_tally", SIM,
            "(peer_groups - (owner is peer)) * duration,\n"
@@ -135,8 +144,7 @@ MUTANTS = (
     # the tick's one heap operation
     Mutant("tick_on_the_horizon", SIM,
            "if dev.alive and nxt < self.horizon:", "if dev.alive and nxt <= self.horizon:",
-           ("tests/test_golden.py::test_pair_sessions_stop_a_tick_short_of_a_horizon_on_a_tick",
-            "tests/test_golden.py::test_run_json_digest[standard_to_horizon]")),
+           (ORACLE,)),
     Mutant("dead_tick_replaced", SIM,
            "        if dev.alive and nxt < self.horizon:\n"
            "            self.seq += 1\n"
@@ -207,13 +215,9 @@ MUTANTS = (
 # Mutants that no test can kill, each with the reason they are equivalent.
 EXCLUDED = (
     (Mutant("hold_not_moved_past_storm", SIM,
-            "until = refused[-1] + FLAG_HOLD_SECONDS", "until = t + FLAG_HOLD_SECONDS", ()),
+            "until = refused[-1] + FLAG_HOLD_SECONDS", "until = refused[0] + FLAG_HOLD_SECONDS", ()),
      "equivalent: after a storm one device is dead or the horizon is reached, "
      "so nothing reads the hold again"),
-    (Mutant("storm_period_at_hold_span", SIM,
-            "dev.schedule.period < FLAG_HOLD_SECONDS", "dev.schedule.period <= FLAG_HOLD_SECONDS", ()),
-     "equivalent: with a period of 30 days or more the refuser's window has drained "
-     "before the next tick, so no refusal reaches the storm test"),
     (Mutant("tie_takes_next_death", SIM,
             "if die_at < self.next_death.die_at:", "if die_at <= self.next_death.die_at:", ()),
      "equivalent: two deaths in one second show their order only within one group, "
