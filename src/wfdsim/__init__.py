@@ -21,7 +21,6 @@ from .commitment import (
     coin_flip,
     commit,
     decode_opening,
-    preimage,
     random_nonce,
     verify,
 )

@@ -69,6 +69,7 @@ class Opening:
         TieBreakerBit(self.tie_bit)
 
     def encode(self) -> bytes:
+        """The 34-byte preimage that ``commit`` hashes and ``verify`` checks."""
         return self.nonce + bytes([self.intent, self.tie_bit])
 
 
@@ -78,13 +79,8 @@ def decode_opening(data: bytes) -> Opening:
     return Opening(bytes(data[:NONCE_LEN]), data[NONCE_LEN], data[NONCE_LEN + 1])
 
 
-def preimage(nonce: bytes, intent: int, tie_bit: int) -> bytes:
-    """Canonical 34-byte preimage layout shared by commit and verify."""
-    return Opening(nonce, intent, tie_bit).encode()
-
-
-def commit(nonce: bytes, intent: int, tie_bit: int) -> Commitment:
-    return Commitment(hashlib.sha256(preimage(nonce, intent, tie_bit)).digest())
+def commit(opening: Opening) -> Commitment:
+    return Commitment(hashlib.sha256(opening.encode()).digest())
 
 
 def verify(commitment: Commitment, opening: Opening) -> bool:

@@ -268,12 +268,10 @@ def features(profile: PeerProfile) -> FeatureVector:
 
 @dataclass(frozen=True)
 class PeerAssessment:
-    peer_id: str
     features: FeatureVector
     posterior: tuple[float, ...]
     peer_fairness: float
     is_attacker: bool
-    window_negotiations: int
 
 
 def assess(profile: PeerProfile) -> PeerAssessment:
@@ -281,12 +279,10 @@ def assess(profile: PeerProfile) -> PeerAssessment:
     post = posterior(f)
     mass = sum(post[d] for d in ATTACKER_DISPOSITIONS)
     return PeerAssessment(
-        peer_id=profile.peer_id,
         features=f,
         posterior=post,
         peer_fairness=peer_fairness(profile),
         is_attacker=mass > ATTACKER_MASS_THRESHOLD,
-        window_negotiations=profile.negotiations,
     )
 
 

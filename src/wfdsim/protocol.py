@@ -296,6 +296,14 @@ def _draw_bit(party: Party, rng: Random) -> int:
     return rng.getrandbits(1) if party.tie_bit is None else TieBreakerBit(party.tie_bit)
 
 
+def _commit(party: Party, intent: int, bit: int, rng: Random) -> tuple[Commitment, Opening]:
+    """``party``'s commitment to ``intent`` and ``bit`` under a fresh nonce,
+    and the opening it will reveal: the true one, or a flipped bit if it tampers."""
+    opening = Opening(random_nonce(rng), intent, bit)
+    revealed = Opening(opening.nonce, intent, bit ^ 1) if party.tamper_opening else opening
+    return commit(opening), revealed
+
+
 def negotiate(
     mode: NegotiationMode,
     initiator: Party,
@@ -317,15 +325,12 @@ def negotiate(
     transcript: list[Message] = []
     bit_a = _draw_bit(a, rng)
     if probe or inline:
-        nonce_a = random_nonce(rng)
-        commit_a = commit(nonce_a, intent_a, bit_a)
-        open_a = Opening(nonce_a, intent_a, bit_a ^ 1 if a.tamper_opening else bit_a)
+        commit_a, open_a = _commit(a, intent_a, bit_a, rng)
 
     # the tie bit in a commitment mode's request and response is a placeholder
     if probe:
         bit_b = _draw_bit(b, rng)
-        nonce_b = random_nonce(rng)
-        commit_b = commit(nonce_b, intent_b, bit_b)
+        commit_b, open_b = _commit(b, intent_b, bit_b, rng)
         transcript += (Probe(a.device_id, commit_a), Probe(b.device_id, commit_b))
         request = GoNegotiationRequest(a.device_id, intent_a, rng.getrandbits(1), opening=open_a)
     elif inline:
@@ -338,7 +343,6 @@ def negotiate(
         return NegotiationOutcome.aborted(b.device_id, AbortPhase.AFTER_REQUEST), transcript
 
     if probe:
-        open_b = Opening(nonce_b, intent_b, bit_b ^ 1 if b.tamper_opening else bit_b)
         response = GoNegotiationResponse(b.device_id, intent_b, rng.getrandbits(1), opening=open_b)
     elif inline:
         # the responder discloses its bit plainly; the initiator is already bound

@@ -237,16 +237,6 @@ _COUNTS = ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_a
            "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted")
 
 
-class _Group:
-    __slots__ = ("go", "client", "start", "end")
-
-    def __init__(self, go: "_Device", client: "_Device", start: int, end: int):
-        self.go = go
-        self.client = client
-        self.start = start
-        self.end = end
-
-
 class _Peer(PeerProfile):
     """A learning device's record of one peer: its profile, when its window
     last started from empty, and the guard's standing verdict until ``until``."""
@@ -280,24 +270,21 @@ class _Device:
         self.alive = True
         self.die_at = math.inf          # first second it cannot fund as booked; inf once dead
         self.depletion_time: float | None = None
-        self.group: _Group | None = None
+        self.group: tuple | None = None   # (owner, client, start, end) while in a group
         # the learning guard's records by peer id; None for a device that does not learn
         self.peers: dict[str, _Peer] | None = {} if cfg.defense.uses_learning else None
         for name in _COUNTS:
             setattr(self, name, 0)
 
-    def peer(self, peer_id: str) -> _Peer:
-        """This device's record of ``peer_id``, created on first use."""
+    def learn_negotiation(self, peer_id: str, t: int, won: int, quit: int,
+                          negotiations: int = 1) -> None:
+        """Book ``negotiations`` with ``peer_id`` at ``t``, ``won`` of them
+        won and ``quit`` quit by the peer, in its record, made on first use."""
         rec = self.peers.get(peer_id)
         if rec is None:
             rec = self.peers[peer_id] = _Peer(peer_id)
-        return rec
-
-    def learn_negotiation(self, peer_id: str, t: int, self_was_go: bool,
-                          peer_quit: bool) -> None:
-        rec = self.peers.get(peer_id) or self.peer(peer_id)
-        rec.record_negotiation(t // SECONDS_PER_DAY, self_was_go, peer_quit)
-        if rec.negotiations == 1:
+        rec.record_negotiation(t // SECONDS_PER_DAY, won, quit, negotiations)
+        if rec.negotiations == negotiations:
             # the window was empty: the pair's age starts again now
             rec.since = t
 
@@ -322,23 +309,26 @@ class _Simulator:
     between the two members of one group, and there the owner resolves
     first: its death ends the group and drops the client to the idle rate.
 
-    Energy is booked, not settled per event.  ``_start_group`` opens a
-    group and books both members in one step: each member's drain beyond
-    the idle rate and its client or owner seconds up to the group's
-    ``end``, and its death assuming it turns idle there.  ``next_death``
-    then moves at most once, to the earlier of the two deaths if it comes first.
-    ``_set_role`` books a device idle: at the start of the run, a death's
-    partner and every device after a batch.  A death before ``end``
-    cuts the group short: both members give back what was booked past the
-    death second, and the partner's death is rescheduled at the idle rate.
+    Energy is booked, not settled per event.  A group is the tuple
+    ``(owner, client, start, end)``.  Every group, a batch's last one
+    included, opens in ``_start_group``, which books both members in one
+    step: each member's drain beyond the idle rate and its client or owner
+    seconds up to the group's ``end``, and its death assuming it turns idle
+    there.  ``next_death`` then moves at most once, to the earlier of the
+    two deaths if it comes first.  ``_set_role`` books a device idle: at the
+    start of the run, a death's partner and both devices after a batch whose
+    last session was exhausted.  A death before ``end`` cuts the group
+    short: both members give back what was booked past the death second,
+    and the partner's death is rescheduled at the idle rate.
     ``_stop`` settles a device's remaining energy and idle seconds at its
     death or the horizon.
 
-    A group ends without an event of its own.  A group past its end is
-    closed when something next touches one of its members: a tick of
-    either one, a tick that picks either one as its peer, or the death of
-    either one.  Closing it only clears the members' group pointers and
-    gives learning members its group-time records.
+    A group ends without an event of its own.  Every group closes in
+    ``_end_group``, when something next touches one of its members: a tick
+    of either one past its end, a tick that picks either one as its peer
+    past its end, or the death of either one, which closes it at the death
+    second if that comes first.  Closing it only clears the members' group
+    pointers and gives learning members its group-time records.
 
     In a pair whose ticker does not learn, the other device's state decides
     a run of ticks before they happen.  ``_pair_run`` reads it once and
@@ -367,12 +357,13 @@ class _Simulator:
     a learner's standing no lapses at ``until`` (below; the horizon for a
     peer that does not learn).  That no ends by the next midnight, so a
     learner's batch lies in one day and nothing reads its profile during it:
-    the loop reads no guard, and one tally books its negotiations and the
-    time of every group but the last, which stays open and is closed like
-    any other.  The deaths ``_set_role`` books from that end may fall before
-    the next tick, and the loop resolves them as before.  Any other state
-    leaves the tick to the loop: a peer with a schedule, no record or a
-    lapsed verdict.  As ``_pair_run`` never runs the guard's full check, a
+    the loop reads no guard, and one tally books its negotiations through
+    ``learn_negotiation``, as a session outside a batch books one, and the
+    time of every group but the last, which opens in ``_start_group`` and
+    closes like any other.  The deaths booked from that group's end may
+    fall before the next tick, and the loop resolves them as before.  Any
+    other state leaves the tick to the loop: a peer with a schedule, no
+    record or a lapsed verdict.  As ``_pair_run`` never runs the guard's full check, a
     tick whose check writes a fresh verdict stays on the loop, and a run
     starts at the next.  A learning ticker's guard can still change its mind
     or avoid a dead peer, so its ticks stay on the loop, as do those of
@@ -422,7 +413,7 @@ class _Simulator:
         """Open the group ``owner`` runs for ``member`` from ``now`` until
         ``end``: book each in its role until ``end`` and idle after it, and
         set the death instants this implies (class docstring)."""
-        owner.group = member.group = _Group(owner, member, now, end)
+        owner.group = member.group = (owner, member, now, end)
         idle, client, go = _RATES
         span = end - now
         owner_left = owner.capacity - idle * now - owner.spent
@@ -490,10 +481,10 @@ class _Simulator:
                 return
         group = dev.group
         if group is not None:
-            if t < group.end:
+            if t < group[3]:
                 dev.skips_busy += 1
                 return
-            self._end_group(group)
+            self._end_group(*group)
         # a uniform pick among the other devices, skipping this one
         devices = self.devices
         n = self.others
@@ -514,8 +505,8 @@ class _Simulator:
                 self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
             return
         group = peer.group
-        if group is not None and group.end <= t:
-            self._end_group(group)
+        if group is not None and group[3] <= t:
+            self._end_group(*group)
         if peer.group is not None or not peer.alive:
             dev.skips_busy += 1
             return
@@ -640,14 +631,14 @@ class _Simulator:
         initiator.sessions_exhausted += len(ticks) - sum(groups)
         return groups[1], groups[0], owner
 
-    def _end_group(self, group: _Group) -> None:
-        """Close ``group``: clear its members' group pointers and give
-        learning members its group time, recorded on the day of its ``end``."""
-        go, client = group.go, group.client
+    def _end_group(self, go: _Device, client: _Device, start: int, end: int) -> None:
+        """Close the group ``go`` ran for ``client`` from ``start`` until
+        ``end``: clear both group pointers and give learning members its
+        time, recorded on the day of its ``end``."""
         go.group = client.group = None
-        duration = group.end - group.start
+        duration = end - start
         if duration > 0:
-            day = group.end // SECONDS_PER_DAY
+            day = end // SECONDS_PER_DAY
             # a group always follows a negotiation, which made both records
             if go.peers is not None:
                 go.peers[client.id].record_group_time(day, duration, duration)
@@ -658,18 +649,17 @@ class _Simulator:
         # the booked death is always current: the battery cannot fund
         # the coming second
         rate = _RATES[_IDLE]
-        group = dev.group
-        if group is not None:
-            if t < group.end:
+        if dev.group is not None:
+            go, client, start, end = dev.group
+            if t < end:
                 # cut short: both members give back what was booked past
                 # ``t``, and the partner's pending death moves to the idle rate
-                for member, role in ((group.go, _GO), (group.client, _CLIENT)):
-                    member.role_seconds[role] -= group.end - t
-                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (group.end - t)
-                rate = _RATES[_GO if dev is group.go else _CLIENT]
-                group.end = t
-                self._set_role(group.client if dev is group.go else group.go, t)
-            self._end_group(group)
+                for member, role in ((go, _GO), (client, _CLIENT)):
+                    member.role_seconds[role] -= end - t
+                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (end - t)
+                rate = _RATES[_GO if dev is go else _CLIENT]
+                self._set_role(client if dev is go else go, t)
+            self._end_group(go, client, start, min(t, end))
         dev.alive = False
         dev.die_at = math.inf
         self._stop(dev, t)
@@ -725,25 +715,23 @@ class _Simulator:
         negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
         dev_groups, peer_groups, owner = self._negotiate_batch(
             self._decided_ticks(dev, t, t + k * period), dev, peer)
+        # every group but the last is booked here; the last opens like any other
+        dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)
         for member, go, client in ((dev, dev_groups, peer_groups), (peer, peer_groups, dev_groups)):
             for role, n in ((_GO, go), (_CLIENT, client)):
                 member.role_seconds[role] += n * duration
                 member.spent += (_RATES[role] - idle) * n * duration
         last = t + (k - 1) * period
-        for member in self.devices:   # idle from the last group's end
-            self._set_role(member, last + duration)
-        if owner is not None:
-            # the last group stays open, to be closed and booked as any other
-            member = peer if owner is dev else dev
-            owner.group = member.group = _Group(owner, member, last, last + duration)
+        if owner is None:
+            for member in self.devices:   # idle after the last session
+                self._set_role(member, last + duration)
+        else:
+            self._start_group(last, owner, peer if owner is dev else dev, last + duration)
         if peers is not None:
-            # the tick that set ``until`` negotiated today, so the window
-            # is not empty and the pair's age runs on
-            day = t // SECONDS_PER_DAY
-            rec.record_negotiation(day, peer.go_wins - wins, peer.peer_quits_observed - quits,
+            peer.learn_negotiation(dev.id, t, peer.go_wins - wins, peer.peer_quits_observed - quits,
                                    peer.negotiations - negotiations)
-            rec.record_group_time(day, (peer_groups - (owner is peer)) * duration,
-                                  (dev_groups + peer_groups - (owner is not None)) * duration)
+            rec.record_group_time(t // SECONDS_PER_DAY, peer_groups * duration,
+                                  (dev_groups + peer_groups) * duration)
         return True
 
     def run(self) -> SimResult:
@@ -767,8 +755,8 @@ class _Simulator:
                 tick(t, dev)
             elif t <= self.horizon:
                 group = dev.group
-                if group is not None and dev is group.client and group.go.die_at == t:
-                    dev = group.go   # the owner first (class docstring)
+                if group is not None and dev is group[1] and group[0].die_at == t:
+                    dev = group[0]   # the owner first (class docstring)
                 self._death(t, dev)
                 self.next_death = min(self.devices, key=lambda d: d.die_at)
             else:

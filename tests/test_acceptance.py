@@ -73,7 +73,7 @@ def victim_vs_attacker(defense, tbb, r=0.0):
 
 def test_criterion_1_frame_overheads():
     started = time.perf_counter()
-    zero = commit(bytes(32), 0, 0)
+    zero = commit(Opening(bytes(32), 0, 0))
     ie = len(tie_commitment_ie(zero).encode())
     attr = len(tie_commitment_attr(zero).encode())
     compat = len(compat_tie_bit_attr(0).encode())

@@ -1,4 +1,4 @@
-"""Commitment layer: preimage layout, verification, and the shared coin."""
+"""Commitment layer: the opening's preimage layout, verification, and the shared coin."""
 
 import hashlib
 from random import Random
@@ -14,15 +14,14 @@ from wfdsim.commitment import (
     coin_flip,
     commit,
     decode_opening,
-    preimage,
     random_nonce,
     verify,
 )
 
 
-def test_preimage_layout():
+def test_opening_encode_layout():
     nonce = bytes(range(32))
-    data = preimage(nonce, 7, 1)
+    data = Opening(nonce, 7, 1).encode()
     assert len(data) == 34
     assert data[:32] == nonce
     assert data[32] == 7
@@ -32,13 +31,13 @@ def test_preimage_layout():
 def test_commit_is_sha256_of_preimage():
     nonce = b"\xab" * 32
     expected = hashlib.sha256(nonce + bytes((15, 0))).digest()
-    assert commit(nonce, 15, 0).digest == expected
+    assert commit(Opening(nonce, 15, 0)).digest == expected
 
 
 def test_zero_preimage_golden_digest():
     # digest of 34 zero bytes, recomputed independently
-    assert commit(bytes(32), 0, 0).digest == hashlib.sha256(bytes(34)).digest()
-    assert commit(bytes(32), 0, 0).digest.hex() == (
+    assert commit(Opening(bytes(32), 0, 0)).digest == hashlib.sha256(bytes(34)).digest()
+    assert commit(Opening(bytes(32), 0, 0)).digest.hex() == (
         "eb142b0cae0baa72a767ebc0823d1be94e14c5bfc52d8e417fc4302fceb6240c"
     )
 
@@ -79,7 +78,7 @@ def test_commitment_digest_length_validation():
 
 def test_verify_accepts_true_opening():
     nonce = Random(1).randbytes(NONCE_LEN)
-    c = commit(nonce, 5, 1)
+    c = commit(Opening(nonce, 5, 1))
     assert verify(c, Opening(nonce, 5, 1))
 
 
@@ -91,25 +90,25 @@ def test_verify_accepts_true_opening():
 ])
 def test_verify_rejects_any_tamper(tampered):
     nonce = Random(2).randbytes(NONCE_LEN)
-    c = commit(nonce, 5, 1)
+    c = commit(Opening(nonce, 5, 1))
     assert not verify(c, tampered(nonce))
 
 
 def test_binding_single_byte_flips_change_digest():
     nonce = Random(3).randbytes(NONCE_LEN)
-    base = commit(nonce, 9, 0).digest
+    base = commit(Opening(nonce, 9, 0)).digest
     for pos in range(NONCE_LEN):
         flipped = bytearray(nonce)
         flipped[pos] ^= 0x01
-        assert commit(bytes(flipped), 9, 0).digest != base
-    assert commit(nonce, 10, 0).digest != base
-    assert commit(nonce, 9, 1).digest != base
+        assert commit(Opening(bytes(flipped), 9, 0)).digest != base
+    assert commit(Opening(nonce, 10, 0)).digest != base
+    assert commit(Opening(nonce, 9, 1)).digest != base
 
 
 def test_distinct_nonces_hide_the_bit():
     # same committed bit, fresh nonces: digests share nothing observable
     rng = Random(4)
-    digests = {commit(random_nonce(rng), 0, 1).digest for _ in range(64)}
+    digests = {commit(Opening(random_nonce(rng), 0, 1)).digest for _ in range(64)}
     assert len(digests) == 64
 
 

@@ -351,7 +351,7 @@ def assert_matches_reference(scenario):
     # next touches a member: close the groups nothing touched since
     for dev in sim.devices:
         if dev.group is not None:
-            sim._end_group(dev.group)
+            sim._end_group(*dev.group)
     for dev, ref in zip(sim.devices, reference.devices):
         if dev.peers is None:
             continue

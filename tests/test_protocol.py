@@ -37,7 +37,7 @@ from wfdsim.protocol import (
     tie_opening_attr,
 )
 
-ZERO_COMMIT = commit(bytes(32), 0, 0)
+ZERO_COMMIT = commit(Opening(bytes(32), 0, 0))
 
 
 class TestWireSizes:

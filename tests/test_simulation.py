@@ -370,7 +370,7 @@ class TestQuietInstant:
     def test_guard_evaluates_when_owner_seconds_can_pass_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
-        record = victim.peer("attacker")
+        record = victim.peers["attacker"]
         record.record_group_time(self.DAY, 0, 1)   # S = 0, C = 1: slack 3, an odd one
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
@@ -382,9 +382,11 @@ class TestQuietInstant:
 
     def test_guard_evaluates_at_midnight(self):
         sim, victim, attacker = self.learning_victim()
-        record = victim.peer("attacker")
         oldest = self.DAY - WINDOW_DAYS + 1
-        record.record_group_time(oldest, 0, 1000)     # a fair day, the last of the window
+        # a fair day, the last of the window, with one negotiation the attacker owned
+        victim.learn_negotiation("attacker", oldest * SECONDS_PER_DAY, False, False)
+        record = victim.peers["attacker"]
+        record.record_group_time(oldest, 0, 1000)
         self.negotiate(victim)
         record.record_group_time(self.DAY, 700, 700)  # S = 700, C = 1700: slack 1600
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
@@ -398,7 +400,7 @@ class TestQuietInstant:
     def test_no_quiet_instant_at_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
-        record = victim.peer("attacker")
+        record = victim.peers["attacker"]
         record.record_group_time(self.DAY, 3, 5)
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
@@ -406,10 +408,19 @@ class TestQuietInstant:
         record.record_group_time(self.DAY, 1, 1)   # one owner second later: 4/6
         assert sim._rejects(victim, attacker, now + 1)
 
+    def test_tally_on_an_empty_window_starts_the_pair_age(self):
+        # a batch books a learner's negotiations as one tally, under the
+        # same rule as one negotiation: an empty window restarts the age
+        _, victim, _ = self.learning_victim()
+        victim.learn_negotiation("attacker", self.START, 2, 1, 5)
+        record = victim.peers["attacker"]
+        assert (record.negotiations, record.self_go_wins, record.peer_premature_quits) == (5, 2, 1)
+        assert record.since == self.START
+
     def test_quiet_span_after_a_lapsed_hold_says_no(self):
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
-        record = victim.peer("attacker")
+        record = victim.peers["attacker"]
         record.record_group_time(self.DAY, 1, 1)
         now = self.START + 12 * 3600
         assert sim._rejects(victim, attacker, now)
@@ -439,12 +450,15 @@ class TestRefusalStorm:
                                        schedule=MINUTE_SCHEDULE)],
                          days(100), 0, False)
         refuser, ticker = sim.devices
-        flag = refuser.peer("ticker")
+        refuser.learn_negotiation("ticker", self.START, False, False)
+        flag = refuser.peers["ticker"]
         flag.verdict, flag.until = True, self.START + FLAG_HOLD_SECONDS
-        # a fair old day, the last of the ticker's window, then 39
-        # negotiations the ticker owned
-        record = ticker.peer("refuser")
-        record.record_group_time(self.DAY - WINDOW_DAYS + 1, 0, 10000)
+        # a fair old day, the last of the ticker's window, with one
+        # negotiation the refuser owned, then 39 negotiations the ticker owned
+        oldest = self.DAY - WINDOW_DAYS + 1
+        ticker.learn_negotiation("refuser", oldest * SECONDS_PER_DAY, False, False)
+        record = ticker.peers["refuser"]
+        record.record_group_time(oldest, 0, 10000)
         for _ in range(39):
             ticker.learn_negotiation("refuser", self.START, True, False)
         record.record_group_time(self.DAY, 2000, 2000)   # S = 2000, C = 12000
@@ -469,13 +483,13 @@ class TestDecidedTicks:
     storm while its standing yes lasts, and batched sessions while its
     standing no lasts or when it has no guard.  These steps only save work
     and change no result, so these tests count the work: the calls of
-    ``_tick``, ``_refuse`` and ``_start_group`` on one run (a session that
-    runs outside a batch and ends in a group opens it)."""
+    ``_tick``, ``_refuse`` and ``_negotiate`` on one run (every session
+    outside a batch negotiates in one ``_negotiate`` call)."""
 
     def traced_run(self, devices, horizon, seed):
         sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
-        tick, refuse, start_group = sim._tick, sim._refuse, sim._start_group
+        tick, refuse, negotiate = sim._tick, sim._refuse, sim._negotiate
 
         def traced_tick(t, dev):
             ticks.append(t)
@@ -485,11 +499,11 @@ class TestDecidedTicks:
             refusals.append(refused)
             refuse(refuser, dev, refused)
 
-        def traced_start_group(now, owner, member, end):
-            sessions.append(now)
-            start_group(now, owner, member, end)
+        def traced_negotiate(t, initiator, responder):
+            sessions.append(t)
+            return negotiate(t, initiator, responder)
 
-        sim._tick, sim._refuse, sim._start_group = traced_tick, traced_refuse, traced_start_group
+        sim._tick, sim._refuse, sim._negotiate = traced_tick, traced_refuse, traced_negotiate
         return sim.run(), ticks, refusals, sessions
 
     # in the second pair the victim ticks too: the survivor's step does

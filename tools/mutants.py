@@ -5,7 +5,9 @@ must occur there exactly once, the new text, and the tests expected to
 kill it.  The script copies ``src/`` to a temporary directory and runs
 every killer against the unmutated copy, where all must pass.  Then it
 applies one mutant at a time to the copy and runs that mutant's killers
-against it.  A mutant is killed when they fail.  The check fails if a
+against it.  A mutant is killed when they fail, or when they run past a
+timeout of ``TIMEOUT_FACTOR`` times the wall time of the unmutated run
+(a mutant can make the event loop spin forever).  The check fails if a
 mutant survives, if its old text no longer occurs exactly once, or if a
 killer fails on the unmutated copy.  Mutants shown equivalent are listed
 apart with the reason; their old text must still occur, so that the record
@@ -26,10 +28,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# a mutant's killers are some of those the unmutated run takes together,
+# so a mutant that runs this many times as long is taken to hang
+TIMEOUT_FACTOR = 5
 
 
 class Mutant(NamedTuple):
@@ -121,11 +127,14 @@ MUTANTS = (
            "-((t - until) // period),", "-((t - until) // period) + 1,", (LEARNING_PAIR_ORACLE,)),
     Mutant("batch_under_a_standing_yes", SIM, "if rec.verdict:", "if False:",
            (LEARNING_PAIR_ORACLE,)),
+    Mutant("batch_books_the_last_group_twice", SIM,
+           "        dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)\n",
+           "", BATCH_KILLERS),
     Mutant("last_group_also_in_the_tally", SIM,
-           "(peer_groups - (owner is peer)) * duration,\n"
-           "                                  (dev_groups + peer_groups - (owner is not None))",
            "peer_groups * duration,\n"
-           "                                  (dev_groups + peer_groups)",
+           "                                  (dev_groups + peer_groups) * duration)",
+           "(peer_groups + (owner is peer)) * duration,\n"
+           "                                  (dev_groups + peer_groups + (owner is not None)) * duration)",
            (LEARNING_PAIR_ORACLE,)),
     Mutant("learner_tally_counts_sessions", SIM,
            "peer.negotiations - negotiations)", "k)", (LEARNING_PAIR_ORACLE,)),
@@ -171,21 +180,22 @@ MUTANTS = (
             "test_client_death_that_comes_first_is_found",)),
     # the day on which a learner books a group's time
     Mutant("group_time_on_its_start_day", SIM,
-           "day = group.end // SECONDS_PER_DAY", "day = group.start // SECONDS_PER_DAY",
+           "day = end // SECONDS_PER_DAY", "day = start // SECONDS_PER_DAY",
            (LONG_ORACLE,)),
     # the order of two deaths in one second
     Mutant("client_before_owner_on_a_tie", SIM,
-           "                if group is not None and dev is group.client and group.go.die_at == t:\n"
-           "                    dev = group.go   # the owner first (class docstring)\n",
+           "                if group is not None and dev is group[1] and group[0].die_at == t:\n"
+           "                    dev = group[0]   # the owner first (class docstring)\n",
            "", ("tests/test_golden.py::test_owner_resolves_first_when_the_client_is_found_first",
                 "tests/test_golden.py::test_run_json_digest[owner_first_on_a_tie]", ORACLE)),
     # energy booking on a death mid-group
     Mutant("no_refund_past_a_death", SIM,
-           "                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (group.end - t)\n",
+           "                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (end - t)\n",
            "", ("tests/test_golden.py", ORACLE)),
     Mutant("partner_death_not_retimed", SIM,
-           "                self._set_role(group.client if dev is group.go else group.go, t)\n",
+           "                self._set_role(client if dev is go else go, t)\n",
            "", ("tests/test_golden.py", ORACLE)),
+    Mutant("cut_end_not_passed", SIM, "start, min(t, end))", "start, end)", (LONG_ORACLE,)),
     # the window's expiry and a result row's deviation
     Mutant("bucket_kept_a_day_too_long", LEARNING,
            "buckets[0].day <= cutoff", "buckets[0].day < cutoff",
@@ -223,8 +233,8 @@ EXCLUDED = (
      "equivalent: two deaths in one second show their order only within one group, "
      "and there the loop resolves the owner first whichever member is next_death"),
     (Mutant("death_at_group_end_cuts_it", SIM,
-            "if t < group.end:\n                # cut short",
-            "if t <= group.end:\n                # cut short", ()),
+            "if t < end:\n                # cut short",
+            "if t <= end:\n                # cut short", ()),
      "equivalent: at the idle rate of 1, a device that dies at its group's end has "
      "0 units left and is given back 0, so the rate its death interpolates at does not show"),
 )
@@ -241,12 +251,18 @@ def apply(src: Path, mutant: Mutant) -> str | None:
     return text
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+def run_tests(src: Path, tests: tuple[str, ...], timeout: float | None = None) -> int | None:
+    """pytest's exit code for ``tests`` against the copy at ``src``, or
+    None when they run past ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -261,18 +277,23 @@ def main() -> int:
             else:
                 print(f"excluded  {mutant.name}: {reason}")
         killers = tuple(dict.fromkeys(t for m in MUTANTS for t in m.killers))
+        started = time.monotonic()
         if run_tests(src, killers) != 0:
             print("the killers fail on the unmutated source")
             return 1
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
         for mutant in MUTANTS:
             original = apply(src, mutant)
             if original is None:
                 print(f"STALE     {mutant.name}: its old text no longer occurs once")
                 failures += 1
                 continue
-            code = run_tests(src, mutant.killers)
+            code = run_tests(src, mutant.killers, timeout)
             (src / mutant.file).write_text(original)
-            if code == 1:
+            if code is None:
+                print(f"killed    {mutant.name}: its killers ran past {timeout:.0f} s")
+                killed += 1
+            elif code == 1:
                 print(f"killed    {mutant.name}")
                 killed += 1
             else:
