@@ -57,16 +57,44 @@ class Band(IntEnum):
     HIGH = 4           # [0.75, 1.00]
 
 
-_BAND_EDGES = (0.25, 0.40, 0.60, 0.75)
+# The upper edge of each band but the last, as an exact fraction
+# (numerator, denominator); a band holds its lower edge.
+_BAND_EDGES = ((1, 4), (2, 5), (3, 5), (3, 4))
+_BANDS = tuple(Band)
 
 
 def discretize_share(value: float) -> Band:
     if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"share must lie in [0, 1]: {value!r}")
-    for band, edge in enumerate(_BAND_EDGES):
-        if value < edge:
-            return Band(band)
+    for band, (num, den) in enumerate(_BAND_EDGES):
+        if value < num / den:
+            return _BANDS[band]
     return Band.HIGH
+
+
+def share_band(k: int, n: int) -> Band:
+    """The band of the share ``k / n``, for whole ``0 <= k <= n`` and
+    ``n > 0``, by integer comparisons with the exact edges."""
+    for band, (num, den) in enumerate(_BAND_EDGES):
+        if den * k < num * n:
+            return _BANDS[band]
+    return Band.HIGH
+
+
+def band_budget(k: int, n: int) -> int:
+    """The fewest further counts after which the share ``k / n`` can lie
+    in another band, each count adding 1 to ``n`` and 0 or 1 to ``k``: the
+    share can then rise at most to ``(k + x) / (n + x)`` and fall at most
+    to ``k / (n + x)``."""
+    band = share_band(k, n)
+    fewest = []
+    if band < Band.HIGH:
+        num, den = _BAND_EDGES[band]   # den * (k + x) >= num * (n + x)
+        fewest.append(-((den * k - num * n) // (den - num)))
+    if band > Band.LOW:
+        num, den = _BAND_EDGES[band - 1]   # den * k < num * (n + x)
+        fewest.append((den * k - num * n) // num + 1)
+    return min(fewest)
 
 
 class HistoryDepth(IntEnum):
@@ -77,10 +105,15 @@ class HistoryDepth(IntEnum):
     AMPLE = 2          # 100 or more
 
 
+# The fewest negotiations of a LIMITED and of an AMPLE history.
+_DEPTH_EDGES = (10, 100)
+
+
 def history_depth(negotiations: int) -> HistoryDepth:
-    if negotiations < 10:
+    limited, ample = _DEPTH_EDGES
+    if negotiations < limited:
         return HistoryDepth.INSUFFICIENT
-    if negotiations < 100:
+    if negotiations < ample:
         return HistoryDepth.LIMITED
     return HistoryDepth.AMPLE
 
@@ -252,6 +285,20 @@ def peer_fairness(profile: PeerProfile) -> float:
     if profile.negotiations == 0 or profile.comm_seconds == 0:
         return 0.0
     return profile.self_go_seconds / profile.comm_seconds
+
+
+def record_budget(profile: PeerProfile) -> int:
+    """The fewest further negotiation records after which the won share,
+    the quit share or the history depth of ``profile``, whose window is
+    not empty, can differ; each record is won, quit by the peer, or
+    neither.  ``band_budget(self_go_seconds, comm_seconds)`` is the same
+    bound for the owner-time share, in group seconds."""
+    n = profile.negotiations
+    fewest = min(band_budget(profile.self_go_wins, n), band_budget(profile.peer_premature_quits, n))
+    for edge in _DEPTH_EDGES:
+        if n < edge:
+            return min(fewest, edge - n)
+    return fewest
 
 
 def features(profile: PeerProfile) -> FeatureVector:

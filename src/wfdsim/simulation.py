@@ -50,8 +50,10 @@ from .learning import (
     HistoryDepth,
     PeerProfile,
     assess,
+    band_budget,
     history_depth,
     peer_fairness,
+    record_budget,
     should_reject,
 )
 
@@ -249,6 +251,23 @@ class _Peer(PeerProfile):
         self.verdict = False
 
 
+def _hold(rec: _Peer, cleared: bool, rounds: int, duration: int) -> int:
+    """The ticks from one at which the guard of ``rec`` said no through
+    which that no provably stands, up to the next midnight
+    (``_Simulator``'s docstring), when each tick negotiates at most
+    ``rounds`` rounds and runs a group of at most ``duration`` seconds;
+    ``cleared`` when a full check found the classifier clearing the peer."""
+    if cleared:
+        # no band and no depth moves: the classifier's inputs are the same
+        seconds = band_budget(rec.self_go_seconds, rec.comm_seconds)
+        return min(record_budget(rec) // rounds, (seconds - 1) // duration + 1)
+    slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
+    if slack >= 0:
+        # the owner-time share stays at most 3/5: each owned second takes 2 from the slack
+        return slack // (2 * duration) + 1
+    return 0   # the pair age or the confidence bound: no budget
+
+
 class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_commitment", "schedule", "attack",
@@ -334,46 +353,47 @@ class _Simulator:
     a run of ticks before they happen.  ``_pair_run`` reads it once and
     takes that run in one step; ``_decided_ticks`` moves the pending tick
     past it.  A dead peer, with a schedule or without, makes every tick
-    busy.  A standing yes (below) refuses every tick: set at an earlier tick
-    and still standing, it shows the period is shorter than the hold, so
-    each refusal renews the hold past the next tick.  Both runs end at the
-    next pending death or the horizon, spend no energy, change no profile
-    and draw no peer; a tick at the instant of that death stays on the loop,
-    as the death resolves first and makes the tick busy (its peer died) or
-    void (its device died).  A peer without a schedule, and either without a
-    guard or with a standing no, takes a session at every tick, each group
-    ending by the next tick, and ``k`` such ticks run as one batch.
-    ``_negotiate_batch`` negotiates them in one loop that draws the same
-    numbers in the same order as ``k`` calls of ``_negotiate`` and counts
-    and logs alike; energy and role seconds are booked once.  Three bounds
-    on ``k`` keep every outcome decided before the batch starts, the
-    lookahead of conservative simulation (Chandy and Misra, IEEE TSE 5(5),
-    1979).  Its last group ends by the horizon.  A period drains a device by
-    at most ``worst = idle * period + (top - idle) * group_duration``,
-    ``top`` the owner rate, so tick ``i`` finds at least ``left - i *
-    worst``, ``left`` the lower charge at the first, and all ``(left - top *
-    group_duration) // worst + 1`` ticks fund a whole group at ``top``: no
-    death falls before the last group ends.  And it takes only ticks before
-    a learner's standing no lapses at ``until`` (below; the horizon for a
-    peer that does not learn).  That no ends by the next midnight, so a
-    learner's batch lies in one day and nothing reads its profile during it:
-    the loop reads no guard, and one tally books its negotiations through
+    busy.  A learner's yes, standing or just said by its guard, refuses
+    every tick: each refusal renews the hold past the next tick, unless the
+    period is longer than the hold.  Both runs end at the next pending death
+    or the horizon, spend no energy, change no profile and draw no peer; a
+    tick at the instant of that death stays on the loop, as the death
+    resolves first and makes the tick busy (its peer died) or void (its
+    device died).  A peer without a schedule, and either without a guard or
+    with a no, takes a session at every tick, each group ending by the next
+    tick, and ``k`` such ticks run as one batch.  ``_negotiate_batch``
+    negotiates them in one loop that draws the same numbers in the same
+    order as ``k`` calls of ``_negotiate`` and counts and logs alike; energy
+    and role seconds are booked once.  Three bounds on ``k`` keep every
+    outcome decided before the batch starts, the lookahead of conservative
+    simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  Its last group ends
+    by the horizon.  A period drains a device by at most ``worst = idle *
+    period + (top - idle) * group_duration``, ``top`` the owner rate, so
+    tick ``i`` finds at least ``left - i * worst``, ``left`` the lower
+    charge at the first, and all ``(left - top * group_duration) // worst +
+    1`` ticks fund a whole group at ``top``: no death falls before the last
+    group ends.  And it takes only ticks through which a learner's no
+    stands (below); those end by the next midnight, so a learner's batch
+    lies in one day and no guard check within it could say yes: the loop
+    reads no guard, and one tally books its negotiations through
     ``learn_negotiation``, as a session outside a batch books one, and the
     time of every group but the last, which opens in ``_start_group`` and
     closes like any other.  The deaths booked from that group's end may
-    fall before the next tick, and the loop resolves them as before.  Any
-    other state leaves the tick to the loop: a peer with a schedule, no
-    record or a lapsed verdict.  As ``_pair_run`` never runs the guard's full check, a
-    tick whose check writes a fresh verdict stays on the loop, and a run
-    starts at the next.  A learning ticker's guard can still change its mind
-    or avoid a dead peer, so its ticks stay on the loop, as do those of
-    three or more devices.
+    fall before the next tick, and the loop resolves them as before.  A
+    tick whose no covers no batch, or whose batch the energy bound rules
+    out, negotiates alone in ``_negotiate``.  Any other state leaves the
+    tick to the loop: a peer with a schedule, or a learner with no record
+    of the ticker.  ``_pair_run`` runs the learner's guard itself, in full
+    when its verdict has lapsed, and the loop reads it only at the ticks
+    left to it, so a tick's guard is read once.  A learning ticker's guard
+    can still change its mind or avoid a dead peer, so its ticks stay on
+    the loop, as do those of three or more devices.
     ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
 
     The guard runs only where its answer can change.  Round one, the only
-    one with ``quits == 0``, re-checks no owner: ``_tick`` has just checked
-    both parties, and only the close of the responder's group with a third
-    device came in between.  While ``now < until``, ``_rejects`` returns a
+    one with ``quits == 0``, re-checks no owner: the tick has just checked
+    both parties' guards (a pair step the learner's), and only the close of
+    the responder's group with a third device came in between.  While ``now < until``, ``_rejects`` returns a
     peer's standing verdict: yes for ``FLAG_HOLD_SECONDS`` after a flag or
     a refusal; no after a check that says no with ``slack = 3C - 5S > 0``
     (the window's group and owner seconds), until
@@ -382,6 +402,26 @@ class _Simulator:
     the seconds elapsed, ``S`` by no more than ``C``, and no bucket
     expires: the share stays at most 3/5.  Only a full check, which needs the
     last yes to have lapsed, writes a no, so one verdict serves both.
+
+    For the pair step a no stands through more ticks: the ticks ``_hold``
+    counts from the tick that read it, up to the next midnight, before
+    which no bucket expires.  It counts records, not seconds: the ``i``-th
+    of them (``i = 0`` the reading tick) runs at most ``rounds`` rounds,
+    ``retry_cap + 1`` when a party can quit and 1 otherwise, each one
+    record of the learner, and a group of at most ``group_duration``
+    seconds, recorded at the next tick.  So a check there, at its start or
+    after a quit, sees at most ``(i + 1) * rounds - 1`` more records and
+    ``i * group_duration`` more group seconds.  Any one gate proven to stay
+    false holds the no.  With ``slack >= 0``, as under a standing no, the
+    owner-time share stays at most 3/5 while each owned second takes 2
+    from the slack: ``slack // (2 * group_duration) + 1`` ticks.  When a
+    full check found the classifier clearing the peer (its share above
+    3/5), the classifier clears it again while no band of the three shares
+    and no history depth moves: ``record_budget`` and ``band_budget`` give
+    the fewest records and group seconds that could move one, with integer
+    comparisons against the exact band edges.  Any other no, from the pair
+    age or from the confidence bound alone holding a hostile peer back,
+    gets no such budget.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -433,8 +473,10 @@ class _Simulator:
         if first.die_at < self.next_death.die_at:
             self.next_death = first
 
-    def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
-        """Whether ``dev`` currently refuses to deal with ``peer``."""
+    def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool | None:
+        """Whether ``dev`` currently refuses to deal with ``peer``: true,
+        or a false value, None when a full check found the classifier
+        clearing ``peer`` (then the owner-time share is above 3/5)."""
         rec = dev.peers.get(peer.id)
         if rec is None:
             return False
@@ -451,17 +493,18 @@ class _Simulator:
                 and now - rec.since >= MIN_PAIR_AGE_SECONDS
                 and peer_fairness(rec) > FAIRNESS_THRESHOLD):
             assessment = assess(rec)
-            if should_reject(assessment):
-                pf = assessment.peer_fairness
-                if assessment.features.depth is HistoryDepth.AMPLE:
-                    z = GUARD_Z_AMPLE
-                elif n < SPARSE_WINDOW_NEGOTIATIONS:
-                    z = GUARD_Z_SPARSE
-                else:
-                    z = GUARD_Z_LIMITED
-                if pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD:
-                    rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
-                    return True
+            if not should_reject(assessment):
+                return None
+            pf = assessment.peer_fairness
+            if assessment.features.depth is HistoryDepth.AMPLE:
+                z = GUARD_Z_AMPLE
+            elif n < SPARSE_WINDOW_NEGOTIATIONS:
+                z = GUARD_Z_SPARSE
+            else:
+                z = GUARD_Z_LIMITED
+            if pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD:
+                rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
+                return True
         # before the quiet instant no check can find 5S > 3C (class docstring)
         slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
         if slack > 0:
@@ -513,11 +556,7 @@ class _Simulator:
         if peer.peers is not None and self._rejects(peer, dev, t):
             self._refuse(peer, dev, (t,))
             return
-        owner = self._negotiate(t, dev, peer)
-        if owner is not None:
-            end = t + dev.schedule.group_duration
-            self._start_group(t, owner, peer if owner is dev else dev,
-                              end if end < self.horizon else self.horizon)
+        self._negotiate(t, dev, peer)
 
     def _refuse(self, refuser: _Device, dev: _Device, refused: range | tuple[int]) -> None:
         """``refuser`` refuses the ticks of ``dev`` at the instants ``refused``."""
@@ -529,7 +568,8 @@ class _Simulator:
             self.sessions.extend((r, "rejected", dev.id, refuser.id, "", 0, 0) for r in refused)
 
     def _negotiate(self, t: int, initiator: _Device, responder: _Device) -> _Device | None:
-        """Negotiate the session ``initiator`` starts at ``t``: its group's owner, or None."""
+        """Negotiate the session ``initiator`` starts at ``t`` and open its
+        group: return the group's owner, or None for no group."""
         committed = initiator.uses_commitment or responder.uses_commitment
         rng = self.rng
         quits = 0   # every quit but the last of an exhausted session was retried
@@ -551,7 +591,7 @@ class _Simulator:
             responder.tie_rounds += 1
             owner.go_assignments += 1
             # after a quit, a defending device re-checks the peer when
-            # assigned the owner role (``_tick`` has checked round one)
+            # assigned the owner role (the tick has checked round one)
             if quits and owner.peers is not None and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 if self.sessions is not None:
@@ -581,23 +621,30 @@ class _Simulator:
                 return None
             if self.sessions is not None:
                 self.sessions.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
+            end = t + initiator.schedule.group_duration
+            self._start_group(t, owner, member, end if end < self.horizon else self.horizon)
             return owner
 
     def _negotiate_batch(self, ticks: range, initiator: _Device,
                          responder: _Device) -> tuple[int, int, _Device | None]:
         """Negotiate the sessions ``initiator`` starts at ``ticks`` as ``_negotiate``
-        would, but reading no guard (class docstring).  Returns the groups
-        ``initiator`` and ``responder`` owned, and the last session's owner or None."""
+        would, but reading no guard and opening no group (class docstring).
+        Returns the groups ``initiator`` and ``responder`` owned, and the last
+        session's owner or None."""
         random, getrandbits = self.rng.random, self.rng.getrandbits
         committed = initiator.uses_commitment or responder.uses_commitment
         log, ids = self.sessions, (initiator.id, responder.id)
-        # the owner each tie bit makes, and its chance of quitting as owner;
-        # each party's chance of forcing its declared bit, None for a fair bit
+        # by tie bit: the owner it makes, that party's chance of quitting as
+        # owner and its retry cap; each party's chance of forcing its
+        # declared bit, None for a fair bit
         parties = (responder, initiator)
         chances = [0.0 if p.attack is None else p.attack.r_strength for p in parties]
+        caps = [0 if p.attack is None else p.attack.retry_cap for p in parties]
         init_force, resp_force = (None if p.attack is None else p.attack.tbb_strength
                                   for p in (initiator, responder))
-        walked, groups, owner = [0, 0], [0, 0], None   # by tie bit: rounds quit, groups owned
+        walked = [0, 0]   # rounds quit, by tie bit
+        ones = exhausted = 0   # groups made with bit 1, sessions exhausted
+        exhausted_at = None
         for t in ticks:
             quits = 0
             while True:
@@ -606,30 +653,32 @@ class _Simulator:
                 if committed:
                     bit ^= getrandbits(1) if resp_force is None or random() >= resp_force else 0
                 chance = chances[bit]
-                if chance > 0.0 and random() < chance:
-                    quits += 1
-                    walked[bit] += 1
-                    if quits <= parties[bit].attack.retry_cap:
-                        continue
-                    owner = None
+                if not chance or random() >= chance:
+                    ones += bit
+                    if log is not None:
+                        log.append((t, "group", *ids, parties[bit].id, quits + 1, quits))
+                    break
+                quits += 1
+                walked[bit] += 1
+                if quits > caps[bit]:
+                    exhausted += 1
+                    exhausted_at = t
                     if log is not None:
                         log.append((t, "exhausted", *ids, "", quits, quits))
-                else:
-                    groups[bit] += 1
-                    owner = parties[bit]
-                    if log is not None:
-                        log.append((t, "group", *ids, owner.id, quits + 1, quits))
-                break
+                    break
+        # the last round's bit made the last owner, unless that session was exhausted
+        owner = None if exhausted_at == t else parties[bit]
         # a round ends in a quit or a group, and a session in a group unless exhausted
-        rounds = sum(walked) + sum(groups)
+        groups = (len(ticks) - exhausted - ones, ones)   # by tie bit
+        rounds = walked[0] + walked[1] + groups[0] + groups[1]
         for bit, dev in enumerate(parties):
             dev.tie_rounds += rounds
             dev.negotiations += rounds
             dev.go_assignments += walked[bit] + groups[bit]
             dev.go_wins += walked[bit] + groups[bit]
             dev.peer_quits_observed += walked[1 - bit]
-        initiator.sessions_exhausted += len(ticks) - sum(groups)
-        return groups[1], groups[0], owner
+        initiator.sessions_exhausted += exhausted
+        return ones, groups[0], owner
 
     def _end_group(self, go: _Device, client: _Device, start: int, end: int) -> None:
         """Close the group ``go`` ran for ``client`` from ``start`` until
@@ -687,30 +736,40 @@ class _Simulator:
     def _pair_run(self, t: int, dev: _Device, peer: _Device) -> bool:
         """Take the run of ``dev``'s ticks from ``t`` on that the state of
         ``peer``, its one partner, decides (class docstring), or return
-        False when that state decides none.  ``dev`` does not learn."""
+        False when that state decides none.  ``dev`` does not learn.  A
+        learner's guard is read here, in full once its last verdict has
+        lapsed; its no then covers the ticks ``_hold`` counts, within the
+        day, and when it covers none, or the energy bound leaves none,
+        ``t`` negotiates alone."""
         if not peer.alive:
             dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
             return True
         if peer.schedule is not None:
             return False
-        peers, until = peer.peers, self.horizon
-        if peers is not None:
-            rec = peers.get(dev.id)
-            if rec is None or t >= rec.until:
-                return False
-            if rec.verdict:
-                self._refuse(peer, dev, self._decided_ticks(dev, t, self.horizon))
-                return True
-            until = rec.until
         period, duration = dev.schedule.period, dev.schedule.group_duration
         idle, top = _RATES[_IDLE], _RATES[_GO]
         worst = idle * period + (top - idle) * duration   # the most one period drains
         left = min(d.capacity - idle * t - d.spent for d in self.devices)
-        k = min((self.horizon - t) // period, -((t - until) // period),
-                (left - top * duration) // worst + 1)
+        k = min((self.horizon - t) // period, (left - top * duration) // worst + 1)
+        peers = peer.peers
+        if peers is not None:
+            rec = peers.get(dev.id)
+            if rec is None:
+                return False
+            verdict = self._rejects(peer, dev, t)   # in full once its last verdict has lapsed
+            if verdict:
+                # each refusal holds the next tick, unless the period outlasts the hold
+                stop = self.horizon if period < FLAG_HOLD_SECONDS else t + 1
+                self._refuse(peer, dev, self._decided_ticks(dev, t, stop))
+                return True
+            rounds = 1 + max(0 if p.attack is None or p.attack.r_strength == 0.0
+                             else p.attack.retry_cap for p in (dev, peer))
+            midnight = (t // SECONDS_PER_DAY + 1) * SECONDS_PER_DAY
+            k = min(k, _hold(rec, verdict is None, rounds, duration), -((t - midnight) // period))
         if k <= 0:
-            return False
-        # the guard can only say no until ``until``: the batch reads no guard,
+            self._negotiate(t, dev, peer)   # the tick alone, its guard already read
+            return True
+        # the guard says no for the whole batch: the batch reads no guard,
         # and books the learner's records as one tally after
         negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
         dev_groups, peer_groups, owner = self._negotiate_batch(

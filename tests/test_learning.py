@@ -19,11 +19,14 @@ from wfdsim.learning import (
     PeerProfile,
     WINDOW_DAYS,
     assess,
+    band_budget,
     discretize_share,
     features,
     history_depth,
     peer_fairness,
     posterior,
+    record_budget,
+    share_band,
     should_reject,
 )
 
@@ -98,6 +101,37 @@ class TestDiscretization:
     ])
     def test_history_depth_boundaries(self, count, depth):
         assert history_depth(count) is depth
+
+    def test_integer_bands_equal_float_bands_exhaustively(self):
+        # float 0.4 lies above 2/5 and float 0.6 below 3/5, so that the
+        # integer comparisons agree with the float ones needs every share:
+        # a k/n off an edge lies at least 1/(20n) from it, far past rounding
+        for n in range(1, 2001):
+            ks = range(n + 1)
+            assert (list(map(share_band, ks, itertools.repeat(n)))
+                    == list(map(discretize_share, [k / n for k in ks]))), n
+
+    def test_band_budget_is_the_fewest_counts_that_move_the_band(self):
+        # by brute force: x counts can bring the share anywhere between
+        # k / (n + x) and (k + x) / (n + x), and the band is monotone in it
+        for n in range(1, 151):
+            for k in range(n + 1):
+                band, x = share_band(k, n), 1
+                while share_band(k, n + x) == band == share_band(k + x, n + x):
+                    x += 1
+                assert band_budget(k, n) == x, (k, n)
+
+    @pytest.mark.parametrize("n,won,quit_,budget", [
+        (9, 0, 0, 1),        # the tenth negotiation makes the history LIMITED
+        (95, 50, 0, 5),      # the hundredth makes it AMPLE
+        (100, 50, 0, 25),    # a won share of 1/2: 3/5 after 25 wins, under 2/5 after 26 others
+        (100, 0, 24, 2),     # a quit share of 24/100 reaches 1/4 after 2 quits
+        (400, 0, 0, 134),    # both shares LOW: 134 wins or quits make 1/4
+    ])
+    def test_record_budget_takes_the_nearest_edge(self, n, won, quit_, budget):
+        profile = PeerProfile("p")
+        profile.record_negotiation(0, won, quit_, n)
+        assert record_budget(profile) == budget
 
 
 class TestPosterior:

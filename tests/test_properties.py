@@ -45,7 +45,11 @@ Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
 of the retained buckets, a roll to the current day changes nothing and a
 roll back in time raises ``ClockRegression``.  A day's records booked as
-one tally leave the same window as the records booked one by one.
+one tally leave the same window as the records booked one by one.  A
+learner's window of generated totals, past the pair age, gets a full
+check that says no; any records and group seconds within the budget
+``_hold`` counts from it leave that no standing, and where the classifier
+cleared the peer, every band and the depth as they were.
 
 The codecs take generated vendor IEs, attribute lists and commitment
 openings, which decode back to themselves, and arbitrary or damaged bytes,
@@ -61,10 +65,18 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, event, example, given, settings, strategies as st  # noqa: E402
 
 from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
-from wfdsim.learning import SECONDS_PER_DAY, WINDOW_DAYS, ClockRegression, PeerProfile  # noqa: E402
+from wfdsim.learning import (  # noqa: E402
+    SECONDS_PER_DAY,
+    WINDOW_DAYS,
+    ClockRegression,
+    PeerProfile,
+    band_budget,
+    features,
+    record_budget,
+)
 from wfdsim.protocol import (  # noqa: E402
     VENDOR_IE_MAX_PAYLOAD,
     P2pAttribute,
@@ -76,6 +88,8 @@ from wfdsim.protocol import (  # noqa: E402
 from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
     DEFAULT_CAPACITY,
+    DEFAULT_RETRY_CAP,
+    MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
     DefenseMode,
     DeviceConfig,
@@ -84,6 +98,7 @@ from wfdsim.simulation import (  # noqa: E402
     run,
     _COUNTS,
     _Simulator,
+    _hold,
 )
 
 from reference_sim import ReferenceSimulator  # noqa: E402
@@ -524,7 +539,8 @@ def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
     configs = [DeviceConfig("d0", defense=defense[0], schedule=MINUTE_SCHEDULE, attack=attack[0]),
                DeviceConfig("d1", defense=defense[1], attack=attack[1])]
     ticks = range(0, k * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period)
-    looped, called = (_Simulator(configs, 1, seed, True) for _ in range(2))
+    # a horizon past the last tick: each ``_negotiate`` call opens its group
+    looped, called = (_Simulator(configs, ticks.stop, seed, True) for _ in range(2))
     *groups, last = looped._negotiate_batch(ticks, *looped.devices)
     owners = [called._negotiate(t, *called.devices) for t in ticks]
     assert groups == [owners.count(dev) for dev in called.devices]
@@ -656,6 +672,96 @@ def test_one_tally_books_a_day_of_records(history, gap, records):
     tally.record_group_time(day, sum(own for own, _ in times), sum(comm for _, comm in times))
     assert tally.current_day == by_record.current_day == day
     assert window(tally) == window(by_record)
+
+
+# a learner's no after a full check holds for the ticks of ``_hold``: a
+# check at the last of them sees at most ``ticks * rounds - 1`` more
+# records and ``(ticks - 1) * duration`` more group seconds
+
+GUARD_DAY = 40
+GUARD_NOW = GUARD_DAY * SECONDS_PER_DAY + 12 * 3600
+
+
+def guarded(totals, more=(0, 0, 0, 0, 0)):
+    """A learning victim whose record of its attacker holds the window
+    ``totals`` (negotiations, won, quit, owner seconds, group seconds) and
+    then ``more``, all on one day, for a pair old enough to be judged."""
+    sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
+                      DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
+                     100 * SECONDS_PER_DAY, 0, False)
+    victim, attacker = sim.devices
+    victim.learn_negotiation("attacker", GUARD_NOW - MIN_PAIR_AGE_SECONDS, *totals[1:3], totals[0])
+    rec = victim.peers["attacker"]
+    rec.record_group_time(GUARD_DAY, *totals[3:])
+    n, won, quit, owned, comm = more
+    if n:
+        rec.record_negotiation(GUARD_DAY, won, quit, n)
+    rec.record_group_time(GUARD_DAY, owned, comm)
+    return sim, rec
+
+
+@st.composite
+def windows(draw, cleared):
+    """Window totals whose owner-time share is above 3/5 (``cleared``, with
+    ten negotiations or more) or at most 3/5."""
+    n = draw(st.integers(10 if cleared else 1, 400))
+    won = draw(st.integers(0, n))
+    quit = draw(st.integers(0, n - won))
+    comm = draw(st.integers(1, 50_000))
+    owned = draw(st.integers(3 * comm // 5 + 1, comm) if cleared else st.integers(0, 3 * comm // 5))
+    return n, won, quit, owned, comm
+
+
+def within(data, records, seconds):
+    """Records and group seconds up to ``records`` and ``seconds``: the
+    largest counts and drawn ones, each split at its extremes and at a
+    drawn point into won, quit by the peer and neither, and owner seconds."""
+    for n in {records, data.draw(st.integers(0, records))}:
+        drawn = data.draw(st.integers(0, n))
+        splits = {(n, 0), (0, n), (0, 0), (drawn, data.draw(st.integers(0, n - drawn)))}
+        for comm in {seconds, data.draw(st.integers(0, seconds))}:
+            for owned in {0, comm, data.draw(st.integers(0, comm))}:
+                for won, quit in splits:
+                    yield n, won, quit, owned, comm
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(windows(cleared=True), st.integers(1, DEFAULT_RETRY_CAP + 1), st.integers(1, 3600),
+       st.data())
+def test_records_within_the_budget_keep_a_cleared_no(totals, rounds, duration, data):
+    """When the classifier cleared the peer, any records and group seconds
+    within the budget leave every band and the depth where they were, so
+    the guard's full check still says no."""
+    sim, rec = guarded(totals)
+    assume(sim._rejects(*sim.devices, GUARD_NOW) is None)
+    before = features(rec)
+    ticks = _hold(rec, True, rounds, duration)
+    # one tick more could take a record or a second past the budget
+    assert ((ticks + 1) * rounds > record_budget(rec)
+            or ticks * duration >= band_budget(totals[3], totals[4]))
+    if ticks:
+        for more in within(data, ticks * rounds - 1, (ticks - 1) * duration):
+            sim, rec = guarded(totals, more)
+            assert features(rec) == before, more
+            assert not sim._rejects(*sim.devices, GUARD_NOW), more
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(windows(cleared=False), st.integers(1, DEFAULT_RETRY_CAP + 1), st.integers(1, 3600),
+       st.data())
+def test_seconds_within_the_slack_budget_keep_the_no(totals, rounds, duration, data):
+    """While the owner-time share is at most 3/5, the guard's full check
+    says no; any group seconds within the slack budget keep the share
+    there, with any records, and one tick more can take it past."""
+    sim, rec = guarded(totals)
+    assert not sim._rejects(*sim.devices, GUARD_NOW)
+    ticks = _hold(rec, False, rounds, duration)
+    n, _, _, owned, comm = totals
+    assert 5 * (owned + ticks * duration) > 3 * (comm + ticks * duration)
+    for more in within(data, data.draw(st.integers(0, 2 * n)), (ticks - 1) * duration):
+        sim, rec = guarded(totals, more)
+        assert 5 * rec.self_go_seconds <= 3 * rec.comm_seconds, more
+        assert not sim._rejects(*sim.devices, GUARD_NOW), more
 
 
 # codecs: generated valid frames round-trip; any bytes decode and re-encode

@@ -7,7 +7,9 @@ import statistics
 
 import pytest
 
-from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS
+from wfdsim.cli import build_devices, preset
+from wfdsim.learning import (
+    FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS, PeerProfile, record_budget)
 from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
@@ -480,16 +482,20 @@ class TestRefusalStorm:
 class TestDecidedTicks:
     """Runs of a pair's ticks that the peer's state decides, each taken in
     one step by ``_pair_run``: busy ticks when the peer is dead, a refusal
-    storm while its standing yes lasts, and batched sessions while its
-    standing no lasts or when it has no guard.  These steps only save work
-    and change no result, so these tests count the work: the calls of
-    ``_tick``, ``_refuse`` and ``_negotiate`` on one run (every session
-    outside a batch negotiates in one ``_negotiate`` call)."""
+    storm while its yes lasts, and batched sessions while its no provably
+    stands or when it has no guard.  These steps only save work and change
+    no result, so these tests count the work: the calls of ``_tick``,
+    ``_refuse`` and ``_negotiate`` on one run (every session outside a
+    batch negotiates in one ``_negotiate`` call)."""
 
-    def traced_run(self, devices, horizon, seed):
+    def traced_run(self, devices, horizon, seed, batches=None):
+        """Run with the calls traced; each batch of a learning pair, with
+        the learner's record as its guard last read it, and the rounds the
+        batch negotiated, goes to ``batches``."""
         sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
         tick, refuse, negotiate = sim._tick, sim._refuse, sim._negotiate
+        batch = sim._negotiate_batch
 
         def traced_tick(t, dev):
             ticks.append(t)
@@ -503,7 +509,19 @@ class TestDecidedTicks:
             sessions.append(t)
             return negotiate(t, initiator, responder)
 
+        def traced_batch(batch_ticks, initiator, responder):
+            if batches is None or responder.peers is None:
+                return batch(batch_ticks, initiator, responder)
+            rec = responder.peers[initiator.id]
+            totals = (rec.negotiations, rec.self_go_wins, rec.peer_premature_quits,
+                      rec.self_go_seconds, rec.comm_seconds)
+            before = responder.negotiations
+            out = batch(batch_ticks, initiator, responder)
+            batches.append((batch_ticks, totals, responder.negotiations - before))
+            return out
+
         sim._tick, sim._refuse, sim._negotiate = traced_tick, traced_refuse, traced_negotiate
+        sim._negotiate_batch = traced_batch
         return sim.run(), ticks, refusals, sessions
 
     # in the second pair the victim ticks too: the survivor's step does
@@ -527,12 +545,11 @@ class TestDecidedTicks:
         result, ticks, refusals, _ = self.traced_run(LEARNING_STORM, days(4), 13)
         victim = result.device("victim")
         assert victim.rejections_issued > 400
-        # the tick at which the victim's guard flags the attacker is refused
-        # alone; from the next one its standing yes refuses every tick up to
-        # its death in one call
-        flag, storm = refusals
-        assert flag == (36132,)
-        assert storm.start == 36132 + MINUTE_SCHEDULE.period and storm.step == MINUTE_SCHEDULE.period
+        # the tick at which the victim's guard flags the attacker opens the
+        # storm: its yes refuses that tick and every one after it up to its
+        # death in one call
+        (storm,) = refusals
+        assert storm.start == 36132 and storm.step == MINUTE_SCHEDULE.period
         assert storm[-1] < victim.depletion_day * SECONDS_PER_DAY < storm[-1] + storm.step
         # the attacker's first tick past the victim's death takes every
         # tick it then has alone
@@ -547,28 +564,34 @@ class TestDecidedTicks:
 
     def test_learning_pair_sessions_are_batched(self):
         pair = two_device_configs(DefenseMode.LEARNING_COMMITMENT)
-        result, ticks, _, sessions = self.traced_run(pair, days(400), 0)
-        # the LC victim's guard says no until midnight at its first check of
-        # a day, and a batch takes that day's later ticks
+        batches = []
+        result, ticks, _, sessions = self.traced_run(pair, days(400), 0, batches)
+        # the LC victim owns at most 3/5 of the group time, and its guard's
+        # no stands for as many ticks as that slack covers: a batch takes
+        # the rest of the day from its first tick (220 ticks, 2 sessions alone)
         assert result.device("victim").negotiations == 45690
-        assert len(ticks) < 1000 and len(sessions) < 500
+        assert len(ticks) < 300 and len(sessions) < 10
+        # none runs past midnight, where a bucket of the window can expire
+        assert all(b[0] // SECONDS_PER_DAY == b[-1] // SECONDS_PER_DAY for b, _, _ in batches)
 
-    @pytest.mark.parametrize("mode", [DefenseMode.STANDARD, DefenseMode.LEARNING_COMMITMENT],
-                             ids=lambda mode: mode.value)
-    def test_batched_sessions_negotiate_in_one_loop(self, mode):
-        # a batch's sessions are negotiated by its own loop, not one
-        # ``_negotiate`` call each: the headline pairs run tens of thousands
-        sim = _Simulator(two_device_configs(mode), days(400), 0, False)
-        calls = []
-        negotiate = sim._negotiate
-
-        def traced_negotiate(t, initiator, responder):
-            calls.append(t)
-            return negotiate(t, initiator, responder)
-
-        sim._negotiate = traced_negotiate
-        assert sim.run().device("victim").negotiations > 30000
-        assert len(calls) < 1000
+    def test_quitting_attacker_sessions_are_batched(self):
+        # the ``var_r_strength`` LC cell at r = 0.6: the victim owns more
+        # than 3/5 of the group time, the classifier clears the attacker,
+        # and the no stands while no band of the window can move
+        cfg = preset("var_r_strength")
+        batches = []
+        result, _, _, sessions = self.traced_run(
+            build_devices(cfg, DefenseMode.LEARNING_COMMITMENT, 0.6), days(400), 0, batches)
+        assert result.device("victim").negotiations == 55709
+        assert len(sessions) < 300   # 140 measured; 39,101 when only time held a no
+        for ticks, (n, won, quit, owned, comm), rounds in batches:
+            assert ticks[0] // SECONDS_PER_DAY == ticks[-1] // SECONDS_PER_DAY
+            if 5 * owned > 3 * comm:
+                # a cleared no: at most ``retry_cap + 1`` rounds a tick stay
+                # within the records that could move a band or the depth
+                window = PeerProfile("attacker")
+                window.record_negotiation(0, won, quit, n)
+                assert rounds <= record_budget(window)
 
 
 class TestPrematureQuits:

@@ -58,6 +58,8 @@ PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_
 LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
 LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simulator"
 BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
+BUDGET = "tests/test_properties.py::test_records_within_the_budget_keep_a_cleared_no"
+SLACK_BUDGET = "tests/test_properties.py::test_seconds_within_the_slack_budget_keep_the_no"
 
 MUTANTS = (
     # the guard's standing verdict
@@ -110,7 +112,7 @@ MUTANTS = (
            "            return True\n",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped[ticking_victim]",)),
     Mutant("no_storm_step", SIM,
-           "self._refuse(peer, dev, self._decided_ticks(dev, t, self.horizon))\n"
+           "self._refuse(peer, dev, self._decided_ticks(dev, t, stop))\n"
            "                return True",
            "return False",
            (f"{DECIDED}refusal_storm_is_refused_in_one_call",)),
@@ -123,10 +125,23 @@ MUTANTS = (
            (PAIR_ORACLE,)),
     Mutant("no_pair_batch", SIM, "if k <= 0:", "if True:",
            (f"{DECIDED}pair_sessions_are_batched", f"{DECIDED}learning_pair_sessions_are_batched")),
-    Mutant("batch_until_one_tick_long", SIM,
-           "-((t - until) // period),", "-((t - until) // period) + 1,", (LEARNING_PAIR_ORACLE,)),
-    Mutant("batch_under_a_standing_yes", SIM, "if rec.verdict:", "if False:",
+    Mutant("batch_under_a_standing_yes", SIM, "if verdict:", "if False:",
            (LEARNING_PAIR_ORACLE,)),
+    # the budget that holds a learner's no over a batch
+    Mutant("budget_one_record_too_large", LEARNING,
+           "(den * k - num * n) // num + 1)", "(den * k - num * n) // num + 2)",
+           ("tests/test_learning.py::TestDiscretization::"
+            "test_band_budget_is_the_fewest_counts_that_move_the_band", BUDGET)),
+    Mutant("budget_past_midnight", SIM,
+           "_hold(rec, verdict is None, rounds, duration), -((t - midnight) // period))",
+           "_hold(rec, verdict is None, rounds, duration))",
+           (f"{DECIDED}learning_pair_sessions_are_batched",
+            f"{DECIDED}quitting_attacker_sessions_are_batched")),
+    Mutant("budget_ignores_retry_rounds", SIM,
+           "record_budget(rec) // rounds", "record_budget(rec)",
+           (BUDGET, f"{DECIDED}quitting_attacker_sessions_are_batched")),
+    Mutant("slack_budget_one_tick_long", SIM,
+           "slack // (2 * duration) + 1", "slack // (2 * duration) + 2", (SLACK_BUDGET,)),
     Mutant("batch_books_the_last_group_twice", SIM,
            "        dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)\n",
            "", BATCH_KILLERS),
@@ -140,7 +155,7 @@ MUTANTS = (
            "peer.negotiations - negotiations)", "k)", (LEARNING_PAIR_ORACLE,)),
     # the batch loop's own copy of the round rules
     Mutant("batch_retry_cap_one_short", SIM,
-           "quits <= parties[bit].attack.retry_cap", "quits < parties[bit].attack.retry_cap",
+           "if quits > caps[bit]:", "if quits >= caps[bit]:",
            ("tests/test_simulation.py::TestAttackerDecisions::test_quits_stop_at_retry_cap",
             *BATCH_KILLERS)),
     Mutant("batch_responder_bit_not_xored", SIM,
@@ -149,7 +164,7 @@ MUTANTS = (
            '"exhausted", *ids, "", quits, quits)', '"exhausted", *ids, "", quits + 1, quits)',
            BATCH_KILLERS),
     Mutant("batch_group_to_the_other_owner", SIM,
-           "groups[bit] += 1", "groups[1 - bit] += 1", BATCH_KILLERS),
+           "ones += bit", "ones += 1 - bit", BATCH_KILLERS),
     # the tick's one heap operation
     Mutant("tick_on_the_horizon", SIM,
            "if dev.alive and nxt < self.horizon:", "if dev.alive and nxt <= self.horizon:",
