@@ -238,6 +238,12 @@ _RATES = (1, 2, 11)
 _COUNTS = ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_assignments",
            "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted")
 
+# The 32-bit words drawn for a declared bit with a fixed chance of being
+# forced (None: a fair bit), 1 where the word's top bit is the bit
+_FIXED_DRAWS = {None: (1,), 1.0: (0, 0), 0.0: (0, 0, 1)}
+_TOP_BIT = bytes(128) + b"\1" * 128   # each byte's top bit, for ``bytes.translate``
+_BULK_SESSIONS = 2048   # the most sessions a batch draws in one call
+
 
 class _Peer(PeerProfile):
     """A learning device's record of one peer: its profile, when its window
@@ -363,7 +369,8 @@ class _Simulator:
     with a no, takes a session at every tick, each group ending by the next
     tick, and ``k`` such ticks run as one batch.  ``_negotiate_batch``
     negotiates them in one loop that draws the same numbers in the same
-    order as ``k`` calls of ``_negotiate`` and counts and logs alike; energy
+    order as ``k`` calls of ``_negotiate`` and counts and logs alike, or,
+    when every session draws the same words, draws them in bulk; energy
     and role seconds are booked once.  Three bounds on ``k`` keep every
     outcome decided before the batch starts, the lookahead of conservative
     simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  Its last group ends
@@ -630,7 +637,16 @@ class _Simulator:
         """Negotiate the sessions ``initiator`` starts at ``ticks`` as ``_negotiate``
         would, but reading no guard and opening no group (class docstring).
         Returns the groups ``initiator`` and ``responder`` owned, and the last
-        session's owner or None."""
+        session's owner or None.
+
+        Every session draws the same words when no party can walk out and
+        each bit that decides the tie is fair (one word), always forced (the
+        two of ``random()``; the bit is 0) or never forced (three; the bit
+        follows ``random()``): ``_FIXED_DRAWS``.  Then a chunk of sessions is
+        drawn in one call, as CPython's ``getrandbits(32 * m)`` packs ``m``
+        words little-endian in the order drawn, ``getrandbits(1)`` is one
+        word's top bit and ``random()`` takes two words.  Any other batch
+        runs the loop."""
         random, getrandbits = self.rng.random, self.rng.getrandbits
         committed = initiator.uses_commitment or responder.uses_commitment
         log, ids = self.sessions, (initiator.id, responder.id)
@@ -645,29 +661,49 @@ class _Simulator:
         walked = [0, 0]   # rounds quit, by tie bit
         ones = exhausted = 0   # groups made with bit 1, sessions exhausted
         exhausted_at = None
-        for t in ticks:
-            quits = 0
-            while True:
-                # ``attacker_choose_tbb`` for an attacker, a fair bit otherwise
-                bit = getrandbits(1) if init_force is None or random() >= init_force else 0
-                if committed:
-                    bit ^= getrandbits(1) if resp_force is None or random() >= resp_force else 0
-                chance = chances[bit]
-                if not chance or random() >= chance:
-                    ones += bit
-                    if log is not None:
-                        log.append((t, "group", *ids, parties[bit].id, quits + 1, quits))
-                    break
-                quits += 1
-                walked[bit] += 1
-                if quits > caps[bit]:
-                    exhausted += 1
-                    exhausted_at = t
-                    if log is not None:
-                        log.append((t, "exhausted", *ids, "", quits, quits))
-                    break
+        kinds = [_FIXED_DRAWS.get(force) for force in (init_force, resp_force)[:1 + committed]]
+        if not any(chances) and None not in kinds:
+            # every session draws the same words: draw a chunk of sessions
+            # at once and XOR the top bits of each session's deciding words
+            # (a word's top byte is its last, as the words are little-endian)
+            layout = sum(kinds, ())
+            stride = 4 * len(layout)
+            deciding = [4 * o + 3 for o, decides in enumerate(layout) if decides]
+            for start in range(0, len(ticks), _BULK_SESSIONS):
+                chunk = ticks[start:start + _BULK_SESSIONS]
+                data = getrandbits(8 * stride * len(chunk)).to_bytes(stride * len(chunk), "little")
+                bits = 0
+                for o in deciding:
+                    bits ^= int.from_bytes(data[o::stride].translate(_TOP_BIT), "little")
+                bits = bits.to_bytes(len(chunk), "little")
+                ones += bits.count(1)
+                if log is not None:
+                    log.extend((t, "group", *ids, parties[b].id, 1, 0) for t, b in zip(chunk, bits))
+            bit = bits[-1]
+        else:
+            for t in ticks:
+                quits = 0
+                while True:
+                    # ``attacker_choose_tbb`` for an attacker, a fair bit otherwise
+                    bit = getrandbits(1) if init_force is None or random() >= init_force else 0
+                    if committed:
+                        bit ^= getrandbits(1) if resp_force is None or random() >= resp_force else 0
+                    chance = chances[bit]
+                    if not chance or random() >= chance:
+                        ones += bit
+                        if log is not None:
+                            log.append((t, "group", *ids, parties[bit].id, quits + 1, quits))
+                        break
+                    quits += 1
+                    walked[bit] += 1
+                    if quits > caps[bit]:
+                        exhausted += 1
+                        exhausted_at = t
+                        if log is not None:
+                            log.append((t, "exhausted", *ids, "", quits, quits))
+                        break
         # the last round's bit made the last owner, unless that session was exhausted
-        owner = None if exhausted_at == t else parties[bit]
+        owner = None if exhausted_at == ticks[-1] else parties[bit]
         # a round ends in a quit or a group, and a session in a group unless exhausted
         groups = (len(ticks) - exhausted - ones, ones)   # by tie bit
         rounds = walked[0] + walked[1] + groups[0] + groups[1]

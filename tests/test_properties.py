@@ -36,10 +36,12 @@ For every run:
 * every learning device ends with the reference's records of its peers:
   the same window buckets, and the same instant its pair's age started.
 
-The loop that negotiates a batch of a pair's sessions takes generated
-attack profiles, with and without commitment, and 1 to 200 ticks.  It
-leaves the same owners, device counters, session log and RNG state as one
-``_negotiate`` call per tick.
+A batch of a pair's sessions, negotiated in one loop or drawn in bulk,
+takes generated attack profiles, with and without commitment, and 1 to
+200 ticks or a few more or fewer than one or two chunks of a bulk draw,
+and every shape that is drawn in bulk.  It leaves the same owners, device
+counters, session log and RNG state as one ``_negotiate`` call per tick,
+and without the log the same owners, counters and RNG state.
 
 Peer profiles take generated sequences of negotiation records, group-time
 records and clock rolls.  After each step the running totals equal the sum
@@ -97,6 +99,7 @@ from wfdsim.simulation import (  # noqa: E402
     energy_conserved,
     run,
     _COUNTS,
+    _BULK_SESSIONS,
     _Simulator,
     _hold,
 )
@@ -528,14 +531,37 @@ def test_learning_pairs_match_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 
 
+def counters(sim):
+    return [{name: getattr(dev, name) for name in _COUNTS} for dev in sim.devices]
+
+
+def fixed_shape(forces, committed, k):
+    """An example batch whose sessions each draw the same words, by the
+    initiator's and the responder's chance of forcing its bit (None: a fair
+    bit); with ``k`` past one chunk it crosses a chunk boundary."""
+    attack = tuple(None if force is None else AttackProfile(tbb_strength=force, r_strength=0.0)
+                   for force in forces)
+    defense = (DefenseMode.COMMITMENT if committed else DefenseMode.STANDARD, DefenseMode.STANDARD)
+    return example(attack, defense, k, 7)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.tuples(attacks, attacks), st.tuples(st.sampled_from(PLAIN), st.sampled_from(PLAIN)),
-       st.integers(1, 200), st.integers(0, 2**32))
+       st.integers(1, 200) | st.integers(_BULK_SESSIONS - 2, 2 * _BULK_SESSIONS + 3),
+       st.integers(0, 2**32))
+@fixed_shape((None, None), False, 1)
+@fixed_shape((0.0, None), False, 2 * _BULK_SESSIONS + 3)
+@fixed_shape((1.0, None), False, _BULK_SESSIONS)
+@fixed_shape((None, 0.0), True, _BULK_SESSIONS + 1)
+@fixed_shape((0.0, 1.0), True, 2 * _BULK_SESSIONS + 3)
+@fixed_shape((1.0, None), True, 200)
 def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
-    """The loop that negotiates a batch and ``k`` calls of ``_negotiate``,
-    from the same RNG state, leave the same owners, counters, log and RNG
-    state.  This pins the random stream itself; the digests and reference
-    properties pin it only through its effects."""
+    """A batch, negotiated in one loop or drawn in bulk, and ``k`` calls
+    of ``_negotiate``, from the same RNG state, leave the same owners,
+    counters, log and RNG state.  This pins the random stream itself; the
+    digests and reference properties pin it only through its effects.  A
+    batch without the log leaves the same owners, counters and RNG state
+    too, as a batch drawn in bulk builds its log apart."""
     configs = [DeviceConfig("d0", defense=defense[0], schedule=MINUTE_SCHEDULE, attack=attack[0]),
                DeviceConfig("d1", defense=defense[1], attack=attack[1])]
     ticks = range(0, k * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period)
@@ -545,11 +571,15 @@ def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
     owners = [called._negotiate(t, *called.devices) for t in ticks]
     assert groups == [owners.count(dev) for dev in called.devices]
     assert getattr(last, "id", None) == getattr(owners[-1], "id", None)
-    for dev, other in zip(looped.devices, called.devices):
-        assert {name: getattr(dev, name) for name in _COUNTS} == {
-            name: getattr(other, name) for name in _COUNTS}
+    assert counters(looped) == counters(called)
     assert looped.sessions == called.sessions
     assert looped.rng.getstate() == called.rng.getstate()
+    bare = _Simulator(configs, ticks.stop, seed, False)
+    *bare_groups, bare_last = bare._negotiate_batch(ticks, *bare.devices)
+    assert bare_groups == groups and getattr(bare_last, "id", None) == getattr(last, "id", None)
+    assert counters(bare) == counters(looped)
+    assert bare.sessions is None
+    assert bare.rng.getstate() == looped.rng.getstate()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

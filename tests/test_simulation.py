@@ -594,6 +594,54 @@ class TestDecidedTicks:
                 assert rounds <= record_budget(window)
 
 
+class TestBulkDraws:
+    """``_negotiate_batch`` draws a batch's words in bulk only when every
+    session draws the same words: no party can walk out, and each bit that
+    decides the tie is fair, always forced or never forced.  The widest
+    single draw of a batch tells which way it went: one word at most for
+    the loop, a chunk of sessions' words in bulk."""
+
+    def widest_draw(self, initiator, responder, committed=False):
+        configs = [DeviceConfig("d0", schedule=MINUTE_SCHEDULE, attack=initiator,
+                                defense=DefenseMode.COMMITMENT if committed else DefenseMode.STANDARD),
+                   DeviceConfig("d1", attack=responder)]
+        sim = _Simulator(configs, days(1), 0, False)
+        widths = [0]
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                widths.append(k)
+                return super().getrandbits(k)
+
+        sim.rng = Recording(0)
+        sim._negotiate_batch(range(0, 10 * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period),
+                             *sim.devices)
+        return max(widths)
+
+    @staticmethod
+    def attack(tbb, r=0.0):
+        return AttackProfile(tbb_strength=tbb, r_strength=r)
+
+    @pytest.mark.parametrize("initiator, responder, committed", [
+        (None, None, False), (0.0, None, False), (1.0, None, False),
+        (None, 0.0, True), (0.0, 1.0, True), (1.0, None, True),
+        (1.0, 0.5, False),   # the responder's bit decides nothing without commitments
+    ])
+    def test_fixed_shapes_draw_in_bulk(self, initiator, responder, committed):
+        attacks = [None if force is None else self.attack(force) for force in (initiator, responder)]
+        assert self.widest_draw(*attacks, committed) > 32
+
+    @pytest.mark.parametrize("force", [0.5, 5e-324, 1.0 - 2**-53])
+    def test_a_force_between_zero_and_one_is_refused(self, force):
+        assert self.widest_draw(self.attack(force), None) <= 1
+        assert self.widest_draw(None, self.attack(force), committed=True) <= 1
+
+    @pytest.mark.parametrize("r", [5e-324, 0.5, 1.0])
+    def test_any_quit_chance_is_refused(self, r):
+        assert self.widest_draw(self.attack(1.0, r), self.attack(0.0)) <= 1
+        assert self.widest_draw(None, self.attack(0.0, r), committed=True) <= 1
+
+
 class TestPrematureQuits:
     def run_quitter(self, seed=0):
         cfgs = two_device_configs(DefenseMode.STANDARD, tbb=0.0, r=1.0)

@@ -5,13 +5,15 @@ must occur there exactly once, the new text, and the tests expected to
 kill it.  The script copies ``src/`` to a temporary directory and runs
 every killer against the unmutated copy, where all must pass.  Then it
 applies one mutant at a time to the copy and runs that mutant's killers
-against it.  A mutant is killed when they fail, or when they run past a
-timeout of ``TIMEOUT_FACTOR`` times the wall time of the unmutated run
-(a mutant can make the event loop spin forever).  The check fails if a
-mutant survives, if its old text no longer occurs exactly once, or if a
-killer fails on the unmutated copy.  Mutants shown equivalent are listed
-apart with the reason; their old text must still occur, so that the record
-stays true to the code.
+against it.  Every run selects the Hypothesis profile ``mutants``
+(``tests/conftest.py``), which does not shrink a failing example.  A
+mutant is killed when they fail, or when they run past a timeout of
+``TIMEOUT_FACTOR`` times the wall time of the unmutated run (a mutant can
+make the event loop spin forever).  The check fails if a mutant survives,
+if its old text no longer occurs exactly once, or if a killer fails on
+the unmutated copy.  Mutants shown equivalent are listed apart with the
+reason; their old text must still occur, so that the record stays true
+to the code.
 
 Run from anywhere, with pytest and hypothesis installed (as for the tests):
 
@@ -36,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # a mutant's killers are some of those the unmutated run takes together,
 # so a mutant that runs this many times as long is taken to hang
 TIMEOUT_FACTOR = 5
+# a killer need only fail: the profile without Hypothesis's shrink phase
+HYPOTHESIS_PROFILE = "mutants"
 
 
 class Mutant(NamedTuple):
@@ -58,6 +62,7 @@ PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_
 LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
 LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simulator"
 BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
+BULK_KILLERS = ("tests/test_properties.py::test_batch_loop_draws_as_negotiate_does",)
 BUDGET = "tests/test_properties.py::test_records_within_the_budget_keep_a_cleared_no"
 SLACK_BUDGET = "tests/test_properties.py::test_seconds_within_the_slack_budget_keep_the_no"
 
@@ -164,7 +169,18 @@ MUTANTS = (
            '"exhausted", *ids, "", quits, quits)', '"exhausted", *ids, "", quits + 1, quits)',
            BATCH_KILLERS),
     Mutant("batch_group_to_the_other_owner", SIM,
-           "ones += bit", "ones += 1 - bit", BATCH_KILLERS),
+           "ones += bit\n", "ones += 1 - bit\n", BATCH_KILLERS),
+    # a batch whose sessions each draw the same words, drawn in bulk
+    Mutant("bulk_responder_bit_not_xored", SIM,
+           "bits ^= int.from_bytes", "bits = int.from_bytes", BULK_KILLERS),
+    Mutant("bulk_group_to_the_other_owner", SIM,
+           "ones += bits.count(1)", "ones += bits.count(0)", BULK_KILLERS),
+    Mutant("bulk_deciding_byte_below_the_top", SIM, "4 * o + 3", "4 * o + 2", BULK_KILLERS),
+    Mutant("bulk_never_forced_in_two_words", SIM,
+           "0.0: (0, 0, 1)}", "0.0: (0, 1)}", BULK_KILLERS),
+    Mutant("bulk_chunk_drops_its_last_session", SIM,
+           "ticks[start:start + _BULK_SESSIONS]", "ticks[start:start + _BULK_SESSIONS - 1]",
+           BULK_KILLERS),
     # the tick's one heap operation
     Mutant("tick_on_the_horizon", SIM,
            "if dev.alive and nxt < self.horizon:", "if dev.alive and nxt <= self.horizon:",
@@ -272,7 +288,8 @@ def run_tests(src: Path, tests: tuple[str, ...], timeout: float | None = None) -
     env = dict(os.environ, PYTHONPATH=str(src))
     try:
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             f"--hypothesis-profile={HYPOTHESIS_PROFILE}", *tests],
             cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=timeout,
         ).returncode
