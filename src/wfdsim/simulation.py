@@ -46,6 +46,7 @@ from enum import Enum
 
 from .learning import (
     SECONDS_PER_DAY,
+    WINDOW_DAYS,
     FAIRNESS_THRESHOLD,
     HistoryDepth,
     PeerProfile,
@@ -257,21 +258,30 @@ class _Peer(PeerProfile):
         self.verdict = False
 
 
-def _hold(rec: _Peer, cleared: bool, rounds: int, duration: int) -> int:
-    """The ticks from one at which the guard of ``rec`` said no through
-    which that no provably stands, up to the next midnight
-    (``_Simulator``'s docstring), when each tick negotiates at most
-    ``rounds`` rounds and runs a group of at most ``duration`` seconds;
-    ``cleared`` when a full check found the classifier clearing the peer."""
+def _hold(rec: _Peer, cleared: bool, rounds: int, t: int, period: int, duration: int) -> int:
+    """The ticks, one each ``period`` seconds from ``t``, where the guard of
+    ``rec`` said no, through which that no provably stands (class docstring
+    of ``_Simulator``), each of at most ``rounds`` rounds and a group of at
+    most ``duration`` seconds; ``cleared``: the classifier cleared the peer."""
+    day = t // SECONDS_PER_DAY
     if cleared:
-        # no band and no depth moves: the classifier's inputs are the same
+        # no band and no depth moves before midnight, when a bucket can expire
         seconds = band_budget(rec.self_go_seconds, rec.comm_seconds)
-        return min(record_budget(rec) // rounds, (seconds - 1) // duration + 1)
+        ticks = min(record_budget(rec) // rounds, (seconds - 1) // duration + 1)
+        return min(ticks, -((t - (day + 1) * SECONDS_PER_DAY) // period))
+    young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period)   # ticks before the pair comes of age
     slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
-    if slack >= 0:
-        # the owner-time share stays at most 3/5: each owned second takes 2 from the slack
-        return slack // (2 * duration) + 1
-    return 0   # the pair age or the confidence bound: no budget
+    if slack < 0:
+        return young   # past its age only the confidence bound says no: no budget
+    # the buckets oldest first, to the reading day's (None: none yet), which the span adds to
+    step, taken = 2 * duration, 0
+    for bucket in (*rec.buckets(), None):
+        dated = day if bucket is None else bucket.day
+        before = -((t - (dated + WINDOW_DAYS) * SECONDS_PER_DAY) // period)   # ticks before it expires
+        first = max(taken, slack // step + 1)   # the first tick the slack leaves uncovered
+        if first < before or dated == day:
+            return max(young, min(first, before))
+        taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)
 
 
 class _Device:
@@ -380,13 +390,15 @@ class _Simulator:
     charge at the first, and all ``(left - top * group_duration) // worst +
     1`` ticks fund a whole group at ``top``: no death falls before the last
     group ends.  And it takes only ticks through which a learner's no
-    stands (below); those end by the next midnight, so a learner's batch
-    lies in one day and no guard check within it could say yes: the loop
-    reads no guard, and one tally books its negotiations through
+    stands (below), so no guard check within them could say yes: the loop
+    reads no guard, and one tally a day books its negotiations through
     ``learn_negotiation``, as a session outside a batch books one, and the
-    time of every group but the last, which opens in ``_start_group`` and
-    closes like any other.  The deaths booked from that group's end may
-    fall before the next tick, and the loop resolves them as before.  A
+    time of its groups; a day's last group is booked on the day it ends, and
+    the batch's last opens in ``_start_group`` and closes like any other.
+    A learner's batch is negotiated a day a call, or, drawn in bulk, in one
+    call whose tie bits give each day's tally.  The deaths booked from the
+    last group's end may fall before the next tick, and the loop resolves
+    them as before.  A
     tick whose no covers no batch, or whose batch the energy bound rules
     out, negotiates alone in ``_negotiate``.  Any other state leaves the
     tick to the loop: a peer with a schedule, or a learner with no record
@@ -411,24 +423,28 @@ class _Simulator:
     last yes to have lapsed, writes a no, so one verdict serves both.
 
     For the pair step a no stands through more ticks: the ticks ``_hold``
-    counts from the tick that read it, up to the next midnight, before
-    which no bucket expires.  It counts records, not seconds: the ``i``-th
+    counts from the tick that read it, in records, not seconds: the ``i``-th
     of them (``i = 0`` the reading tick) runs at most ``rounds`` rounds,
     ``retry_cap + 1`` when a party can quit and 1 otherwise, each one
     record of the learner, and a group of at most ``group_duration``
     seconds, recorded at the next tick.  So a check there, at its start or
     after a quit, sees at most ``(i + 1) * rounds - 1`` more records and
     ``i * group_duration`` more group seconds.  Any one gate proven to stay
-    false holds the no.  With ``slack >= 0``, as under a standing no, the
-    owner-time share stays at most 3/5 while each owned second takes 2
-    from the slack: ``slack // (2 * group_duration) + 1`` ticks.  When a
-    full check found the classifier clearing the peer (its share above
-    3/5), the classifier clears it again while no band of the three shares
-    and no history depth moves: ``record_budget`` and ``band_budget`` give
-    the fewest records and group seconds that could move one, with integer
-    comparisons against the exact band edges.  Any other no, from the pair
-    age or from the confidence bound alone holding a hostile peer back,
-    gets no such budget.
+    false holds the no.  The pair age holds it before ``since +
+    MIN_PAIR_AGE_SECONDS``: an emptied window only restarts the age.  With
+    ``slack >= 0``, as under a standing no, the owner-time share stays at
+    most 3/5 at tick ``i`` while ``slack - expired - 2 * i * group_duration
+    >= 0``, each owned second taking 2 from the slack and ``expired`` the
+    ``3c - 5s`` (group and owner seconds) of the buckets gone by its day,
+    known at the read as no record goes to a past day: across midnights, up
+    to the one at which the reading day's bucket, which the batch adds to,
+    could expire.  When a full check found the classifier clearing the peer
+    (its share above 3/5), the classifier clears it again while no band of
+    the three shares and no history depth moves, up to the next midnight,
+    when a bucket can expire: ``record_budget`` and ``band_budget`` give the
+    fewest records and group seconds that could move one, with integer
+    comparisons against the exact band edges.  A no from the confidence
+    bound alone gets no such budget.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -446,6 +462,7 @@ class _Simulator:
         self.seq = 0
         self.next_death = self.devices[0]   # no device has booked a death yet
         self.sessions: list[tuple] | None = [] if log_sessions else None
+        self.pair: tuple | None = None   # what the pair step reads of its one ticker and partner
 
     def _set_role(self, dev: _Device, now: int) -> None:
         """Book ``dev`` idle from ``now`` on, and set the death instant this implies."""
@@ -632,12 +649,32 @@ class _Simulator:
             self._start_group(t, owner, member, end if end < self.horizon else self.horizon)
             return owner
 
-    def _negotiate_batch(self, ticks: range, initiator: _Device,
-                         responder: _Device) -> tuple[int, int, _Device | None]:
-        """Negotiate the sessions ``initiator`` starts at ``ticks`` as ``_negotiate``
-        would, but reading no guard and opening no group (class docstring).
-        Returns the groups ``initiator`` and ``responder`` owned, and the last
-        session's owner or None.
+    def _batch_plan(self, initiator: _Device, responder: _Device) -> tuple:
+        """What each batch of ``initiator``'s sessions with ``responder`` reads
+        (``_negotiate_batch``), built once a run for the pair step."""
+        # by tie bit, the owner it makes, its quit chance and retry cap; each
+        # party's chance of forcing its bit, None for a fair one; and a bulk
+        # draw's bytes a session and its deciding offsets
+        parties = (responder, initiator)
+        chances = [0.0 if p.attack is None else p.attack.r_strength for p in parties]
+        caps = [0 if p.attack is None else p.attack.retry_cap for p in parties]
+        committed = initiator.uses_commitment or responder.uses_commitment
+        forces = [None if p.attack is None else p.attack.tbb_strength for p in (initiator, responder)]
+        kinds = [_FIXED_DRAWS.get(force) for force in forces[:1 + committed]]
+        bulk = None
+        if not any(chances) and None not in kinds:
+            # a word's top byte is its last, as the words are little-endian
+            layout = sum(kinds, ())
+            bulk = 4 * len(layout), [4 * o + 3 for o, decides in enumerate(layout) if decides]
+        return parties, chances, caps, committed, *forces, bulk
+
+    def _negotiate_batch(self, ticks: range, plan: tuple) -> tuple:
+        """Negotiate the sessions that the initiator of ``plan``
+        (``_batch_plan``) starts at ``ticks`` as ``_negotiate`` would, but
+        reading no guard and opening no group (class docstring).  Returns the
+        groups the initiator and the responder owned, the last session's owner
+        or None, the responder's tally (rounds it owned, rounds the initiator
+        quit, all rounds), and a bulk draw's tie bits, one byte a session, or None.
 
         Every session draws the same words when no party can walk out and
         each bit that decides the tie is fair (one word), always forced (the
@@ -647,39 +684,30 @@ class _Simulator:
         words little-endian in the order drawn, ``getrandbits(1)`` is one
         word's top bit and ``random()`` takes two words.  Any other batch
         runs the loop."""
+        parties, chances, caps, committed, init_force, resp_force, bulk = plan
         random, getrandbits = self.rng.random, self.rng.getrandbits
-        committed = initiator.uses_commitment or responder.uses_commitment
-        log, ids = self.sessions, (initiator.id, responder.id)
-        # by tie bit: the owner it makes, that party's chance of quitting as
-        # owner and its retry cap; each party's chance of forcing its
-        # declared bit, None for a fair bit
-        parties = (responder, initiator)
-        chances = [0.0 if p.attack is None else p.attack.r_strength for p in parties]
-        caps = [0 if p.attack is None else p.attack.retry_cap for p in parties]
-        init_force, resp_force = (None if p.attack is None else p.attack.tbb_strength
-                                  for p in (initiator, responder))
+        log, ids = self.sessions, (parties[1].id, parties[0].id)
         walked = [0, 0]   # rounds quit, by tie bit
         ones = exhausted = 0   # groups made with bit 1, sessions exhausted
         exhausted_at = None
-        kinds = [_FIXED_DRAWS.get(force) for force in (init_force, resp_force)[:1 + committed]]
-        if not any(chances) and None not in kinds:
+        drawn = []
+        if bulk is not None:
             # every session draws the same words: draw a chunk of sessions
             # at once and XOR the top bits of each session's deciding words
-            # (a word's top byte is its last, as the words are little-endian)
-            layout = sum(kinds, ())
-            stride = 4 * len(layout)
-            deciding = [4 * o + 3 for o, decides in enumerate(layout) if decides]
+            stride, deciding = bulk
             for start in range(0, len(ticks), _BULK_SESSIONS):
                 chunk = ticks[start:start + _BULK_SESSIONS]
-                data = getrandbits(8 * stride * len(chunk)).to_bytes(stride * len(chunk), "little")
+                data = getrandbits(8 * stride * len(chunk))
                 bits = 0
-                for o in deciding:
-                    bits ^= int.from_bytes(data[o::stride].translate(_TOP_BIT), "little")
-                bits = bits.to_bytes(len(chunk), "little")
-                ones += bits.count(1)
+                if deciding:   # else each bit is 0, and only the draw must run
+                    data = data.to_bytes(stride * len(chunk), "little")
+                    for o in deciding:
+                        bits ^= int.from_bytes(data[o::stride].translate(_TOP_BIT), "little")
+                drawn.append(bits.to_bytes(len(chunk), "little"))
                 if log is not None:
-                    log.extend((t, "group", *ids, parties[b].id, 1, 0) for t, b in zip(chunk, bits))
-            bit = bits[-1]
+                    log.extend((t, "group", *ids, parties[b].id, 1, 0) for t, b in zip(chunk, drawn[-1]))
+            drawn = b"".join(drawn)
+            ones, bit = drawn.count(1), drawn[-1]
         else:
             for t in ticks:
                 quits = 0
@@ -713,8 +741,8 @@ class _Simulator:
             dev.go_assignments += walked[bit] + groups[bit]
             dev.go_wins += walked[bit] + groups[bit]
             dev.peer_quits_observed += walked[1 - bit]
-        initiator.sessions_exhausted += exhausted
-        return ones, groups[0], owner
+        parties[1].sessions_exhausted += exhausted   # the initiator
+        return ones, groups[0], owner, (walked[0] + groups[0], walked[1], rounds), drawn or None
 
     def _end_group(self, go: _Device, client: _Device, start: int, end: int) -> None:
         """Close the group ``go`` ran for ``client`` from ``start`` until
@@ -774,9 +802,9 @@ class _Simulator:
         ``peer``, its one partner, decides (class docstring), or return
         False when that state decides none.  ``dev`` does not learn.  A
         learner's guard is read here, in full once its last verdict has
-        lapsed; its no then covers the ticks ``_hold`` counts, within the
-        day, and when it covers none, or the energy bound leaves none,
-        ``t`` negotiates alone."""
+        lapsed; its no then covers the ticks ``_hold`` counts, and when it
+        covers none, or the energy bound leaves none, ``t`` negotiates
+        alone."""
         if not peer.alive:
             dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
             return True
@@ -784,7 +812,13 @@ class _Simulator:
             return False
         period, duration = dev.schedule.period, dev.schedule.group_duration
         idle, top = _RATES[_IDLE], _RATES[_GO]
-        worst = idle * period + (top - idle) * duration   # the most one period drains
+        plan = self.pair
+        if plan is None:   # the run's one ticker and its partner: built once
+            rounds = 1 + max(0 if p.attack is None or p.attack.r_strength == 0.0
+                             else p.attack.retry_cap for p in (dev, peer))
+            worst = idle * period + (top - idle) * duration   # the most one period drains
+            plan = self.pair = worst, rounds, self._batch_plan(dev, peer)
+        worst, rounds, batch = plan
         left = min(d.capacity - idle * t - d.spent for d in self.devices)
         k = min((self.horizon - t) // period, (left - top * duration) // worst + 1)
         peers = peer.peers
@@ -798,18 +832,37 @@ class _Simulator:
                 stop = self.horizon if period < FLAG_HOLD_SECONDS else t + 1
                 self._refuse(peer, dev, self._decided_ticks(dev, t, stop))
                 return True
-            rounds = 1 + max(0 if p.attack is None or p.attack.r_strength == 0.0
-                             else p.attack.retry_cap for p in (dev, peer))
-            midnight = (t // SECONDS_PER_DAY + 1) * SECONDS_PER_DAY
-            k = min(k, _hold(rec, verdict is None, rounds, duration), -((t - midnight) // period))
+            k = min(k, _hold(rec, verdict is None, rounds, t, period, duration))
         if k <= 0:
             self._negotiate(t, dev, peer)   # the tick alone, its guard already read
             return True
-        # the guard says no for the whole batch: the batch reads no guard,
-        # and books the learner's records as one tally after
-        negotiations, wins, quits = peer.negotiations, peer.go_wins, peer.peer_quits_observed
-        dev_groups, peer_groups, owner = self._negotiate_batch(
-            self._decided_ticks(dev, t, t + k * period), dev, peer)
+        # the guard says no for the whole span: its batches read no guard, and
+        # the learner's records go in as one tally a day (class docstring)
+        ticks = self._decided_ticks(dev, t, t + k * period)
+        daily = peers is not None and batch[-1] is None   # a learner's span, not drawn in bulk
+        dev_groups = peer_groups = start = 0
+        if not daily:
+            dev_groups, peer_groups, owner, _, bits = self._negotiate_batch(ticks, batch)
+        while peers is not None and start < k:
+            first = ticks[start]
+            day = first // SECONDS_PER_DAY
+            stop = min(k, -((t - (day + 1) * SECONDS_PER_DAY) // period))
+            if daily:
+                by_dev, by_peer, owner, tally, _ = self._negotiate_batch(ticks[start:stop], batch)
+                dev_groups, peer_groups, day_owner = dev_groups + by_dev, peer_groups + by_peer, owner
+            else:   # drawn in bulk: a session is one round, the learner's on bit 0
+                by_dev = bits.count(1, start, stop)
+                by_peer, day_owner = stop - start - by_dev, (peer, dev)[bits[stop - 1]]
+                tally = by_peer, 0, stop - start
+            peer.learn_negotiation(dev.id, first, *tally)
+            # the day's last group is booked on the day it ends, the span's once it closes
+            end = ticks[stop - 1] + duration
+            late = day_owner is not None and (stop == k or end // SECONDS_PER_DAY > day)
+            rec.record_group_time(day, (by_peer - (late and day_owner is peer)) * duration,
+                                  (by_dev + by_peer - late) * duration)
+            if late and stop < k:
+                rec.record_group_time(end // SECONDS_PER_DAY, (day_owner is peer) * duration, duration)
+            start = stop
         # every group but the last is booked here; the last opens like any other
         dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)
         for member, go, client in ((dev, dev_groups, peer_groups), (peer, peer_groups, dev_groups)):
@@ -822,11 +875,6 @@ class _Simulator:
                 self._set_role(member, last + duration)
         else:
             self._start_group(last, owner, peer if owner is dev else dev, last + duration)
-        if peers is not None:
-            peer.learn_negotiation(dev.id, t, peer.go_wins - wins, peer.peer_quits_observed - quits,
-                                   peer.negotiations - negotiations)
-            rec.record_group_time(t // SECONDS_PER_DAY, peer_groups * duration,
-                                  (dev_groups + peer_groups) * duration)
         return True
 
     def run(self) -> SimResult:

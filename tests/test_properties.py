@@ -48,10 +48,12 @@ records and clock rolls.  After each step the running totals equal the sum
 of the retained buckets, a roll to the current day changes nothing and a
 roll back in time raises ``ClockRegression``.  A day's records booked as
 one tally leave the same window as the records booked one by one.  A
-learner's window of generated totals, past the pair age, gets a full
-check that says no; any records and group seconds within the budget
-``_hold`` counts from it leave that no standing, and where the classifier
-cleared the peer, every band and the depth as they were.
+learner's window of generated totals or daily buckets, past the pair age,
+gets a full check that says no; any records and group seconds within the
+budget ``_hold`` counts from it leave that no standing, across midnights
+as buckets expire while the owner-time share is at most 3/5, and where
+the classifier cleared the peer, up to midnight with every band and the
+depth as they were.
 
 The codecs take generated vendor IEs, attribute lists and commitment
 openings, which decode back to themselves, and arbitrary or damaged bytes,
@@ -518,6 +520,31 @@ FIRST_FLAG_IN_ROUND_TWO = (
     392400, 51)
 
 
+# Learning pairs over 40 days whose victim's slack no holds a span of
+# ticks across midnights, as buckets of its window expire.  A span crosses
+# two or more midnights at which a day with an owner-time share above 3/5
+# expires and adds slack; one, negotiated a day a call as the victim walks
+# out of groups it owns, at which a day with a share below 3/5 expires and
+# takes slack away.  The last group of a day in a span ends after midnight,
+# and is booked on the day it ends.  And a tick falls exactly at midnight
+# inside a span, where the last group of the day before ends.
+def learning_span(period, duration, phase, victim, attacker, victim_attack=None):
+    return ([DeviceConfig("d0", defense=victim, attack=victim_attack),
+             DeviceConfig("d1", defense=DefenseMode.COMMITMENT if victim is DefenseMode.LEARNING_COMMITMENT
+                           else DefenseMode.STANDARD,
+                           schedule=Schedule(period, duration), phase=phase, attack=attacker)],
+            40 * SECONDS_PER_DAY, 0)
+
+
+SPAN_PAST_AN_UNFAIR_DAY = learning_span(3600, 600, 3000, DefenseMode.LEARNING_COMMITMENT,
+                                        AttackProfile(tbb_strength=1.0))
+SPAN_PAST_A_FAIR_DAY = learning_span(3600, 1800, 900, DefenseMode.LEARNING, None,
+                                     AttackProfile(r_strength=0.3, retry_cap=2))
+SPAN_DAY_GROUP_PAST_MIDNIGHT = learning_span(3600, 3600, 1800, DefenseMode.LEARNING_COMMITMENT,
+                                             AttackProfile(tbb_strength=1.0))
+SPAN_TICK_AT_MIDNIGHT = learning_span(3600, 3600, 0, DefenseMode.LEARNING, None)
+
+
 # periods of a minute to 12 hours, so that over 864 s a horizon of 3,000
 # periods passes the 30-day window
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -527,6 +554,10 @@ FIRST_FLAG_IN_ROUND_TWO = (
 @example(BATCH_TO_UNTIL)
 @example(LAST_GROUP_PAST_MIDNIGHT)
 @example(FIRST_FLAG_IN_ROUND_TWO)
+@example(SPAN_PAST_AN_UNFAIR_DAY)
+@example(SPAN_PAST_A_FAIR_DAY)
+@example(SPAN_DAY_GROUP_PAST_MIDNIGHT)
+@example(SPAN_TICK_AT_MIDNIGHT)
 def test_learning_pairs_match_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 
@@ -559,24 +590,35 @@ def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
     """A batch, negotiated in one loop or drawn in bulk, and ``k`` calls
     of ``_negotiate``, from the same RNG state, leave the same owners,
     counters, log and RNG state.  This pins the random stream itself; the
-    digests and reference properties pin it only through its effects.  A
-    batch without the log leaves the same owners, counters and RNG state
-    too, as a batch drawn in bulk builds its log apart."""
+    digests and reference properties pin it only through its effects.  The
+    responder's tally is its counters', and a bulk draw's tie bits say which
+    sessions the initiator owned.  A batch without the log leaves the same
+    owners, counters, tally, bits and RNG state too, as a batch drawn in
+    bulk builds its log apart."""
     configs = [DeviceConfig("d0", defense=defense[0], schedule=MINUTE_SCHEDULE, attack=attack[0]),
                DeviceConfig("d1", defense=defense[1], attack=attack[1])]
     ticks = range(0, k * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period)
     # a horizon past the last tick: each ``_negotiate`` call opens its group
     looped, called = (_Simulator(configs, ticks.stop, seed, True) for _ in range(2))
-    *groups, last = looped._negotiate_batch(ticks, *looped.devices)
+    plan = looped._batch_plan(*looped.devices)
+    *groups, last, tally, bits = looped._negotiate_batch(ticks, plan)
     owners = [called._negotiate(t, *called.devices) for t in ticks]
+    initiator, responder = called.devices
     assert groups == [owners.count(dev) for dev in called.devices]
     assert getattr(last, "id", None) == getattr(owners[-1], "id", None)
     assert counters(looped) == counters(called)
+    assert tally == (responder.go_wins, responder.peer_quits_observed, responder.negotiations)
+    if plan[-1] is None:
+        assert bits is None
+    else:
+        assert bits == bytes(owner is initiator for owner in owners)
     assert looped.sessions == called.sessions
     assert looped.rng.getstate() == called.rng.getstate()
     bare = _Simulator(configs, ticks.stop, seed, False)
-    *bare_groups, bare_last = bare._negotiate_batch(ticks, *bare.devices)
+    *bare_groups, bare_last, bare_tally, bare_bits = bare._negotiate_batch(
+        ticks, bare._batch_plan(*bare.devices))
     assert bare_groups == groups and getattr(bare_last, "id", None) == getattr(last, "id", None)
+    assert (bare_tally, bare_bits) == (tally, bits)
     assert counters(bare) == counters(looped)
     assert bare.sessions is None
     assert bare.rng.getstate() == looped.rng.getstate()
@@ -711,6 +753,11 @@ def test_one_tally_books_a_day_of_records(history, gap, records):
 GUARD_DAY = 40
 GUARD_NOW = GUARD_DAY * SECONDS_PER_DAY + 12 * 3600
 
+# a group's seconds and the period of the ticks that run one, from a
+# minute's ticks to ticks two days apart, between which a midnight passes unseen
+guard_schedules = st.integers(1, 3600).flatmap(
+    lambda duration: st.tuples(st.just(duration), st.integers(duration, 2 * SECONDS_PER_DAY)))
+
 
 def guarded(totals, more=(0, 0, 0, 0, 0)):
     """A learning victim whose record of its attacker holds the window
@@ -731,14 +778,14 @@ def guarded(totals, more=(0, 0, 0, 0, 0)):
 
 
 @st.composite
-def windows(draw, cleared):
-    """Window totals whose owner-time share is above 3/5 (``cleared``, with
-    ten negotiations or more) or at most 3/5."""
-    n = draw(st.integers(10 if cleared else 1, 400))
+def cleared_windows(draw):
+    """Window totals of ten negotiations or more whose owner-time share is
+    above 3/5."""
+    n = draw(st.integers(10, 400))
     won = draw(st.integers(0, n))
     quit = draw(st.integers(0, n - won))
     comm = draw(st.integers(1, 50_000))
-    owned = draw(st.integers(3 * comm // 5 + 1, comm) if cleared else st.integers(0, 3 * comm // 5))
+    owned = draw(st.integers(3 * comm // 5 + 1, comm))
     return n, won, quit, owned, comm
 
 
@@ -756,19 +803,23 @@ def within(data, records, seconds):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(windows(cleared=True), st.integers(1, DEFAULT_RETRY_CAP + 1), st.integers(1, 3600),
-       st.data())
-def test_records_within_the_budget_keep_a_cleared_no(totals, rounds, duration, data):
+@given(cleared_windows(), st.integers(1, DEFAULT_RETRY_CAP + 1), guard_schedules, st.data())
+def test_records_within_the_budget_keep_a_cleared_no(totals, rounds, schedule, data):
     """When the classifier cleared the peer, any records and group seconds
     within the budget leave every band and the depth where they were, so
-    the guard's full check still says no."""
+    the guard's full check still says no, up to midnight, when a bucket can
+    expire."""
+    duration, period = schedule
     sim, rec = guarded(totals)
     assume(sim._rejects(*sim.devices, GUARD_NOW) is None)
     before = features(rec)
-    ticks = _hold(rec, True, rounds, duration)
-    # one tick more could take a record or a second past the budget
+    ticks = _hold(rec, True, rounds, GUARD_NOW, period, duration)
+    midnight = (GUARD_DAY + 1) * SECONDS_PER_DAY
+    assert GUARD_NOW + (ticks - 1) * period < midnight
+    # one tick more could take a record or a second past the budget, or come at midnight
     assert ((ticks + 1) * rounds > record_budget(rec)
-            or ticks * duration >= band_budget(totals[3], totals[4]))
+            or ticks * duration >= band_budget(totals[3], totals[4])
+            or GUARD_NOW + ticks * period >= midnight)
     if ticks:
         for more in within(data, ticks * rounds - 1, (ticks - 1) * duration):
             sim, rec = guarded(totals, more)
@@ -776,22 +827,83 @@ def test_records_within_the_budget_keep_a_cleared_no(totals, rounds, duration, d
             assert not sim._rejects(*sim.devices, GUARD_NOW), more
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(windows(cleared=False), st.integers(1, DEFAULT_RETRY_CAP + 1), st.integers(1, 3600),
-       st.data())
-def test_seconds_within_the_slack_budget_keep_the_no(totals, rounds, duration, data):
+def windowed(buckets):
+    """A learning victim whose record of its attacker holds ``buckets``,
+    each ``(day, negotiations, won, quit, owner seconds, group seconds)``,
+    in day order; its pair's age starts at the first."""
+    sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
+                      DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
+                     100 * SECONDS_PER_DAY, 0, False)
+    victim = sim.devices[0]
+    for day, n, won, quit, owned, comm in buckets:
+        victim.learn_negotiation("attacker", day * SECONDS_PER_DAY, won, quit, n)
+        victim.peers["attacker"].record_group_time(day, owned, comm)
+    return sim, victim.peers["attacker"]
+
+
+@st.composite
+def day_windows(draw):
+    """The buckets of a window, old enough to be judged, whose owner-time
+    share is at most 3/5 on ``GUARD_DAY``: on up to 29 earlier days, each
+    with a share above 3/5 or at most 3/5, so that expiring ones add slack
+    or take it away, and on ``GUARD_DAY`` itself one with the client time
+    that brings the share to at most 3/5 and drawn slack beyond.  That one
+    is left out at times where the others keep the share at most 3/5."""
+    buckets = []
+    for day in sorted(draw(st.sets(st.integers(GUARD_DAY - WINDOW_DAYS + 1, GUARD_DAY - 1),
+                                   max_size=WINDOW_DAYS - 1))):
+        comm = draw(st.integers(1, 20_000))
+        owned = draw(st.integers(0, 3 * comm // 5) | st.integers(3 * comm // 5 + 1, comm))
+        n = draw(st.integers(1, 100))
+        won = draw(st.integers(0, n))
+        buckets.append((day, n, won, draw(st.integers(0, n - won)), owned, comm))
+    slack = sum(3 * comm - 5 * owned for *_, owned, comm in buckets)
+    if slack < 0 or not buckets or draw(st.booleans()):
+        need = max(0, -slack) + draw(st.integers(0, 100_000) | st.integers(0, 10**7))
+        comm = -(-need // 3)
+        buckets.append((GUARD_DAY, draw(st.integers(1, 100)), 0, 0,
+                        draw(st.integers(0, (3 * comm - need) // 5)), comm))
+    return buckets
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(day_windows(), st.integers(1, DEFAULT_RETRY_CAP + 1), guard_schedules, st.data())
+def test_seconds_within_the_slack_budget_keep_the_no(buckets, rounds, schedule, data):
     """While the owner-time share is at most 3/5, the guard's full check
-    says no; any group seconds within the slack budget keep the share
-    there, with any records, and one tick more can take it past."""
-    sim, rec = guarded(totals)
+    says no.  Across midnights, as buckets expire, any records and group
+    seconds within the slack budget keep the share there up to the last
+    tick before the reading day's bucket can expire, and one tick more can
+    take it past.  A tick ``i`` adds at most ``i * duration`` seconds:
+    client time on the reading day, which expires last, and owned time on
+    its own day; the last tick before each expiry and the last of the span
+    see the most under their slack."""
+    duration, period = schedule
+    sim, rec = windowed(buckets)
     assert not sim._rejects(*sim.devices, GUARD_NOW)
-    ticks = _hold(rec, False, rounds, duration)
-    n, _, _, owned, comm = totals
-    assert 5 * (owned + ticks * duration) > 3 * (comm + ticks * duration)
-    for more in within(data, data.draw(st.integers(0, 2 * n)), (ticks - 1) * duration):
-        sim, rec = guarded(totals, more)
-        assert 5 * rec.self_go_seconds <= 3 * rec.comm_seconds, more
-        assert not sim._rejects(*sim.devices, GUARD_NOW), more
+    ticks = _hold(rec, False, rounds, GUARD_NOW, period, duration)
+
+    def day_of(i):
+        return (GUARD_NOW + i * period) // SECONDS_PER_DAY
+
+    assert ticks >= 1 and day_of(ticks - 1) < GUARD_DAY + WINDOW_DAYS
+    if day_of(ticks) < GUARD_DAY + WINDOW_DAYS:
+        _, rec = windowed(buckets)
+        rec.record_group_time(day_of(ticks), ticks * duration, ticks * duration)
+        assert 5 * rec.self_go_seconds > 3 * rec.comm_seconds
+    expiries = {-((GUARD_NOW - (day + WINDOW_DAYS) * SECONDS_PER_DAY) // period) for day, *_ in buckets}
+    for i in sorted({ticks - 1} | {e - 1 for e in expiries if 0 < e <= ticks}):
+        n = data.draw(st.integers(0, 200))
+        won = data.draw(st.integers(0, n))
+        quit = data.draw(st.integers(0, n - won))
+        for comm in {i * duration, data.draw(st.integers(0, i * duration))}:
+            for owned in {0, comm, data.draw(st.integers(0, comm))}:
+                sim, rec = windowed(buckets)
+                rec.record_group_time(GUARD_DAY, 0, comm - owned)
+                if n:
+                    rec.record_negotiation(day_of(i), won, quit, n)
+                rec.record_group_time(day_of(i), owned, owned)
+                assert not sim._rejects(*sim.devices, GUARD_NOW + i * period), (i, n, owned, comm)
+                assert 5 * rec.self_go_seconds <= 3 * rec.comm_seconds, (i, n, owned, comm)
 
 
 # codecs: generated valid frames round-trip; any bytes decode and re-encode

@@ -20,6 +20,7 @@ from wfdsim.simulation import (
     DeviceConfig,
     HOUR_SCHEDULE,
     InvalidConfig,
+    MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
     Schedule,
     attacker_choose_tbb,
@@ -488,14 +489,16 @@ class TestDecidedTicks:
     ``_refuse`` and ``_negotiate`` on one run (every session outside a
     batch negotiates in one ``_negotiate`` call)."""
 
-    def traced_run(self, devices, horizon, seed, batches=None):
-        """Run with the calls traced; each batch of a learning pair, with
-        the learner's record as its guard last read it, and the rounds the
-        batch negotiated, goes to ``batches``."""
+    def traced_run(self, devices, horizon, seed, spans=None):
+        """Run with the calls traced; each batched span of a learning pair
+        goes to ``spans`` as its ticks, the learner's record as its guard
+        last read it (the window totals, the pair's age and the buckets'
+        days, owner and group seconds), and the rounds its batches
+        negotiated."""
         sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
         tick, refuse, negotiate = sim._tick, sim._refuse, sim._negotiate
-        batch = sim._negotiate_batch
+        batch, decided, current = sim._negotiate_batch, sim._decided_ticks, [None]
 
         def traced_tick(t, dev):
             ticks.append(t)
@@ -509,19 +512,27 @@ class TestDecidedTicks:
             sessions.append(t)
             return negotiate(t, initiator, responder)
 
-        def traced_batch(batch_ticks, initiator, responder):
-            if batches is None or responder.peers is None:
-                return batch(batch_ticks, initiator, responder)
-            rec = responder.peers[initiator.id]
-            totals = (rec.negotiations, rec.self_go_wins, rec.peer_premature_quits,
-                      rec.self_go_seconds, rec.comm_seconds)
-            before = responder.negotiations
-            out = batch(batch_ticks, initiator, responder)
-            batches.append((batch_ticks, totals, responder.negotiations - before))
+        def traced_decided(dev, first, stop):
+            run = decided(dev, first, stop)
+            learner = sim.devices[1 - dev.index]
+            rec = learner.peers.get(dev.id) if learner.peers else None
+            current[0] = None if rec is None else [run, (
+                rec.negotiations, rec.self_go_wins, rec.peer_premature_quits,
+                rec.self_go_seconds, rec.comm_seconds), rec.since,
+                [(b.day, b.self_go_seconds, b.comm_seconds) for b in rec.buckets()], 0]
+            return run
+
+        def traced_batch(batch_ticks, plan):
+            out = batch(batch_ticks, plan)
+            span = current[0]
+            if spans is not None and span is not None:
+                if not span[-1]:   # a storm or a survivor's run negotiates no round
+                    spans.append(span)
+                span[-1] += out[3][2]   # the learner's rounds
             return out
 
         sim._tick, sim._refuse, sim._negotiate = traced_tick, traced_refuse, traced_negotiate
-        sim._negotiate_batch = traced_batch
+        sim._negotiate_batch, sim._decided_ticks = traced_batch, traced_decided
         return sim.run(), ticks, refusals, sessions
 
     # in the second pair the victim ticks too: the survivor's step does
@@ -564,31 +575,58 @@ class TestDecidedTicks:
 
     def test_learning_pair_sessions_are_batched(self):
         pair = two_device_configs(DefenseMode.LEARNING_COMMITMENT)
-        batches = []
-        result, ticks, _, sessions = self.traced_run(pair, days(400), 0, batches)
+        spans = []
+        result, ticks, _, sessions = self.traced_run(pair, days(400), 0, spans)
         # the LC victim owns at most 3/5 of the group time, and its guard's
-        # no stands for as many ticks as that slack covers: a batch takes
-        # the rest of the day from its first tick (220 ticks, 2 sessions alone)
+        # no stands for as many ticks as that slack covers, across midnights
+        # (58 ticks popped and 2 sessions alone measured)
         assert result.device("victim").negotiations == 45690
-        assert len(ticks) < 300 and len(sessions) < 10
-        # none runs past midnight, where a bucket of the window can expire
-        assert all(b[0] // SECONDS_PER_DAY == b[-1] // SECONDS_PER_DAY for b, _, _ in batches)
+        assert len(ticks) < 70 and len(sessions) < 5
+        assert max(run[-1] // SECONDS_PER_DAY - run[0] // SECONDS_PER_DAY for run, *_ in spans) > 1
+        duration = MINUTE_SCHEDULE.group_duration
+        for run, (_, _, _, owned, comm), since, buckets, _ in spans:
+            day = run[0] // SECONDS_PER_DAY
+            # it ends before the reading day's bucket, which it adds to, can expire
+            assert run[-1] // SECONDS_PER_DAY < day + WINDOW_DAYS
+            for i, t in enumerate(run):
+                if t + run.step < run.stop and (t + run.step) // SECONDS_PER_DAY == t // SECONDS_PER_DAY:
+                    continue   # a day's last tick sees the most owned seconds of that day
+                # tick ``i`` finds at most ``i * duration`` more owned seconds, and
+                # the buckets expired by its day gone: the share stays at most 3/5
+                expired = sum(3 * c - 5 * s for d, s, c in buckets
+                              if d <= t // SECONDS_PER_DAY - WINDOW_DAYS)
+                assert (t < since + MIN_PAIR_AGE_SECONDS
+                        or 3 * comm - 5 * owned - expired - 2 * i * duration >= 0), (run, i)
+
+    def test_young_pair_sessions_are_batched(self):
+        # the learning victim owns every group, so only the pair's age holds its no:
+        # one batch takes every tick before the pair is ten hours old, and
+        # the first tick of age flags the attacker and refuses the rest
+        spans = []
+        _, ticks, refusals, sessions = self.traced_run(
+            two_device_configs(DefenseMode.LEARNING), days(400), 0, spans)
+        ((run, _, since, _, rounds),) = spans
+        assert (since, run.start, rounds) == (0, MINUTE_SCHEDULE.period, 99)
+        (storm,) = refusals
+        assert run.stop == storm.start == since + MIN_PAIR_AGE_SECONDS
+        assert sessions == [0] and len(ticks) < 10
 
     def test_quitting_attacker_sessions_are_batched(self):
         # the ``var_r_strength`` LC cell at r = 0.6: the victim owns more
         # than 3/5 of the group time, the classifier clears the attacker,
         # and the no stands while no band of the window can move
         cfg = preset("var_r_strength")
-        batches = []
+        spans = []
         result, _, _, sessions = self.traced_run(
-            build_devices(cfg, DefenseMode.LEARNING_COMMITMENT, 0.6), days(400), 0, batches)
+            build_devices(cfg, DefenseMode.LEARNING_COMMITMENT, 0.6), days(400), 0, spans)
         assert result.device("victim").negotiations == 55709
-        assert len(sessions) < 300   # 140 measured; 39,101 when only time held a no
-        for ticks, (n, won, quit, owned, comm), rounds in batches:
-            assert ticks[0] // SECONDS_PER_DAY == ticks[-1] // SECONDS_PER_DAY
-            if 5 * owned > 3 * comm:
-                # a cleared no: at most ``retry_cap + 1`` rounds a tick stay
-                # within the records that could move a band or the depth
+        assert len(sessions) < 100   # 45 measured; 39,101 when only time held a no
+        for run, (n, won, quit, owned, comm), since, _, rounds in spans:
+            if 5 * owned > 3 * comm and run[0] >= since + MIN_PAIR_AGE_SECONDS:
+                # a cleared no ends by midnight, when a bucket can expire, and
+                # its ``retry_cap + 1`` rounds a tick stay within the records
+                # that could move a band or the depth
+                assert run[0] // SECONDS_PER_DAY == run[-1] // SECONDS_PER_DAY
                 window = PeerProfile("attacker")
                 window.record_negotiation(0, won, quit, n)
                 assert rounds <= record_budget(window)
@@ -615,7 +653,7 @@ class TestBulkDraws:
 
         sim.rng = Recording(0)
         sim._negotiate_batch(range(0, 10 * MINUTE_SCHEDULE.period, MINUTE_SCHEDULE.period),
-                             *sim.devices)
+                             sim._batch_plan(*sim.devices))
         return max(widths)
 
     @staticmethod

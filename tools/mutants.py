@@ -138,26 +138,39 @@ MUTANTS = (
            ("tests/test_learning.py::TestDiscretization::"
             "test_band_budget_is_the_fewest_counts_that_move_the_band", BUDGET)),
     Mutant("budget_past_midnight", SIM,
-           "_hold(rec, verdict is None, rounds, duration), -((t - midnight) // period))",
-           "_hold(rec, verdict is None, rounds, duration))",
-           (f"{DECIDED}learning_pair_sessions_are_batched",
-            f"{DECIDED}quitting_attacker_sessions_are_batched")),
+           "return min(ticks, -((t - (day + 1) * SECONDS_PER_DAY) // period))", "return ticks",
+           (BUDGET, f"{DECIDED}quitting_attacker_sessions_are_batched")),
     Mutant("budget_ignores_retry_rounds", SIM,
            "record_budget(rec) // rounds", "record_budget(rec)",
            (BUDGET, f"{DECIDED}quitting_attacker_sessions_are_batched")),
     Mutant("slack_budget_one_tick_long", SIM,
-           "slack // (2 * duration) + 1", "slack // (2 * duration) + 2", (SLACK_BUDGET,)),
+           "slack // step + 1", "slack // step + 2", (SLACK_BUDGET,)),
+    # a slack no across midnights
+    Mutant("span_ignores_expiring_days", SIM,
+           "taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)",
+           "taken = before", (SLACK_BUDGET,)),
+    Mutant("span_past_the_window", SIM,
+           "return max(young, min(first, before))", "return max(young, first)",
+           (SLACK_BUDGET,)),
+    Mutant("span_day_group_on_its_start_day", SIM,
+           "rec.record_group_time(end // SECONDS_PER_DAY,", "rec.record_group_time(day,",
+           (LEARNING_PAIR_ORACLE,)),
+    Mutant("young_pair_one_tick_long", SIM,
+           "young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period)",
+           "young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period) + 1",
+           (f"{DECIDED}young_pair_sessions_are_batched", LEARNING_PAIR_ORACLE)),
     Mutant("batch_books_the_last_group_twice", SIM,
            "        dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)\n",
            "", BATCH_KILLERS),
     Mutant("last_group_also_in_the_tally", SIM,
-           "peer_groups * duration,\n"
-           "                                  (dev_groups + peer_groups) * duration)",
-           "(peer_groups + (owner is peer)) * duration,\n"
-           "                                  (dev_groups + peer_groups + (owner is not None)) * duration)",
+           "(by_peer - (late and day_owner is peer)) * duration,\n"
+           "                                  (by_dev + by_peer - late) * duration)",
+           "by_peer * duration,\n"
+           "                                  (by_dev + by_peer) * duration)",
            (LEARNING_PAIR_ORACLE,)),
     Mutant("learner_tally_counts_sessions", SIM,
-           "peer.negotiations - negotiations)", "k)", (LEARNING_PAIR_ORACLE,)),
+           "walked[1], rounds), drawn", "walked[1], len(ticks)), drawn",
+           (LEARNING_PAIR_ORACLE, *BULK_KILLERS)),
     # the batch loop's own copy of the round rules
     Mutant("batch_retry_cap_one_short", SIM,
            "if quits > caps[bit]:", "if quits >= caps[bit]:",
@@ -174,7 +187,10 @@ MUTANTS = (
     Mutant("bulk_responder_bit_not_xored", SIM,
            "bits ^= int.from_bytes", "bits = int.from_bytes", BULK_KILLERS),
     Mutant("bulk_group_to_the_other_owner", SIM,
-           "ones += bits.count(1)", "ones += bits.count(0)", BULK_KILLERS),
+           "drawn.count(1), drawn[-1]", "drawn.count(0), drawn[-1]", BULK_KILLERS),
+    Mutant("bulk_day_tally_to_the_other_owner", SIM,
+           "by_dev = bits.count(1, start, stop)", "by_dev = bits.count(0, start, stop)",
+           (LEARNING_PAIR_ORACLE,)),
     Mutant("bulk_deciding_byte_below_the_top", SIM, "4 * o + 3", "4 * o + 2", BULK_KILLERS),
     Mutant("bulk_never_forced_in_two_words", SIM,
            "0.0: (0, 0, 1)}", "0.0: (0, 1)}", BULK_KILLERS),
