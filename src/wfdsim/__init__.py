@@ -62,11 +62,9 @@ from .learning import (
     FeatureVector,
     HistoryDepth,
     InvalidDuration,
-    OutOfRange,
     PeerAssessment,
     PeerProfile,
     assess,
-    discretize_share,
     features,
     history_depth,
     peer_fairness,

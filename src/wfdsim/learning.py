@@ -19,6 +19,7 @@ fairness bound.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -33,10 +34,6 @@ FAIRNESS_THRESHOLD = 0.6
 # 0.4921) on the hostile side while every fair-leaning state stays at or
 # below 0.35.
 ATTACKER_MASS_THRESHOLD = 0.45
-
-
-class OutOfRange(ValueError):
-    """A share outside [0, 1] was offered for discretisation."""
 
 
 class ClockRegression(ValueError):
@@ -63,15 +60,6 @@ _BAND_EDGES = ((1, 4), (2, 5), (3, 5), (3, 4))
 _BANDS = tuple(Band)
 
 
-def discretize_share(value: float) -> Band:
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"share must lie in [0, 1]: {value!r}")
-    for band, (num, den) in enumerate(_BAND_EDGES):
-        if value < num / den:
-            return _BANDS[band]
-    return Band.HIGH
-
-
 def share_band(k: int, n: int) -> Band:
     """The band of the share ``k / n``, for whole ``0 <= k <= n`` and
     ``n > 0``, by integer comparisons with the exact edges."""
@@ -79,22 +67,6 @@ def share_band(k: int, n: int) -> Band:
         if den * k < num * n:
             return _BANDS[band]
     return Band.HIGH
-
-
-def band_budget(k: int, n: int) -> int:
-    """The fewest further counts after which the share ``k / n`` can lie
-    in another band, each count adding 1 to ``n`` and 0 or 1 to ``k``: the
-    share can then rise at most to ``(k + x) / (n + x)`` and fall at most
-    to ``k / (n + x)``."""
-    band = share_band(k, n)
-    fewest = []
-    if band < Band.HIGH:
-        num, den = _BAND_EDGES[band]   # den * (k + x) >= num * (n + x)
-        fewest.append(-((den * k - num * n) // (den - num)))
-    if band > Band.LOW:
-        num, den = _BAND_EDGES[band - 1]   # den * k < num * (n + x)
-        fewest.append((den * k - num * n) // num + 1)
-    return min(fewest)
 
 
 class HistoryDepth(IntEnum):
@@ -106,14 +78,13 @@ class HistoryDepth(IntEnum):
 
 
 # The fewest negotiations of a LIMITED and of an AMPLE history.
-_DEPTH_EDGES = (10, 100)
+LIMITED_NEGOTIATIONS, AMPLE_NEGOTIATIONS = 10, 100
 
 
 def history_depth(negotiations: int) -> HistoryDepth:
-    limited, ample = _DEPTH_EDGES
-    if negotiations < limited:
+    if negotiations < LIMITED_NEGOTIATIONS:
         return HistoryDepth.INSUFFICIENT
-    if negotiations < ample:
+    if negotiations < AMPLE_NEGOTIATIONS:
         return HistoryDepth.LIMITED
     return HistoryDepth.AMPLE
 
@@ -178,15 +149,25 @@ def posterior(features: FeatureVector) -> tuple[float, ...]:
     so the joint collapses to a product of per-band likelihoods.  Every
     table entry is positive, so the product has mass to normalise.
     """
-    table = _CPT[features.depth]
-    unnorm = []
-    for disposition in Disposition:
-        row = table[disposition]
-        unnorm.append(
-            _PRIOR[disposition] * row[features.self_go] * row[features.peer_quit] * row[features.go_time]
-        )
+    return _posterior(features.depth, features.self_go, features.peer_quit, features.go_time)
+
+
+def _posterior(depth: int, self_go: int, peer_quit: int, go_time: int) -> tuple[float, ...]:
+    unnorm = [prior * row[self_go] * row[peer_quit] * row[go_time] for prior, row in zip(_PRIOR, _CPT[depth])]
     total = sum(unnorm)
     return tuple(u / total for u in unnorm)
+
+
+def _is_hostile(post: tuple[float, ...]) -> bool:
+    return sum(post[d] for d in ATTACKER_DISPOSITIONS) > ATTACKER_MASS_THRESHOLD
+
+
+@functools.cache
+def hostile(*cell: int) -> bool:
+    """The verdict of ``assess``, by its float expression, in ``cell`` (depth,
+    won, quit and owner-time bands), each computed on first use and kept
+    (Michie, "'Memo' functions and machine learning", Nature 218, 1968)."""
+    return _is_hostile(_posterior(*cell))
 
 
 @dataclass(slots=True)
@@ -287,28 +268,15 @@ def peer_fairness(profile: PeerProfile) -> float:
     return profile.self_go_seconds / profile.comm_seconds
 
 
-def record_budget(profile: PeerProfile) -> int:
-    """The fewest further negotiation records after which the won share,
-    the quit share or the history depth of ``profile``, whose window is
-    not empty, can differ; each record is won, quit by the peer, or
-    neither.  ``band_budget(self_go_seconds, comm_seconds)`` is the same
-    bound for the owner-time share, in group seconds."""
-    n = profile.negotiations
-    fewest = min(band_budget(profile.self_go_wins, n), band_budget(profile.peer_premature_quits, n))
-    for edge in _DEPTH_EDGES:
-        if n < edge:
-            return min(fewest, edge - n)
-    return fewest
-
-
 def features(profile: PeerProfile) -> FeatureVector:
     n = profile.negotiations
     if n == 0:
         return FeatureVector(Band.LOW, Band.LOW, Band.LOW, HistoryDepth.INSUFFICIENT)
+    comm = profile.comm_seconds
     return FeatureVector(
-        discretize_share(profile.self_go_wins / n),
-        discretize_share(profile.peer_premature_quits / n),
-        discretize_share(peer_fairness(profile)),
+        share_band(profile.self_go_wins, n),
+        share_band(profile.peer_premature_quits, n),
+        share_band(profile.self_go_seconds, comm) if comm else Band.LOW,
         history_depth(n),
     )
 
@@ -324,12 +292,11 @@ class PeerAssessment:
 def assess(profile: PeerProfile) -> PeerAssessment:
     f = features(profile)
     post = posterior(f)
-    mass = sum(post[d] for d in ATTACKER_DISPOSITIONS)
     return PeerAssessment(
         features=f,
         posterior=post,
         peer_fairness=peer_fairness(profile),
-        is_attacker=mass > ATTACKER_MASS_THRESHOLD,
+        is_attacker=_is_hostile(post),
     )
 
 

@@ -35,8 +35,10 @@ interpolates the sub-second remainder at the rate of the role it held.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
+import itertools
 import json
 import math
 import numbers
@@ -45,16 +47,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .learning import (
+    AMPLE_NEGOTIATIONS,
+    LIMITED_NEGOTIATIONS,
     SECONDS_PER_DAY,
     WINDOW_DAYS,
     FAIRNESS_THRESHOLD,
     HistoryDepth,
     PeerProfile,
     assess,
-    band_budget,
     history_depth,
+    hostile,
     peer_fairness,
-    record_budget,
+    share_band,
     should_reject,
 )
 
@@ -258,27 +262,69 @@ class _Peer(PeerProfile):
         self.verdict = False
 
 
-def _hold(rec: _Peer, cleared: bool, rounds: int, t: int, period: int, duration: int) -> int:
-    """The ticks, one each ``period`` seconds from ``t``, where the guard of
-    ``rec`` said no, through which that no provably stands (class docstring
-    of ``_Simulator``), each of at most ``rounds`` rounds and a group of at
-    most ``duration`` seconds; ``cleared``: the classifier cleared the peer."""
+def _bound(pf: float, n: int) -> float:
+    """The lower confidence bound of the owner-time share ``pf`` over a
+    window of ``n`` negotiations, with the margin of its regime (above)."""
+    z = (GUARD_Z_SPARSE if n < SPARSE_WINDOW_NEGOTIATIONS
+         else GUARD_Z_LIMITED if n < AMPLE_NEGOTIATIONS else GUARD_Z_AMPLE)
+    return pf - z * math.sqrt(pf * (1.0 - pf) / n)
+
+
+def _top_bound(n: int, top: int, pf: float) -> float:
+    """The highest ``_bound`` over ``n`` to ``top`` negotiations of a share
+    from 1/2 to ``pf``: at ``pf`` and the top ``n`` of each z regime, as the
+    bound rises with both, in floats too: ``1 - pf`` is exact for ``pf >=
+    1/2``, and each later step rounds its moving arguments monotonically."""
+    return max(_bound(pf, min(top, max(n, edge - 1)))
+               for edge in (SPARSE_WINDOW_NEGOTIATIONS, AMPLE_NEGOTIATIONS, top + 1))
+
+
+def _may_flag(rec: _Peer, x: int, y: int) -> bool:
+    """Whether a full check of ``rec`` (owner-time share above 3/5) could
+    say yes on its day after at most ``x`` more records and ``y`` more
+    group seconds: a cell they reach is hostile, each share's band lying
+    between those of its least and greatest values, and the bound clears."""
+    n, s, c = rec.negotiations, rec.self_go_seconds, rec.comm_seconds
+    top = n + x
+    cells = itertools.product(
+        range(max(history_depth(n), HistoryDepth.LIMITED), history_depth(top) + 1),
+        *(range(share_band(k, top), share_band(k + x, top) + 1)
+          for k in (rec.self_go_wins, rec.peer_premature_quits)),
+        range(share_band(s, c + y), share_band(s + y, c + y) + 1))
+    return (any(hostile(*cell) for cell in cells)
+            and _top_bound(n, top, (s + y) / (c + y)) > FAIRNESS_THRESHOLD)
+
+
+def _hold(rec: _Peer, rounds: int, t: int, period: int, duration: int) -> int:
+    """The ticks, one each ``period`` seconds from ``t``, through which the
+    no that the guard of ``rec`` gave at ``t`` provably stands.  A tick
+    runs at most ``rounds`` rounds, so a check at the ``i``-th (the reading
+    tick is 0), at its start or after a quit, sees at most ``(i + 1) *
+    rounds - 1`` more records and ``i * duration`` more group seconds, and
+    one gate proven to stay false holds the no.  With ``slack = 3C - 5S >=
+    0`` (group and owner seconds) the owner-time share stays at most 3/5
+    while ``slack - expired - 2 * i * duration >= 0``, ``expired`` the ``3c
+    - 5s`` of the buckets gone by the tick's day, known now as no record
+    goes to a past day: across midnights, up to the one at which the
+    reading day's bucket, which the span adds to, could expire.  Otherwise,
+    up to midnight, when a bucket can expire, the box of windows the tick
+    can reach (``_may_flag``) holds it; the box grows with ``i``, so a
+    bisection finds the first tick that could say yes.  Before ``since +
+    MIN_PAIR_AGE_SECONDS`` the pair's age holds any no, as an emptied
+    window only restarts it."""
     day = t // SECONDS_PER_DAY
-    if cleared:
-        # no band and no depth moves before midnight, when a bucket can expire
-        seconds = band_budget(rec.self_go_seconds, rec.comm_seconds)
-        ticks = min(record_budget(rec) // rounds, (seconds - 1) // duration + 1)
-        return min(ticks, -((t - (day + 1) * SECONDS_PER_DAY) // period))
     young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period)   # ticks before the pair comes of age
     slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
-    if slack < 0:
-        return young   # past its age only the confidence bound says no: no budget
+    if slack < 0:   # the pair's age, or else the box, up to midnight
+        return young if young > 0 else bisect.bisect(
+            range(-((t - (day + 1) * SECONDS_PER_DAY) // period)), False,
+            key=lambda i: _may_flag(rec, (i + 1) * rounds - 1, i * duration))
     # the buckets oldest first, to the reading day's (None: none yet), which the span adds to
-    step, taken = 2 * duration, 0
+    taken = 0
     for bucket in (*rec.buckets(), None):
         dated = day if bucket is None else bucket.day
         before = -((t - (dated + WINDOW_DAYS) * SECONDS_PER_DAY) // period)   # ticks before it expires
-        first = max(taken, slack // step + 1)   # the first tick the slack leaves uncovered
+        first = max(taken, slack // (2 * duration) + 1)   # the first tick the slack leaves uncovered
         if first < before or dated == day:
             return max(young, min(first, before))
         taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)
@@ -377,11 +423,8 @@ class _Simulator:
     resolves first and makes the tick busy (its peer died) or void (its
     device died).  A peer without a schedule, and either without a guard or
     with a no, takes a session at every tick, each group ending by the next
-    tick, and ``k`` such ticks run as one batch.  ``_negotiate_batch``
-    negotiates them in one loop that draws the same numbers in the same
-    order as ``k`` calls of ``_negotiate`` and counts and logs alike, or,
-    when every session draws the same words, draws them in bulk; energy
-    and role seconds are booked once.  Three bounds on ``k`` keep every
+    tick, and ``k`` such ticks run as one batch (``_negotiate_batch``), its
+    energy and role seconds booked once.  Three bounds on ``k`` keep every
     outcome decided before the batch starts, the lookahead of conservative
     simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  Its last group ends
     by the horizon.  A period drains a device by at most ``worst = idle *
@@ -390,61 +433,18 @@ class _Simulator:
     charge at the first, and all ``(left - top * group_duration) // worst +
     1`` ticks fund a whole group at ``top``: no death falls before the last
     group ends.  And it takes only ticks through which a learner's no
-    stands (below), so no guard check within them could say yes: the loop
-    reads no guard, and one tally a day books its negotiations through
-    ``learn_negotiation``, as a session outside a batch books one, and the
-    time of its groups; a day's last group is booked on the day it ends, and
-    the batch's last opens in ``_start_group`` and closes like any other.
-    A learner's batch is negotiated a day a call, or, drawn in bulk, in one
-    call whose tie bits give each day's tally.  The deaths booked from the
-    last group's end may fall before the next tick, and the loop resolves
-    them as before.  A
-    tick whose no covers no batch, or whose batch the energy bound rules
-    out, negotiates alone in ``_negotiate``.  Any other state leaves the
-    tick to the loop: a peer with a schedule, or a learner with no record
-    of the ticker.  ``_pair_run`` runs the learner's guard itself, in full
-    when its verdict has lapsed, and the loop reads it only at the ticks
-    left to it, so a tick's guard is read once.  A learning ticker's guard
-    can still change its mind or avoid a dead peer, so its ticks stay on
-    the loop, as do those of three or more devices.
-    ``sessions`` is ``None`` unless the run keeps the log: then no session tuple is built.
-
-    The guard runs only where its answer can change.  Round one, the only
-    one with ``quits == 0``, re-checks no owner: the tick has just checked
-    both parties' guards (a pair step the learner's), and only the close of
-    the responder's group with a third device came in between.  While ``now < until``, ``_rejects`` returns a
-    peer's standing verdict: yes for ``FLAG_HOLD_SECONDS`` after a flag or
-    a refusal; no after a check that says no with ``slack = 3C - 5S > 0``
-    (the window's group and owner seconds), until
-    ``min(now + slack // 2 + 1, next midnight)``.  No check finds a group
-    of the pair open or unrecorded, so until then ``C`` grows by at most
-    the seconds elapsed, ``S`` by no more than ``C``, and no bucket
-    expires: the share stays at most 3/5.  Only a full check, which needs the
-    last yes to have lapsed, writes a no, so one verdict serves both.
-
-    For the pair step a no stands through more ticks: the ticks ``_hold``
-    counts from the tick that read it, in records, not seconds: the ``i``-th
-    of them (``i = 0`` the reading tick) runs at most ``rounds`` rounds,
-    ``retry_cap + 1`` when a party can quit and 1 otherwise, each one
-    record of the learner, and a group of at most ``group_duration``
-    seconds, recorded at the next tick.  So a check there, at its start or
-    after a quit, sees at most ``(i + 1) * rounds - 1`` more records and
-    ``i * group_duration`` more group seconds.  Any one gate proven to stay
-    false holds the no.  The pair age holds it before ``since +
-    MIN_PAIR_AGE_SECONDS``: an emptied window only restarts the age.  With
-    ``slack >= 0``, as under a standing no, the owner-time share stays at
-    most 3/5 at tick ``i`` while ``slack - expired - 2 * i * group_duration
-    >= 0``, each owned second taking 2 from the slack and ``expired`` the
-    ``3c - 5s`` (group and owner seconds) of the buckets gone by its day,
-    known at the read as no record goes to a past day: across midnights, up
-    to the one at which the reading day's bucket, which the batch adds to,
-    could expire.  When a full check found the classifier clearing the peer
-    (its share above 3/5), the classifier clears it again while no band of
-    the three shares and no history depth moves, up to the next midnight,
-    when a bucket can expire: ``record_budget`` and ``band_budget`` give the
-    fewest records and group seconds that could move one, with integer
-    comparisons against the exact band edges.  A no from the confidence
-    bound alone gets no such budget.
+    stands (``_hold``), so the batch reads no guard; one tally a day books
+    its negotiations through ``learn_negotiation``, and the time of its
+    groups, a day's last on the day it ends.  The batch's last group opens
+    in ``_start_group`` and closes like any other, and the deaths booked
+    from its end may fall before the next tick, where the loop resolves
+    them.  A tick whose no covers no batch, or whose batch the energy bound
+    rules out, negotiates alone in ``_negotiate``.  Any other state leaves
+    the tick to the loop: a peer with a schedule, or a learner with no
+    record of the ticker.  A learning ticker's guard can still change its
+    mind or avoid a dead peer, so its ticks stay on the loop, as do those
+    of three or more devices.  ``sessions`` is ``None`` unless the run
+    keeps the log: then no session tuple is built.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -497,10 +497,15 @@ class _Simulator:
         if first.die_at < self.next_death.die_at:
             self.next_death = first
 
-    def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool | None:
-        """Whether ``dev`` currently refuses to deal with ``peer``: true,
-        or a false value, None when a full check found the classifier
-        clearing ``peer`` (then the owner-time share is above 3/5)."""
+    def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
+        """Whether ``dev`` currently refuses to deal with ``peer``.  While
+        ``now < until`` a standing verdict answers: yes for
+        ``FLAG_HOLD_SECONDS`` after a flag or a refusal; no after a full
+        check that says no with ``slack = 3C - 5S > 0`` (group and owner
+        seconds), until ``min(now + slack // 2 + 1, next midnight)``, as no
+        check finds a group of the pair open or unrecorded, so ``C`` grows
+        by at most the seconds elapsed, ``S`` by no more, and no bucket
+        expires.  Only a full check, after the last yes lapsed, writes a no."""
         rec = dev.peers.get(peer.id)
         if rec is None:
             return False
@@ -509,27 +514,15 @@ class _Simulator:
         day = now // SECONDS_PER_DAY
         if day != rec.current_day:
             rec.roll_to(day)
-        n = rec.negotiations
-        # an insufficient history, a young pair, or an owner-time share at
-        # or below the fairness threshold rules rejection out whatever the
-        # posterior says, so the classifier runs only otherwise
-        if (history_depth(n) is not HistoryDepth.INSUFFICIENT
+        # an insufficient history, a young pair, or an owner-time share at or below the
+        # fairness threshold rules rejection out whatever the posterior says
+        if (rec.negotiations >= LIMITED_NEGOTIATIONS
                 and now - rec.since >= MIN_PAIR_AGE_SECONDS
-                and peer_fairness(rec) > FAIRNESS_THRESHOLD):
-            assessment = assess(rec)
-            if not should_reject(assessment):
-                return None
-            pf = assessment.peer_fairness
-            if assessment.features.depth is HistoryDepth.AMPLE:
-                z = GUARD_Z_AMPLE
-            elif n < SPARSE_WINDOW_NEGOTIATIONS:
-                z = GUARD_Z_SPARSE
-            else:
-                z = GUARD_Z_LIMITED
-            if pf - z * math.sqrt(pf * (1.0 - pf) / n) > FAIRNESS_THRESHOLD:
-                rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
-                return True
-        # before the quiet instant no check can find 5S > 3C (class docstring)
+                and peer_fairness(rec) > FAIRNESS_THRESHOLD
+                and should_reject(assess(rec))
+                and _bound(peer_fairness(rec), rec.negotiations) > FAIRNESS_THRESHOLD):
+            rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
+            return True
         slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
         if slack > 0:
             until, midnight = now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY
@@ -615,7 +608,8 @@ class _Simulator:
             responder.tie_rounds += 1
             owner.go_assignments += 1
             # after a quit, a defending device re-checks the peer when
-            # assigned the owner role (the tick has checked round one)
+            # assigned the owner role; the tick checked round one's guards,
+            # and only the close of a group with a third device came since
             if quits and owner.peers is not None and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
                 if self.sessions is not None:
@@ -826,13 +820,12 @@ class _Simulator:
             rec = peers.get(dev.id)
             if rec is None:
                 return False
-            verdict = self._rejects(peer, dev, t)   # in full once its last verdict has lapsed
-            if verdict:
+            if self._rejects(peer, dev, t):   # in full once its last verdict has lapsed
                 # each refusal holds the next tick, unless the period outlasts the hold
                 stop = self.horizon if period < FLAG_HOLD_SECONDS else t + 1
                 self._refuse(peer, dev, self._decided_ticks(dev, t, stop))
                 return True
-            k = min(k, _hold(rec, verdict is None, rounds, t, period, duration))
+            k = min(k, _hold(rec, rounds, t, period, duration))
         if k <= 0:
             self._negotiate(t, dev, peer)   # the tick alone, its guard already read
             return True

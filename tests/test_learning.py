@@ -1,6 +1,11 @@
 """Peer profiling, feature extraction, and the disposition classifier."""
 
 import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,17 +20,13 @@ from wfdsim.learning import (
     FeatureVector,
     HistoryDepth,
     InvalidDuration,
-    OutOfRange,
     PeerProfile,
     WINDOW_DAYS,
     assess,
-    band_budget,
-    discretize_share,
     features,
     history_depth,
     peer_fairness,
     posterior,
-    record_budget,
     share_band,
     should_reject,
 )
@@ -79,20 +80,15 @@ def attacker_mass(fv: FeatureVector) -> float:
 
 
 class TestDiscretization:
-    @pytest.mark.parametrize("value,band", [
-        (0.0, Band.LOW), (0.2499, Band.LOW),
-        (0.25, Band.SMALL), (0.3999, Band.SMALL),
-        (0.40, Band.AVERAGE), (0.5999, Band.AVERAGE),
-        (0.60, Band.ABOVE_AVERAGE), (0.7499, Band.ABOVE_AVERAGE),
-        (0.75, Band.HIGH), (1.0, Band.HIGH),
+    @pytest.mark.parametrize("k,n,band", [
+        (0, 1, Band.LOW), (2499, 10000, Band.LOW),
+        (1, 4, Band.SMALL), (3999, 10000, Band.SMALL),
+        (2, 5, Band.AVERAGE), (5999, 10000, Band.AVERAGE),
+        (3, 5, Band.ABOVE_AVERAGE), (7499, 10000, Band.ABOVE_AVERAGE),
+        (3, 4, Band.HIGH), (1, 1, Band.HIGH),
     ])
-    def test_band_edges(self, value, band):
-        assert discretize_share(value) is band
-
-    @pytest.mark.parametrize("value", [-0.001, 1.001])
-    def test_out_of_range(self, value):
-        with pytest.raises(OutOfRange):
-            discretize_share(value)
+    def test_band_edges(self, k, n, band):
+        assert share_band(k, n) is band
 
     @pytest.mark.parametrize("count,depth", [
         (0, HistoryDepth.INSUFFICIENT), (9, HistoryDepth.INSUFFICIENT),
@@ -102,36 +98,55 @@ class TestDiscretization:
     def test_history_depth_boundaries(self, count, depth):
         assert history_depth(count) is depth
 
-    def test_integer_bands_equal_float_bands_exhaustively(self):
-        # float 0.4 lies above 2/5 and float 0.6 below 3/5, so that the
-        # integer comparisons agree with the float ones needs every share:
-        # a k/n off an edge lies at least 1/(20n) from it, far past rounding
-        for n in range(1, 2001):
-            ks = range(n + 1)
-            assert (list(map(share_band, ks, itertools.repeat(n)))
-                    == list(map(discretize_share, [k / n for k in ks]))), n
-
-    def test_band_budget_is_the_fewest_counts_that_move_the_band(self):
-        # by brute force: x counts can bring the share anywhere between
-        # k / (n + x) and (k + x) / (n + x), and the band is monotone in it
-        for n in range(1, 151):
+    def test_bands_against_exact_fractions(self):
+        # by brute force: a share's band is the number of edges at or below
+        # it, compared as exact rationals
+        edges = (Fraction(1, 4), Fraction(2, 5), Fraction(3, 5), Fraction(3, 4))
+        for n in range(1, 201):
             for k in range(n + 1):
-                band, x = share_band(k, n), 1
-                while share_band(k, n + x) == band == share_band(k + x, n + x):
-                    x += 1
-                assert band_budget(k, n) == x, (k, n)
+                assert share_band(k, n) == sum(Fraction(k, n) >= edge for edge in edges), (k, n)
 
-    @pytest.mark.parametrize("n,won,quit_,budget", [
-        (9, 0, 0, 1),        # the tenth negotiation makes the history LIMITED
-        (95, 50, 0, 5),      # the hundredth makes it AMPLE
-        (100, 50, 0, 25),    # a won share of 1/2: 3/5 after 25 wins, under 2/5 after 26 others
-        (100, 0, 24, 2),     # a quit share of 24/100 reaches 1/4 after 2 quits
-        (400, 0, 0, 134),    # both shares LOW: 134 wins or quits make 1/4
-    ])
-    def test_record_budget_takes_the_nearest_edge(self, n, won, quit_, budget):
-        profile = PeerProfile("p")
-        profile.record_negotiation(0, won, quit_, n)
-        assert record_budget(profile) == budget
+    def test_features_band_the_whole_counts(self):
+        # owner seconds of exactly 3/5 of a long window sit in
+        # ABOVE_AVERAGE, which holds its lower edge
+        p = PeerProfile("p")
+        p.record_negotiation(0, 2, 0, 5)
+        assert features(p).go_time is Band.LOW   # no group time yet
+        p.record_group_time(0, 3 * 10**9, 5 * 10**9)
+        assert features(p) == FeatureVector(Band.AVERAGE, Band.LOW, Band.ABOVE_AVERAGE,
+                                            HistoryDepth.INSUFFICIENT)
+
+
+class TestHostileCells:
+    """``hostile``, the classifier's verdict memoised by cell of bands."""
+
+    def test_each_cell_is_the_classifier_verdict(self):
+        verdicts = [learning.hostile(fv.depth, fv.self_go, fv.peer_quit, fv.go_time)
+                    for fv in ALL_FEATURE_VECTORS]
+        assert verdicts == [attacker_mass(fv) > ATTACKER_MASS_THRESHOLD for fv in ALL_FEATURE_VECTORS]
+        assert sum(verdicts) == 116
+
+    def test_cells_agree_with_assess(self):
+        # windows of 8, 20 and 200 negotiations and 20 group seconds with
+        # each share at the lower edge of each band, where their sum allows
+        for n in (8, 20, 200):
+            counts = [-(-num * n // den) for num, den in ((0, 1), (1, 4), (2, 5), (3, 5), (3, 4))]
+            for won, quit_, owned in itertools.product(counts, counts, (0, 5, 8, 12, 15)):
+                if won + quit_ <= n:
+                    p = PeerProfile("p")
+                    p.record_negotiation(0, won, quit_, n)
+                    p.record_group_time(0, owned, 20)
+                    f = features(p)
+                    assert (learning.hostile(f.depth, f.self_go, f.peer_quit, f.go_time)
+                            is assess(p).is_attacker), (n, won, quit_, owned)
+
+    def test_no_cell_is_computed_at_import(self):
+        # the set-up of a run pays for no cell it does not read
+        probe = "import wfdsim.simulation as s; print(s.hostile.cache_info().currsize)"
+        src = str(Path(learning.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "0\n"
 
 
 class TestPosterior:

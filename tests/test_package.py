@@ -16,7 +16,8 @@ def test_all_names_public_objects():
     removed = ("Battery", "drain", "CommitmentMismatch", "verify_or_raise",
                "parse_classifier_config", "format_classifier_config", "Role",
                "QuitDecision", "attacker_maybe_quit", "Ignorance", "Cpt", "DEFAULT_CPT",
-               "DEFAULT_PRIOR", "DegenerateDistribution", "EnergyModel", "preimage")
+               "DEFAULT_PRIOR", "DegenerateDistribution", "EnergyModel", "preimage",
+               "discretize_share", "OutOfRange")
     for name in removed:
         assert name not in wfdsim.__all__, name
 

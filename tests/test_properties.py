@@ -50,10 +50,12 @@ roll back in time raises ``ClockRegression``.  A day's records booked as
 one tally leave the same window as the records booked one by one.  A
 learner's window of generated totals or daily buckets, past the pair age,
 gets a full check that says no; any records and group seconds within the
-budget ``_hold`` counts from it leave that no standing, across midnights
-as buckets expire while the owner-time share is at most 3/5, and where
-the classifier cleared the peer, up to midnight with every band and the
-depth as they were.
+hold ``_hold`` counts from it leave that no standing: across midnights as
+buckets expire while the owner-time share is at most 3/5, and otherwise
+up to midnight, for windows with counts and owner seconds at band edges
+and negotiations at depth and z-regime edges.  The confidence bound rises
+with the share by every float from 1/2, and no point of a small box has a
+bound above the one ``_top_bound`` takes at its corner.
 
 The codecs take generated vendor IEs, attribute lists and commitment
 openings, which decode back to themselves, and arbitrary or damaged bytes,
@@ -73,13 +75,11 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
 from wfdsim.learning import (  # noqa: E402
+    AMPLE_NEGOTIATIONS,
     SECONDS_PER_DAY,
     WINDOW_DAYS,
     ClockRegression,
     PeerProfile,
-    band_budget,
-    features,
-    record_budget,
 )
 from wfdsim.protocol import (  # noqa: E402
     VENDOR_IE_MAX_PAYLOAD,
@@ -95,6 +95,7 @@ from wfdsim.simulation import (  # noqa: E402
     DEFAULT_RETRY_CAP,
     MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
+    SPARSE_WINDOW_NEGOTIATIONS,
     DefenseMode,
     DeviceConfig,
     Schedule,
@@ -103,7 +104,10 @@ from wfdsim.simulation import (  # noqa: E402
     _COUNTS,
     _BULK_SESSIONS,
     _Simulator,
+    _bound,
     _hold,
+    _may_flag,
+    _top_bound,
 )
 
 from reference_sim import ReferenceSimulator  # noqa: E402
@@ -777,15 +781,24 @@ def guarded(totals, more=(0, 0, 0, 0, 0)):
     return sim, rec
 
 
+def edge_counts(n, most):
+    """The counts of ``n`` up to ``most`` whose share sits on a band's
+    lower edge or just below it."""
+    firsts = (-(-num * n // den) for num, den in ((1, 4), (2, 5), (3, 5), (3, 4)))
+    return sorted({k for first in firsts for k in (first - 1, first) if 0 <= k <= most}) or [0]
+
+
 @st.composite
-def cleared_windows(draw):
-    """Window totals of ten negotiations or more whose owner-time share is
-    above 3/5."""
-    n = draw(st.integers(10, 400))
-    won = draw(st.integers(0, n))
-    quit = draw(st.integers(0, n - won))
+def flaggable_windows(draw):
+    """Window totals whose owner-time share is above 3/5, with at times the
+    negotiations at a depth or z-regime edge, and the counts and owner
+    seconds on a band's lower edge or just below it."""
+    n = draw(st.sampled_from((9, 10, 39, 40, 99, 100)) | st.integers(1, 400))
+    won = draw(st.sampled_from(edge_counts(n, n)) | st.integers(0, n))
+    quit = draw(st.sampled_from(edge_counts(n, n - won)) | st.integers(0, n - won))
     comm = draw(st.integers(1, 50_000))
-    owned = draw(st.integers(3 * comm // 5 + 1, comm))
+    above = [owned for owned in edge_counts(comm, comm) if 5 * owned > 3 * comm]
+    owned = draw(st.sampled_from([3 * comm // 5 + 1, comm, *above]) | st.integers(3 * comm // 5 + 1, comm))
     return n, won, quit, owned, comm
 
 
@@ -803,28 +816,55 @@ def within(data, records, seconds):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(cleared_windows(), st.integers(1, DEFAULT_RETRY_CAP + 1), guard_schedules, st.data())
-def test_records_within_the_budget_keep_a_cleared_no(totals, rounds, schedule, data):
-    """When the classifier cleared the peer, any records and group seconds
-    within the budget leave every band and the depth where they were, so
-    the guard's full check still says no, up to midnight, when a bucket can
-    expire."""
+@given(flaggable_windows(), st.integers(1, DEFAULT_RETRY_CAP + 1), guard_schedules, st.data())
+def test_records_within_the_hold_keep_the_no(totals, rounds, schedule, data):
+    """With the owner-time share above 3/5, a full check's no holds up to
+    the first tick whose box could say yes, or midnight, when a bucket can
+    expire: any records and group seconds within the hold leave the
+    guard's full check saying no, whichever cells and bounds they reach."""
     duration, period = schedule
     sim, rec = guarded(totals)
-    assume(sim._rejects(*sim.devices, GUARD_NOW) is None)
-    before = features(rec)
-    ticks = _hold(rec, True, rounds, GUARD_NOW, period, duration)
+    assume(not sim._rejects(*sim.devices, GUARD_NOW))
+    ticks = _hold(rec, rounds, GUARD_NOW, period, duration)
     midnight = (GUARD_DAY + 1) * SECONDS_PER_DAY
+    event("no tick held" if not ticks else
+          "held to midnight" if GUARD_NOW + ticks * period >= midnight else "held for a box")
     assert GUARD_NOW + (ticks - 1) * period < midnight
-    # one tick more could take a record or a second past the budget, or come at midnight
-    assert ((ticks + 1) * rounds > record_budget(rec)
-            or ticks * duration >= band_budget(totals[3], totals[4])
-            or GUARD_NOW + ticks * period >= midnight)
+    # one tick more comes at midnight, or its box could say yes
+    assert (GUARD_NOW + ticks * period >= midnight
+            or _may_flag(rec, (ticks + 1) * rounds - 1, ticks * duration))
     if ticks:
         for more in within(data, ticks * rounds - 1, (ticks - 1) * duration):
             sim, rec = guarded(totals, more)
-            assert features(rec) == before, more
             assert not sim._rejects(*sim.devices, GUARD_NOW), more
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((9, 33, 36, 39, 40, 93, 96, 99, 100)) | st.integers(1, 150),
+       st.integers(0, 8), st.integers(1, 12), st.integers(0, 8), st.data())
+def test_the_box_corner_gives_the_highest_bound(n, x, comm, y, data):
+    """At every point a window of ``n`` negotiations, ``owned`` of ``comm``
+    group seconds as owner, can reach with ``x`` more negotiations and
+    ``y`` more group seconds, the confidence bound of a share of 1/2 or
+    more is at most ``_top_bound`` at the greatest share."""
+    owned = data.draw(st.integers(0, comm))
+    highest = _top_bound(n, n + x, (owned + y) / (comm + y))
+    for more in range(y + 1):
+        for owns in range(more + 1):
+            pf = (owned + owns) / (comm + more)
+            if pf >= 0.5:
+                for m in range(n, n + x + 1):
+                    assert _bound(pf, m) <= highest, (pf, m)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.5, 1.0, exclude_max=True), st.integers(1, 10**6))
+def test_the_bound_rises_with_the_share_by_every_float(pf, n):
+    # the float form of the argument in ``_top_bound``: one ulp more share
+    # never lowers the bound, nor does one negotiation more within a regime
+    assert _bound(pf, n) <= _bound(math.nextafter(pf, 1.0), n)
+    if n + 1 not in (SPARSE_WINDOW_NEGOTIATIONS, AMPLE_NEGOTIATIONS):
+        assert _bound(pf, n) <= _bound(pf, n + 1)
 
 
 def windowed(buckets):
@@ -880,7 +920,7 @@ def test_seconds_within_the_slack_budget_keep_the_no(buckets, rounds, schedule, 
     duration, period = schedule
     sim, rec = windowed(buckets)
     assert not sim._rejects(*sim.devices, GUARD_NOW)
-    ticks = _hold(rec, False, rounds, GUARD_NOW, period, duration)
+    ticks = _hold(rec, rounds, GUARD_NOW, period, duration)
 
     def day_of(i):
         return (GUARD_NOW + i * period) // SECONDS_PER_DAY

@@ -2,20 +2,24 @@
 
 import dataclasses
 import json
+import math
 import random
 import statistics
 
 import pytest
 
+from wfdsim import simulation
 from wfdsim.cli import build_devices, preset
-from wfdsim.learning import (
-    FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS, PeerProfile, record_budget)
+from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS
 from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
     DEFAULT_CAPACITY,
     DEFAULT_RETRY_CAP,
     FLAG_HOLD_SECONDS,
+    GUARD_Z_AMPLE,
+    GUARD_Z_LIMITED,
+    GUARD_Z_SPARSE,
     DefenseMode,
     DeviceConfig,
     HOUR_SCHEDULE,
@@ -27,6 +31,9 @@ from wfdsim.simulation import (
     energy_conserved,
     run,
     _Simulator,
+    _bound,
+    _hold,
+    _top_bound,
 )
 
 from test_golden import LEARNING_STORM, LONE_ATTACKER
@@ -611,25 +618,87 @@ class TestDecidedTicks:
         assert run.stop == storm.start == since + MIN_PAIR_AGE_SECONDS
         assert sessions == [0] and len(ticks) < 10
 
-    def test_quitting_attacker_sessions_are_batched(self):
+    def test_quitting_attacker_sessions_are_batched(self, monkeypatch):
         # the ``var_r_strength`` LC cell at r = 0.6: the victim owns more
-        # than 3/5 of the group time, the classifier clears the attacker,
-        # and the no stands while no band of the window can move
-        cfg = preset("var_r_strength")
+        # than 3/5 of the group time, and its no stands while no window its
+        # records can reach could say yes
+        devices = build_devices(preset("var_r_strength"), DefenseMode.LEARNING_COMMITMENT, 0.6)
         spans = []
-        result, _, _, sessions = self.traced_run(
-            build_devices(cfg, DefenseMode.LEARNING_COMMITMENT, 0.6), days(400), 0, spans)
+        result, _, _, sessions = self.traced_run(devices, days(400), 0, spans)
         assert result.device("victim").negotiations == 55709
-        assert len(sessions) < 100   # 45 measured; 39,101 when only time held a no
-        for run, (n, won, quit, owned, comm), since, _, rounds in spans:
-            if 5 * owned > 3 * comm and run[0] >= since + MIN_PAIR_AGE_SECONDS:
-                # a cleared no ends by midnight, when a bucket can expire, and
-                # its ``retry_cap + 1`` rounds a tick stay within the records
-                # that could move a band or the depth
-                assert run[0] // SECONDS_PER_DAY == run[-1] // SECONDS_PER_DAY
-                window = PeerProfile("attacker")
-                window.record_negotiation(0, won, quit, n)
-                assert rounds <= record_budget(window)
+        assert len(sessions) < 10   # 1 measured; 39,101 when only time held a no
+        # each span the box held keeps the guard's verdict: taken tick by
+        # tick, without a batch, the run is the same, and every check of
+        # the victim's guard within such a span says no
+        horizon = days(40)
+        held = {t for run_, (_, _, _, owned, comm), since, _, _ in spans
+                if 5 * owned > 3 * comm and run_[0] >= since + MIN_PAIR_AGE_SECONDS
+                for t in run_ if t < horizon}
+        assert len(held) > 1000   # 9,500 measured
+        monkeypatch.setattr(simulation, "_hold", lambda *args: 0)
+        sim = _Simulator(devices, horizon, 0, False)
+        checks, rejects = [], sim._rejects
+
+        def traced_rejects(dev, peer, now):
+            verdict = rejects(dev, peer, now)
+            if dev.id == "victim":
+                checks.append((now, verdict))
+            return verdict
+
+        sim._rejects = traced_rejects
+        assert sim.run() == run(devices, horizon, 0)
+        assert held <= {now for now, _ in checks}
+        assert not [now for now, verdict in checks if verdict and now in held]
+
+
+class TestHold:
+    """``_hold`` for a window whose owner-time share is above 3/5: the no
+    stands up to midnight, or to the first tick whose reachable box holds
+    a hostile cell and a confidence bound above 3/5."""
+
+    NOW = TestQuietInstant.START + 12 * 3600   # a day's 13:00
+    MIDNIGHT = (TestQuietInstant.DAY + 1) * SECONDS_PER_DAY
+
+    def window(self, n, won, quit, owned, comm):
+        sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
+                          DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
+                         days(100), 0, False)
+        victim, attacker = sim.devices
+        victim.learn_negotiation("attacker", self.NOW - MIN_PAIR_AGE_SECONDS, won, quit, n)
+        victim.peers["attacker"].record_group_time(self.NOW // SECONDS_PER_DAY, owned, comm)
+        assert not sim._rejects(victim, attacker, self.NOW)
+        return sim, victim.peers["attacker"]
+
+    @pytest.mark.parametrize("n,z", [(39, GUARD_Z_SPARSE), (40, GUARD_Z_LIMITED),
+                                     (99, GUARD_Z_LIMITED), (100, GUARD_Z_AMPLE)])
+    def test_bound_takes_the_z_of_its_regime(self, n, z):
+        assert _bound(0.75, n) == 0.75 - z * math.sqrt(0.75 * 0.25 / n)
+
+    def test_top_bound_takes_the_top_of_each_regime(self):
+        # the sparse regime's last window, or the limited one's, has a
+        # higher bound than any larger window
+        assert _top_bound(30, 50, 0.7) == _bound(0.7, 39) > _bound(0.7, 50)
+        assert _top_bound(90, 120, 0.7) == _bound(0.7, 99) > _bound(0.7, 120)
+        assert _top_bound(40, 60, 0.7) == _bound(0.7, 60)
+
+    @pytest.mark.parametrize("rounds,ticks", [(1, 1), (2, 0)])
+    def test_no_stands_until_the_history_can_turn_limited(self, rounds, ticks):
+        # nine negotiations, six won and three quit, and 7/10 of the time
+        # owned: an insufficient history, whose tenth record can land in a
+        # hostile cell with a bound above 3/5 at the next tick, or after a
+        # quit at this one
+        sim, rec = self.window(9, 6, 3, 70, 100)
+        assert _hold(rec, rounds, self.NOW, 360, 60) == ticks
+        # and so it does: one more won record and an owned group
+        rec.record_negotiation(self.NOW // SECONDS_PER_DAY, 1, 0)
+        rec.record_group_time(self.NOW // SECONDS_PER_DAY, 60, 60)
+        assert sim._rejects(*sim.devices, self.NOW + 360)
+
+    def test_a_cleared_no_stands_to_midnight(self):
+        # no win and no quit in 100 negotiations: eleven more records leave
+        # both shares LOW, and no cell with them is hostile
+        _, rec = self.window(100, 0, 0, 1000, 1000)
+        assert _hold(rec, 1, self.NOW, 3600, 60) == -((self.NOW - self.MIDNIGHT) // 3600) == 11
 
 
 class TestBulkDraws:

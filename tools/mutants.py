@@ -63,7 +63,9 @@ LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_
 LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simulator"
 BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
 BULK_KILLERS = ("tests/test_properties.py::test_batch_loop_draws_as_negotiate_does",)
-BUDGET = "tests/test_properties.py::test_records_within_the_budget_keep_a_cleared_no"
+HOLD = "tests/test_simulation.py::TestHold::test_"
+BOX = "tests/test_properties.py::test_records_within_the_hold_keep_the_no"
+CORNER = "tests/test_properties.py::test_the_box_corner_gives_the_highest_bound"
 SLACK_BUDGET = "tests/test_properties.py::test_seconds_within_the_slack_budget_keep_the_no"
 
 MUTANTS = (
@@ -130,21 +132,39 @@ MUTANTS = (
            (PAIR_ORACLE,)),
     Mutant("no_pair_batch", SIM, "if k <= 0:", "if True:",
            (f"{DECIDED}pair_sessions_are_batched", f"{DECIDED}learning_pair_sessions_are_batched")),
-    Mutant("batch_under_a_standing_yes", SIM, "if verdict:", "if False:",
+    Mutant("batch_under_a_standing_yes", SIM,
+           "if self._rejects(peer, dev, t):   # in full", "if False:   # in full",
            (LEARNING_PAIR_ORACLE,)),
-    # the budget that holds a learner's no over a batch
-    Mutant("budget_one_record_too_large", LEARNING,
-           "(den * k - num * n) // num + 1)", "(den * k - num * n) // num + 2)",
-           ("tests/test_learning.py::TestDiscretization::"
-            "test_band_budget_is_the_fewest_counts_that_move_the_band", BUDGET)),
-    Mutant("budget_past_midnight", SIM,
-           "return min(ticks, -((t - (day + 1) * SECONDS_PER_DAY) // period))", "return ticks",
-           (BUDGET, f"{DECIDED}quitting_attacker_sessions_are_batched")),
-    Mutant("budget_ignores_retry_rounds", SIM,
-           "record_budget(rec) // rounds", "record_budget(rec)",
-           (BUDGET, f"{DECIDED}quitting_attacker_sessions_are_batched")),
+    # the box that holds a learner's no over a batch, and the guard's bound
+    Mutant("memo_cell_flipped", LEARNING,
+           "return _is_hostile(_posterior(*cell))",
+           "return _is_hostile(_posterior(*cell)) != (cell == (2, 4, 0, 3))",
+           ("tests/test_learning.py::TestHostileCells::test_each_cell_is_the_classifier_verdict",)),
+    Mutant("box_without_the_depth_range", SIM,
+           "range(max(history_depth(n), HistoryDepth.LIMITED), history_depth(top) + 1)",
+           "(history_depth(n),)",
+           (f"{HOLD}no_stands_until_the_history_can_turn_limited", BOX)),
+    Mutant("box_one_record_short", SIM,
+           "_may_flag(rec, (i + 1) * rounds - 1,", "_may_flag(rec, (i + 1) * rounds - 2,",
+           (f"{HOLD}no_stands_until_the_history_can_turn_limited", BOX)),
+    Mutant("box_ignores_retry_rounds", SIM,
+           "_may_flag(rec, (i + 1) * rounds - 1,", "_may_flag(rec, i,",
+           (f"{HOLD}no_stands_until_the_history_can_turn_limited[2-0]", BOX)),
+    Mutant("box_past_midnight", SIM,
+           "range(-((t - (day + 1) * SECONDS_PER_DAY) // period))",
+           "range(-((t - (day + 2) * SECONDS_PER_DAY) // period))",
+           (f"{HOLD}a_cleared_no_stands_to_midnight", BOX)),
+    Mutant("top_bound_z_from_the_lower_regime", SIM,
+           "min(top, max(n, edge - 1))", "min(top, max(n, edge))",
+           (f"{HOLD}top_bound_takes_the_top_of_each_regime", CORNER)),
+    Mutant("sparse_z_at_forty", SIM,
+           "n < SPARSE_WINDOW_NEGOTIATIONS", "n <= SPARSE_WINDOW_NEGOTIATIONS",
+           (f"{HOLD}bound_takes_the_z_of_its_regime",)),
+    Mutant("limited_z_at_a_hundred", SIM,
+           "n < AMPLE_NEGOTIATIONS", "n <= AMPLE_NEGOTIATIONS",
+           (f"{HOLD}bound_takes_the_z_of_its_regime",)),
     Mutant("slack_budget_one_tick_long", SIM,
-           "slack // step + 1", "slack // step + 2", (SLACK_BUDGET,)),
+           "slack // (2 * duration) + 1", "slack // (2 * duration) + 2", (SLACK_BUDGET,)),
     # a slack no across midnights
     Mutant("span_ignores_expiring_days", SIM,
            "taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)",
