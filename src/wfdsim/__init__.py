@@ -82,7 +82,6 @@ from .simulation import (
     MINUTE_SCHEDULE,
     Schedule,
     SimResult,
-    attacker_choose_tbb,
     energy_conserved,
     run,
 )

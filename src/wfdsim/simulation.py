@@ -172,18 +172,6 @@ class DeviceConfig:
                 raise InvalidConfig(f"{self.device_id}: phase not a whole number in [0, period)")
 
 
-def attacker_choose_tbb(profile: AttackProfile, rng: random.Random) -> int:
-    """Tie bit an attacker declares: the one making the peer owner, or fair.
-
-    Forcing only works where the declared bit decides the tie (standard
-    negotiation, attacker initiating); under commitment tie-breaking the
-    choice is XORed with an independent honest bit and loses all bias.
-    """
-    if rng.random() < profile.tbb_strength:
-        return 0
-    return rng.getrandbits(1)
-
-
 @dataclass(frozen=True)
 class DeviceStats:
     device_id: str
@@ -252,14 +240,14 @@ _BULK_SESSIONS = 2048   # the most sessions a batch draws in one call
 
 class _Peer(PeerProfile):
     """A learning device's record of one peer: its profile, when its window
-    last started from empty, and the guard's standing verdict until ``until``."""
+    last started from empty, and until when the guard's last yes stands (a
+    no is never kept)."""
 
-    __slots__ = ("since", "verdict", "until")
+    __slots__ = ("since", "until")
 
     def __init__(self, peer_id: str):
         super().__init__(peer_id)
         self.since = self.until = 0
-        self.verdict = False
 
 
 def _bound(pf: float, n: int) -> float:
@@ -417,14 +405,16 @@ class _Simulator:
     past it.  A dead peer, with a schedule or without, makes every tick
     busy.  A learner's yes, standing or just said by its guard, refuses
     every tick: each refusal renews the hold past the next tick, unless the
-    period is longer than the hold.  Both runs end at the next pending death
-    or the horizon, spend no energy, change no profile and draw no peer; a
-    tick at the instant of that death stays on the loop, as the death
-    resolves first and makes the tick busy (its peer died) or void (its
-    device died).  A peer without a schedule, and either without a guard or
-    with a no, takes a session at every tick, each group ending by the next
-    tick, and ``k`` such ticks run as one batch (``_negotiate_batch``), its
-    energy and role seconds booked once.  Three bounds on ``k`` keep every
+    period is longer than the hold.  Only a yes stands on the learner's
+    record; a no is a full check's, and only ``_hold`` carries it on.  Both
+    runs end at the next pending death or the horizon, spend no energy,
+    change no profile and draw no peer; a tick at the instant of that death
+    stays on the loop, as the death resolves first and makes the tick busy
+    (its peer died) or void (its device died).  A peer without a schedule,
+    and either without a guard or with a no, takes a session at every
+    tick, each group ending by the next tick, and ``k`` such ticks run as
+    one batch (``_negotiate_batch``), its energy and role seconds booked
+    once.  Three bounds on ``k`` keep every
     outcome decided before the batch starts, the lookahead of conservative
     simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  Its last group ends
     by the horizon.  A period drains a device by at most ``worst = idle *
@@ -498,19 +488,14 @@ class _Simulator:
             self.next_death = first
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
-        """Whether ``dev`` currently refuses to deal with ``peer``.  While
-        ``now < until`` a standing verdict answers: yes for
-        ``FLAG_HOLD_SECONDS`` after a flag or a refusal; no after a full
-        check that says no with ``slack = 3C - 5S > 0`` (group and owner
-        seconds), until ``min(now + slack // 2 + 1, next midnight)``, as no
-        check finds a group of the pair open or unrecorded, so ``C`` grows
-        by at most the seconds elapsed, ``S`` by no more, and no bucket
-        expires.  Only a full check, after the last yes lapsed, writes a no."""
+        """Whether ``dev`` currently refuses to deal with ``peer``: yes while
+        ``now < until``, which a flag or a refusal sets ``FLAG_HOLD_SECONDS``
+        ahead, and otherwise what a full check says.  A no writes nothing."""
         rec = dev.peers.get(peer.id)
         if rec is None:
             return False
         if now < rec.until:
-            return rec.verdict
+            return True
         day = now // SECONDS_PER_DAY
         if day != rec.current_day:
             rec.roll_to(day)
@@ -521,12 +506,8 @@ class _Simulator:
                 and peer_fairness(rec) > FAIRNESS_THRESHOLD
                 and should_reject(assess(rec))
                 and _bound(peer_fairness(rec), rec.negotiations) > FAIRNESS_THRESHOLD):
-            rec.verdict, rec.until = True, now + FLAG_HOLD_SECONDS
+            rec.until = now + FLAG_HOLD_SECONDS
             return True
-        slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
-        if slack > 0:
-            until, midnight = now + slack // 2 + 1, (day + 1) * SECONDS_PER_DAY
-            rec.verdict, rec.until = False, until if until < midnight else midnight
         return False
 
     def _tick(self, t: int, dev: _Device) -> None:
@@ -593,13 +574,14 @@ class _Simulator:
         while True:
             # intent values tie at zero, so the tie bit decides ownership:
             # the initiator's declared bit alone, or under commitments the
-            # XOR of both parties' committed bits; an attacker declares
-            # its attack profile's choice, anyone else a fair bit
+            # XOR of both parties' committed bits; an attacker forces 0,
+            # which makes its peer the owner, with its ``tbb_strength``
+            # chance, and declares a fair bit otherwise, as anyone else does
             attack = initiator.attack
-            bit = rng.getrandbits(1) if attack is None else attacker_choose_tbb(attack, rng)
+            bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0
             if committed:
                 attack = responder.attack
-                bit ^= rng.getrandbits(1) if attack is None else attacker_choose_tbb(attack, rng)
+                bit ^= rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0
             if bit:
                 owner, member = initiator, responder
             else:
@@ -706,7 +688,7 @@ class _Simulator:
             for t in ticks:
                 quits = 0
                 while True:
-                    # ``attacker_choose_tbb`` for an attacker, a fair bit otherwise
+                    # each declared bit as ``_negotiate`` draws it
                     bit = getrandbits(1) if init_force is None or random() >= init_force else 0
                     if committed:
                         bit ^= getrandbits(1) if resp_force is None or random() >= resp_force else 0
@@ -795,10 +777,10 @@ class _Simulator:
         """Take the run of ``dev``'s ticks from ``t`` on that the state of
         ``peer``, its one partner, decides (class docstring), or return
         False when that state decides none.  ``dev`` does not learn.  A
-        learner's guard is read here, in full once its last verdict has
-        lapsed; its no then covers the ticks ``_hold`` counts, and when it
-        covers none, or the energy bound leaves none, ``t`` negotiates
-        alone."""
+        learner's guard is read here: a yes stands on its record until it
+        lapses, and a no, which stands on nothing, covers the ticks
+        ``_hold`` counts; when it covers none, or the energy bound leaves
+        none, ``t`` negotiates alone."""
         if not peer.alive:
             dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
             return True
@@ -820,7 +802,7 @@ class _Simulator:
             rec = peers.get(dev.id)
             if rec is None:
                 return False
-            if self._rejects(peer, dev, t):   # in full once its last verdict has lapsed
+            if self._rejects(peer, dev, t):   # a standing yes, or a full check
                 # each refusal holds the next tick, unless the period outlasts the hold
                 stop = self.horizon if period < FLAG_HOLD_SECONDS else t + 1
                 self._refuse(peer, dev, self._decided_ticks(dev, t, stop))

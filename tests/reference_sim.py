@@ -9,11 +9,13 @@ built list.  The learning guard runs the classifier in full at every call,
 round one of a session included.  Nothing is cached, booked ahead or
 finished early.
 
-Only the public types of ``wfdsim.simulation`` and ``wfdsim.learning`` are
-reused, not the loop, so a run here and a run of ``run`` with the session
-log on must give the same ``SimResult.to_json()`` for equal inputs.  After
-a run, each device's ``profiles`` and ``pair_start`` hold the records a
-learning device of ``run`` must end with.
+Only the public types of ``wfdsim.learning`` and the result types of
+``wfdsim.simulation`` are reused, not the loop: the drain rates, the
+guard's constants and the attacker's tie bit are written out here.  So a
+run here and a run of ``run`` with the session log on must give the same
+``SimResult.to_json()`` for equal inputs.  After a run, each device's
+``profiles`` and ``pair_start`` hold the records a learning device of
+``run`` must end with.
 """
 
 import heapq
@@ -28,17 +30,7 @@ from wfdsim.learning import (
     assess,
     should_reject,
 )
-from wfdsim.simulation import (
-    FLAG_HOLD_SECONDS,
-    GUARD_Z_AMPLE,
-    GUARD_Z_LIMITED,
-    GUARD_Z_SPARSE,
-    MIN_PAIR_AGE_SECONDS,
-    SPARSE_WINDOW_NEGOTIATIONS,
-    DeviceStats,
-    SimResult,
-    attacker_choose_tbb,
-)
+from wfdsim.simulation import DeviceStats, SimResult
 
 # event kinds: at one instant groups end, then deaths resolve, then ticks run
 GROUP_END, DEATH, TICK = 0, 1, 2
@@ -46,6 +38,12 @@ IDLE, CLIENT, GO = "idle", "client", "go"
 # drain per second by role: the paper's model, written out here rather
 # than read from the simulator
 RATES = {IDLE: 1, CLIENT: 2, GO: 11}
+# the learning guard: a pair this young is never refused, the confidence
+# bound's z by window size, and how long a flag or a refusal holds
+MIN_PAIR_AGE_SECONDS = 10 * 3600
+SPARSE_WINDOW_NEGOTIATIONS = 40
+GUARD_Z_SPARSE, GUARD_Z_LIMITED, GUARD_Z_AMPLE = 0.4, 1.0, 3.0
+FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
 
 
 class Device:
@@ -159,8 +157,12 @@ class ReferenceSimulator:
         return result
 
     def declared_bit(self, dev):
+        """A fair bit, or an attacker's: 0, which makes its peer the owner,
+        with its ``tbb_strength`` chance, and a fair bit otherwise."""
         attack = dev.cfg.attack
-        return self.rng.getrandbits(1) if attack is None else attacker_choose_tbb(attack, self.rng)
+        if attack is None:
+            return self.rng.getrandbits(1)
+        return 0 if self.rng.random() < attack.tbb_strength else self.rng.getrandbits(1)
 
     def tick(self, t, dev):
         if not dev.alive:

@@ -17,7 +17,7 @@ def test_all_names_public_objects():
                "parse_classifier_config", "format_classifier_config", "Role",
                "QuitDecision", "attacker_maybe_quit", "Ignorance", "Cpt", "DEFAULT_CPT",
                "DEFAULT_PRIOR", "DegenerateDistribution", "EnergyModel", "preimage",
-               "discretize_share", "OutOfRange")
+               "discretize_share", "OutOfRange", "attacker_choose_tbb")
     for name in removed:
         assert name not in wfdsim.__all__, name
 

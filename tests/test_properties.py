@@ -494,8 +494,8 @@ def test_pairs_that_do_not_learn_match_the_reference_simulator(scenario):
 # Learning pairs where a batch of the ticker's sessions meets an edge of
 # the learner's standing no.  The ticker's tick at midnight, where the no
 # ends with the day, ends a batch: booked with the day before, it would move
-# the learner's window.  A batch ends on a tick at an ``until`` that the
-# slack rule set before midnight.  A batch's last group spans midnight,
+# the learner's window.  A batch ends before midnight, on the first tick
+# that the slack rule leaves uncovered.  A batch's last group spans midnight,
 # and is booked on the day it ends.  And the learner's first refusal is a
 # decline as owner in round 2, with no refusal at a tick before it: its yes
 # stands at the next tick, where no batch may start.

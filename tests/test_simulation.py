@@ -11,7 +11,6 @@ import pytest
 from wfdsim import simulation
 from wfdsim.cli import build_devices, preset
 from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS
-from wfdsim.protocol import TieBreakerBit
 from wfdsim.simulation import (
     AttackProfile,
     DEFAULT_CAPACITY,
@@ -27,7 +26,6 @@ from wfdsim.simulation import (
     MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
     Schedule,
-    attacker_choose_tbb,
     energy_conserved,
     run,
     _Simulator,
@@ -105,17 +103,35 @@ class TestConfigValidation:
 
 
 class TestAttackerDecisions:
-    def test_full_strength_always_grounds_bit(self):
-        rng = random.Random(7)
-        profile = AttackProfile(tbb_strength=1.0)
-        assert all(attacker_choose_tbb(profile, rng) == TieBreakerBit(0)
-                   for _ in range(200))
+    """The tie bits ``_negotiate`` declares: an attacker forces 0, which
+    makes its peer the owner, with its ``tbb_strength`` chance, and declares
+    a fair bit otherwise.  The committed pairs check the responder's bit,
+    which the XOR takes in."""
 
-    def test_zero_strength_is_fair(self):
-        rng = random.Random(7)
-        profile = AttackProfile(tbb_strength=0.0)
-        draws = [int(attacker_choose_tbb(profile, rng)) for _ in range(4000)]
-        assert abs(statistics.fmean(draws) - 0.5) < 3 * 0.5 / 4000 ** 0.5
+    def initiator_owns(self, initiator_tbb, responder_tbb, sessions):
+        """Whether the attacking initiator owned each of ``sessions``
+        sessions; a responder given a strength attacks and commits."""
+        responder = (DeviceConfig("responder") if responder_tbb is None
+                     else DeviceConfig("responder", defense=DefenseMode.COMMITMENT,
+                                       attack=AttackProfile(responder_tbb)))
+        sim = _Simulator([DeviceConfig("initiator", schedule=MINUTE_SCHEDULE,
+                                       attack=AttackProfile(initiator_tbb)), responder],
+                         days(100), 7, False)
+        initiator, responder = sim.devices
+        period = MINUTE_SCHEDULE.period
+        return [sim._negotiate(i * period, initiator, responder) is initiator
+                for i in range(sessions)]
+
+    @pytest.mark.parametrize("responder_tbb", [None, 1.0], ids=["standard", "committed"])
+    def test_full_strength_always_grounds_bit(self, responder_tbb):
+        # the bit 0 alone, or XORed with a forced 0, makes the responder owner
+        assert not any(self.initiator_owns(1.0, responder_tbb, 200))
+
+    @pytest.mark.parametrize("initiator_tbb,responder_tbb", [(0.0, None), (1.0, 0.0)],
+                             ids=["standard", "committed"])
+    def test_zero_strength_is_fair(self, initiator_tbb, responder_tbb):
+        owned = self.initiator_owns(initiator_tbb, responder_tbb, 4000)
+        assert abs(statistics.fmean(owned) - 0.5) < 3 * 0.5 / 4000 ** 0.5
 
     @pytest.mark.parametrize("retry_cap,exhausted", [(0, 122), (3, 18)])
     def test_quits_stop_at_retry_cap(self, retry_cap, exhausted):
@@ -349,21 +365,19 @@ class TestDepletionAnchors:
 
 
 class TestQuietInstant:
-    """The guard's standing verdict.  A full evaluation that finds the
-    owner-time share ``S/C`` below 3/5 stands as no until
-    ``now + slack // 2 + 1``, where ``slack = 3C - 5S``, or until the next
-    midnight, whichever comes first; a flag stands as yes for
-    ``FLAG_HOLD_SECONDS``.  Each test records what the simulator could have
-    recorded by the end of the standing verdict and shows that the guard
-    evaluates in full, and answers afresh, exactly there."""
+    """The guard at the instants where its answer can turn: as owner
+    seconds lift the owner-time share past 3/5, at midnight, at exactly
+    3/5, and as a hold lapses.  A flag stands as yes for
+    ``FLAG_HOLD_SECONDS``; a no writes nothing, so each test shows that a
+    no leaves ``until`` as it was and the next check answers afresh."""
 
     DAY = 40
     START = DAY * SECONDS_PER_DAY + 3600
 
     def test_slack_assumes_a_threshold_of_three_fifths(self):
         assert FAIRNESS_THRESHOLD == 3 / 5, (
-            "_rejects' quiet instant uses slack = 3C - 5S, which bounds the "
-            "owner-time share by 3/5 only; restate the slack for the new threshold")
+            "_hold's slack = 3C - 5S bounds the owner-time share by 3/5 only; "
+            "restate the slack for the new threshold")
 
     def learning_victim(self):
         sim = _Simulator([DeviceConfig("victim", defense=DefenseMode.LEARNING),
@@ -381,14 +395,14 @@ class TestQuietInstant:
         sim, victim, attacker = self.learning_victim()
         self.negotiate(victim)
         record = victim.peers["attacker"]
-        record.record_group_time(self.DAY, 0, 1)   # S = 0, C = 1: slack 3, an odd one
+        record.record_group_time(self.DAY, 0, 1)   # S = 0, C = 1
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
-        assert (record.verdict, record.until) == (False, now + 3 // 2 + 1)
-        # a group owned from ``now`` to the quiet instant lifts the share to 2/3
+        assert record.until == 0   # a no leaves ``until`` as it was
+        # a group owned from ``now`` for two seconds lifts the share to 2/3
         record.record_group_time(self.DAY, 2, 2)
         assert sim._rejects(victim, attacker, now + 2)
-        assert (record.verdict, record.until) == (True, now + 2 + FLAG_HOLD_SECONDS)
+        assert record.until == now + 2 + FLAG_HOLD_SECONDS
 
     def test_guard_evaluates_at_midnight(self):
         sim, victim, attacker = self.learning_victim()
@@ -402,7 +416,7 @@ class TestQuietInstant:
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
         now = midnight - 100
         assert not sim._rejects(victim, attacker, now)
-        assert record.until == midnight   # not ``now + 801``
+        assert record.until == 0   # a no leaves ``until`` as it was
         # the fair day expires at midnight, and the share jumps to 1
         assert sim._rejects(victim, attacker, midnight)
         assert (record.self_go_seconds, record.comm_seconds) == (700, 700)
@@ -414,7 +428,7 @@ class TestQuietInstant:
         record.record_group_time(self.DAY, 3, 5)
         now = self.START + 12 * 3600
         assert not sim._rejects(victim, attacker, now)
-        assert (record.verdict, record.until) == (False, 0)
+        assert record.until == 0   # a no leaves ``until`` as it was
         record.record_group_time(self.DAY, 1, 1)   # one owner second later: 4/6
         assert sim._rejects(victim, attacker, now + 1)
 
@@ -436,13 +450,13 @@ class TestQuietInstant:
         assert sim._rejects(victim, attacker, now)
         # the hold lapses a window span later, when every bucket has expired;
         # a fresh negotiation and a group the victim joined as client leave
-        # the share at 0, so the standing verdict turns to a quiet no
+        # the share at 0, so the guard says no from the lapse on
         lapse = now + FLAG_HOLD_SECONDS
         victim.learn_negotiation("attacker", lapse, False, False)
         record.record_group_time(lapse // SECONDS_PER_DAY, 0, 60)
         assert not sim._rejects(victim, attacker, lapse)
         assert not sim._rejects(victim, attacker, lapse + 1)
-        assert (record.verdict, record.until) == (False, lapse + 3 * 60 // 2 + 1)
+        assert record.until == lapse   # each no leaves the lapsed hold as it was
 
 
 class TestRefusalStorm:
@@ -462,7 +476,7 @@ class TestRefusalStorm:
         refuser, ticker = sim.devices
         refuser.learn_negotiation("ticker", self.START, False, False)
         flag = refuser.peers["ticker"]
-        flag.verdict, flag.until = True, self.START + FLAG_HOLD_SECONDS
+        flag.until = self.START + FLAG_HOLD_SECONDS
         # a fair old day, the last of the ticker's window, with one
         # negotiation the refuser owned, then 39 negotiations the ticker owned
         oldest = self.DAY - WINDOW_DAYS + 1

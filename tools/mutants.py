@@ -55,8 +55,6 @@ LEARNING = "wfdsim/learning.py"
 CLI = "wfdsim/cli.py"
 PROTOCOL = "wfdsim/protocol.py"
 DECIDED = "tests/test_simulation.py::TestDecidedTicks::test_"
-QUIET = "TestQuietInstant::test_"
-QUIET_LINE = "rec.verdict, rec.until = False, until if until < midnight else midnight"
 ORACLE = "tests/test_properties.py::test_run_matches_the_reference_simulator"
 PAIR_ORACLE = "tests/test_properties.py::test_pairs_that_do_not_learn_match_the_reference_simulator"
 LEARNING_PAIR_ORACLE = "tests/test_properties.py::test_learning_pairs_match_the_reference_simulator"
@@ -64,29 +62,27 @@ LONG_ORACLE = "tests/test_properties.py::test_long_runs_match_the_reference_simu
 BATCH_KILLERS = ("tests/test_golden.py", PAIR_ORACLE)
 BULK_KILLERS = ("tests/test_properties.py::test_batch_loop_draws_as_negotiate_does",)
 HOLD = "tests/test_simulation.py::TestHold::test_"
+ATTACKER = "tests/test_simulation.py::TestAttackerDecisions::test_"
 BOX = "tests/test_properties.py::test_records_within_the_hold_keep_the_no"
 CORNER = "tests/test_properties.py::test_the_box_corner_gives_the_highest_bound"
 SLACK_BUDGET = "tests/test_properties.py::test_seconds_within_the_slack_budget_keep_the_no"
 
 MUTANTS = (
-    # the guard's standing verdict
-    Mutant("stale_verdict", SIM, QUIET_LINE,
-           "rec.until = until if until < midnight else midnight",
-           (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
+    # the guard's standing yes
     Mutant("verdict_stands_at_until", SIM, "if now < rec.until:", "if now <= rec.until:",
-           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
-    Mutant("verdict_always_yes", SIM, "return rec.verdict", "return True",
-           (f"tests/test_simulation.py::{QUIET}quiet_span_after_a_lapsed_hold_says_no",)),
-    # the quiet instant and the round-one skip
-    Mutant("no_midnight_cap", SIM, QUIET_LINE,
-           "rec.verdict, rec.until = False, until",
-           (f"tests/test_simulation.py::{QUIET}guard_evaluates_at_midnight",)),
-    Mutant("quiet_one_second_late", SIM, "slack // 2 + 1, (day", "slack // 2 + 2, (day",
-           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
-    Mutant("quiet_slack_plus_one", SIM, "slack // 2 + 1, (day", "(slack + 1) // 2 + 1, (day",
-           (f"tests/test_simulation.py::{QUIET}guard_evaluates_when_owner_seconds_can_pass_three_fifths",)),
+           ("tests/test_simulation.py::TestQuietInstant::test_quiet_span_after_a_lapsed_hold_says_no",)),
+    # the round-one skip
     Mutant("owner_rechecked_from_round_three", SIM, "if quits and", "if quits > 1 and",
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
+    # an attacker's declared tie bit
+    Mutant("forced_bit_makes_the_attacker_owner", SIM,
+           "bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0",
+           "bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 1",
+           (f"{ATTACKER}full_strength_always_grounds_bit[standard]", ORACLE)),
+    Mutant("responder_bit_never_forced", SIM,
+           "bit ^= rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0",
+           "bit ^= rng.getrandbits(1)",
+           (f"{ATTACKER}full_strength_always_grounds_bit[committed]",)),
     # the negotiation counter
     # (a pair that does not learn negotiates in the batch loop, so only
     # populations of three or more devices, or with a learner, reach this one)
@@ -133,7 +129,7 @@ MUTANTS = (
     Mutant("no_pair_batch", SIM, "if k <= 0:", "if True:",
            (f"{DECIDED}pair_sessions_are_batched", f"{DECIDED}learning_pair_sessions_are_batched")),
     Mutant("batch_under_a_standing_yes", SIM,
-           "if self._rejects(peer, dev, t):   # in full", "if False:   # in full",
+           "if self._rejects(peer, dev, t):   # a standing", "if False:   # a standing",
            (LEARNING_PAIR_ORACLE,)),
     # the box that holds a learner's no over a batch, and the guard's bound
     Mutant("memo_cell_flipped", LEARNING,
@@ -194,7 +190,7 @@ MUTANTS = (
     # the batch loop's own copy of the round rules
     Mutant("batch_retry_cap_one_short", SIM,
            "if quits > caps[bit]:", "if quits >= caps[bit]:",
-           ("tests/test_simulation.py::TestAttackerDecisions::test_quits_stop_at_retry_cap",
+           (f"{ATTACKER}quits_stop_at_retry_cap",
             *BATCH_KILLERS)),
     Mutant("batch_responder_bit_not_xored", SIM,
            "bit ^= getrandbits(1) if resp_force", "getrandbits(1) if resp_force", BATCH_KILLERS),
@@ -304,6 +300,10 @@ EXCLUDED = (
             "if t <= end:\n                # cut short", ()),
      "equivalent: at the idle rate of 1, a device that dies at its group's end has "
      "0 units left and is given back 0, so the rate its death interpolates at does not show"),
+    (Mutant("zero_length_group_recorded", SIM, "if duration > 0:", "if duration >= 0:", ()),
+     "equivalent: a group cut short at the second it opens gives 0 seconds to the day of "
+     "the negotiation that opened it, whose bucket is each learning member's last and "
+     "current one, so no bucket is made and no count moves"),
 )
 
 
