@@ -212,8 +212,11 @@ class PeerProfile:
         buckets = self._buckets
         while buckets and buckets[0].day <= cutoff:
             old = buckets.popleft()
-            for name in _COUNTERS:
-                setattr(self, name, getattr(self, name) - getattr(old, name))
+            self.negotiations -= old.negotiations
+            self.self_go_wins -= old.self_go_wins
+            self.peer_premature_quits -= old.peer_premature_quits
+            self.self_go_seconds -= old.self_go_seconds
+            self.comm_seconds -= old.comm_seconds
 
     def _bucket_for(self, day: int) -> DailyBucket:
         buckets = self._buckets

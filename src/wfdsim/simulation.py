@@ -320,8 +320,8 @@ def _hold(rec: _Peer, rounds: int, t: int, period: int, duration: int) -> int:
 
 class _Device:
     __slots__ = (
-        "index", "cfg", "id", "uses_commitment", "schedule", "attack",
-        "remaining", "capacity", "spent", "role_seconds",
+        "index", "cfg", "id", "uses_commitment", "period", "duration", "force", "quit_chance",
+        "retries", "remaining", "capacity", "spent", "role_seconds",
         "alive", "die_at", "depletion_time", "group", "peers", *_COUNTS,
     )
 
@@ -330,8 +330,13 @@ class _Device:
         self.cfg = cfg
         self.id = cfg.device_id
         self.uses_commitment = cfg.defense.uses_commitment
-        self.schedule = cfg.schedule
-        self.attack = cfg.attack
+        # its period and group duration (None without a schedule), its chances of
+        # forcing its tie bit (None: a fair bit) and of quitting as owner, and its retries
+        schedule, attack = cfg.schedule, cfg.attack
+        self.period, self.duration = (None, None) if schedule is None else (
+            schedule.period, schedule.group_duration)
+        self.force, self.quit_chance, self.retries = (None, 0.0, 0) if attack is None else (
+            attack.tbb_strength, attack.r_strength, attack.retry_cap if attack.r_strength else 0)
         self.capacity = cfg.battery_capacity
         self.remaining = cfg.battery_capacity   # settled when the device stops
         self.spent = 0                  # drain booked beyond the idle rate
@@ -361,13 +366,13 @@ class _Device:
 class _Simulator:
     """One seeded run.
 
-    The heap holds only ticks.  The tick being taken stays on top until
-    ``_tick`` replaces it with the device's next tick in one
-    ``heapreplace``, or pops it when the device is dead or its next tick
-    reaches the horizon.  ``_decided_ticks`` clears the heap and pushes
-    the ticker's tick past a decided run, as no other live device ticks
-    then.  Every ``(time, seq)`` key is unique, so ticks leave the heap in
-    the order of their keys alone.
+    The heap holds only ticks, and ``run``'s loop takes each one itself.
+    The tick being taken stays on top until the loop replaces it with the
+    device's next tick in one ``heapreplace``, or pops it when the device
+    is dead or its next tick reaches the horizon.  ``_decided_ticks``
+    clears the heap and pushes the ticker's tick past a decided run, as no
+    other live device ticks then.  Every ``(time, seq)`` key is unique, so
+    ticks leave the heap in the order of their keys alone.
     Deaths stay off it: each device keeps its ``die_at``, and
     ``next_death`` is a device with the earliest.  A booking never moves
     a death later, so ``_set_role`` and ``_start_group`` only compare.
@@ -442,10 +447,7 @@ class _Simulator:
         self.horizon = horizon
         self.seed = seed
         self.rng = random.Random(seed)
-        self.getrandbits = self.rng.getrandbits   # bound once: the peer draw runs every tick
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
-        self.others = len(configs) - 1   # the devices a tick can pick its peer from
-        self.peer_bits = self.others.bit_length()
         # ticks are ``(time, seq, device)``: ``seq`` is unique, so the
         # device never takes part in a comparison
         self.heap: list[tuple] = []
@@ -510,52 +512,6 @@ class _Simulator:
             return True
         return False
 
-    def _tick(self, t: int, dev: _Device) -> None:
-        """Take ``dev``'s tick at ``t``, the top of the heap (class docstring)."""
-        nxt = t + dev.schedule.period
-        if dev.alive and nxt < self.horizon:
-            self.seq += 1
-            heapq.heapreplace(self.heap, (nxt, self.seq, dev))
-        else:
-            heapq.heappop(self.heap)
-            if not dev.alive:
-                return
-        group = dev.group
-        if group is not None:
-            if t < group[3]:
-                dev.skips_busy += 1
-                return
-            self._end_group(*group)
-        # a uniform pick among the other devices, skipping this one
-        devices = self.devices
-        n = self.others
-        if n == 1:
-            peer = devices[1 - dev.index]
-            if dev.peers is None and self._pair_run(t, dev, peer):
-                return
-        else:
-            # what randrange(n) draws, from the same bits, without its wrapper
-            getrandbits, bits = self.getrandbits, self.peer_bits
-            i = getrandbits(bits)
-            while i >= n:
-                i = getrandbits(bits)
-            peer = devices[i + 1 if i >= dev.index else i]
-        if dev.peers is not None and self._rejects(dev, peer, t):
-            dev.initiations_avoided += 1
-            if self.sessions is not None:
-                self.sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
-            return
-        group = peer.group
-        if group is not None and group[3] <= t:
-            self._end_group(*group)
-        if peer.group is not None or not peer.alive:
-            dev.skips_busy += 1
-            return
-        if peer.peers is not None and self._rejects(peer, dev, t):
-            self._refuse(peer, dev, (t,))
-            return
-        self._negotiate(t, dev, peer)
-
     def _refuse(self, refuser: _Device, dev: _Device, refused: range | tuple[int]) -> None:
         """``refuser`` refuses the ticks of ``dev`` at the instants ``refused``."""
         # the guard has just said yes; a refused requester restarts the hold
@@ -577,11 +533,11 @@ class _Simulator:
             # XOR of both parties' committed bits; an attacker forces 0,
             # which makes its peer the owner, with its ``tbb_strength``
             # chance, and declares a fair bit otherwise, as anyone else does
-            attack = initiator.attack
-            bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0
+            force = initiator.force
+            bit = rng.getrandbits(1) if force is None or rng.random() >= force else 0
             if committed:
-                attack = responder.attack
-                bit ^= rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0
+                force = responder.force
+                bit ^= rng.getrandbits(1) if force is None or rng.random() >= force else 0
             if bit:
                 owner, member = initiator, responder
             else:
@@ -599,9 +555,8 @@ class _Simulator:
                 return None
             # an attacker assigned the owner role may walk out, and retries
             # until its cap is spent
-            attack = owner.attack
-            owner_quit = (attack is not None and attack.r_strength > 0.0
-                          and rng.random() < attack.r_strength)
+            chance = owner.quit_chance
+            owner_quit = chance > 0.0 and rng.random() < chance
             owner.negotiations += 1
             owner.go_wins += 1
             member.negotiations += 1
@@ -613,7 +568,7 @@ class _Simulator:
             if owner_quit:
                 quits += 1
                 member.peer_quits_observed += 1
-                if quits <= attack.retry_cap:
+                if quits <= owner.retries:
                     continue
                 initiator.sessions_exhausted += 1
                 if self.sessions is not None:
@@ -621,7 +576,7 @@ class _Simulator:
                 return None
             if self.sessions is not None:
                 self.sessions.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
-            end = t + initiator.schedule.group_duration
+            end = t + initiator.duration
             self._start_group(t, owner, member, end if end < self.horizon else self.horizon)
             return owner
 
@@ -632,10 +587,9 @@ class _Simulator:
         # party's chance of forcing its bit, None for a fair one; and a bulk
         # draw's bytes a session and its deciding offsets
         parties = (responder, initiator)
-        chances = [0.0 if p.attack is None else p.attack.r_strength for p in parties]
-        caps = [0 if p.attack is None else p.attack.retry_cap for p in parties]
+        chances, caps = [p.quit_chance for p in parties], [p.retries for p in parties]
         committed = initiator.uses_commitment or responder.uses_commitment
-        forces = [None if p.attack is None else p.attack.tbb_strength for p in (initiator, responder)]
+        forces = [initiator.force, responder.force]
         kinds = [_FIXED_DRAWS.get(force) for force in forces[:1 + committed]]
         bulk = None
         if not any(chances) and None not in kinds:
@@ -725,14 +679,12 @@ class _Simulator:
         ``end``: clear both group pointers and give learning members its
         time, recorded on the day of its ``end``."""
         go.group = client.group = None
-        duration = end - start
-        if duration > 0:
-            day = end // SECONDS_PER_DAY
-            # a group always follows a negotiation, which made both records
-            if go.peers is not None:
-                go.peers[client.id].record_group_time(day, duration, duration)
-            if client.peers is not None:
-                client.peers[go.id].record_group_time(day, 0, duration)
+        duration, day = end - start, end // SECONDS_PER_DAY
+        # a group always follows a negotiation, which made both records
+        if go.peers is not None:
+            go.peers[client.id].record_group_time(day, duration, duration)
+        if client.peers is not None:
+            client.peers[go.id].record_group_time(day, 0, duration)
 
     def _death(self, t: int, dev: _Device) -> None:
         # the booked death is always current: the battery cannot fund
@@ -766,7 +718,7 @@ class _Simulator:
         the next pending death, which the caller knows are all decided
         alike; ``dev``'s pending tick moves to the first instant past them.
         Every other tick on the heap must be a dead device's."""
-        period = dev.schedule.period
+        period = dev.period
         ticks = range(first, min(self.next_death.die_at, stop), period)
         nxt = first + len(ticks) * period
         self.seq += 1
@@ -784,14 +736,13 @@ class _Simulator:
         if not peer.alive:
             dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
             return True
-        if peer.schedule is not None:
+        if peer.period is not None:
             return False
-        period, duration = dev.schedule.period, dev.schedule.group_duration
+        period, duration = dev.period, dev.duration
         idle, top = _RATES[_IDLE], _RATES[_GO]
         plan = self.pair
         if plan is None:   # the run's one ticker and its partner: built once
-            rounds = 1 + max(0 if p.attack is None or p.attack.r_strength == 0.0
-                             else p.attack.retry_cap for p in (dev, peer))
+            rounds = 1 + max(dev.retries, peer.retries)
             worst = idle * period + (top - idle) * duration   # the most one period drains
             plan = self.pair = worst, rounds, self._batch_plan(dev, peer)
         worst, rounds, batch = plan
@@ -857,28 +808,74 @@ class _Simulator:
             # seed the idle-drain death event so even a silent device
             # depletes on schedule
             self._set_role(dev, 0)
-            if dev.schedule is not None:
+            if dev.period is not None:
                 phase = dev.cfg.phase
                 if phase is None:
-                    phase = self.rng.randrange(dev.schedule.period)
+                    phase = self.rng.randrange(dev.period)
                 if phase < self.horizon:
                     self.seq += 1
                     heapq.heappush(self.heap, (phase, self.seq, dev))
-        heap, tick = self.heap, self._tick
+        # what the loop reads at every tick, bound once
+        heap, horizon, devices, sessions = self.heap, self.horizon, self.devices, self.sessions
+        n = len(devices) - 1   # the devices a tick can pick its peer from
+        bits, getrandbits = n.bit_length(), self.rng.getrandbits
+        replace, pop = heapq.heapreplace, heapq.heappop
+        rejects, refuse, negotiate = self._rejects, self._refuse, self._negotiate
+        end_group, pair_run = self._end_group, self._pair_run
         while True:
             dev = self.next_death
             t = dev.die_at
-            if heap and heap[0][0] < t:
-                t, _seq, dev = heap[0]   # ``_tick`` replaces or pops it
-                tick(t, dev)
-            elif t <= self.horizon:
+            if not heap or heap[0][0] >= t:
+                if t > horizon:
+                    break
                 group = dev.group
                 if group is not None and dev is group[1] and group[0].die_at == t:
                     dev = group[0]   # the owner first (class docstring)
                 self._death(t, dev)
-                self.next_death = min(self.devices, key=lambda d: d.die_at)
+                self.next_death = min(devices, key=lambda d: d.die_at)
+                continue
+            # the tick on top: replace it with the device's next, or pop it
+            t, _seq, dev = heap[0]
+            nxt = t + dev.period
+            if dev.alive and nxt < horizon:
+                self.seq += 1
+                replace(heap, (nxt, self.seq, dev))
             else:
-                break
+                pop(heap)
+                if not dev.alive:
+                    continue
+            group = dev.group
+            if group is not None:
+                if t < group[3]:
+                    dev.skips_busy += 1
+                    continue
+                end_group(*group)
+            # a uniform pick among the other devices, skipping this one
+            if n == 1:
+                peer = devices[1 - dev.index]
+                if dev.peers is None and pair_run(t, dev, peer):
+                    continue
+            else:
+                # what randrange(n) draws, from the same bits, without its wrapper
+                i = getrandbits(bits)
+                while i >= n:
+                    i = getrandbits(bits)
+                peer = devices[i + 1 if i >= dev.index else i]
+            if dev.peers is not None and rejects(dev, peer, t):
+                dev.initiations_avoided += 1
+                if sessions is not None:
+                    sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
+                continue
+            group = peer.group
+            if group is not None and group[3] <= t:
+                end_group(*group)
+            if peer.group is not None or not peer.alive:
+                dev.skips_busy += 1
+                continue
+            if peer.peers is not None and rejects(peer, dev, t):
+                refuse(peer, dev, (t,))
+                continue
+            negotiate(t, dev, peer)
         stats = []
         for dev in self.devices:
             if dev.alive:

@@ -333,6 +333,17 @@ DEATH_AT_GROUP_END = (
     300, 0)
 
 
+# Two ticks at one instant leave the heap in the order they were pushed,
+# not in the order of the devices: at 600 s ``d1``'s tick, pushed at
+# 300 s, runs before ``d0``'s, pushed at 400 s, and picks ``d0``.
+TICKS_TIED_OUT_OF_INDEX_ORDER = (
+    [DeviceConfig("d0", schedule=Schedule(200, 50), phase=0),
+     DeviceConfig("d1", schedule=Schedule(300, 50), phase=0,
+                  attack=AttackProfile(tbb_strength=1.0)),
+     DeviceConfig("d2", defense=DefenseMode.LEARNING)],
+    2000, 2)
+
+
 # A two-day population whose log holds every session kind, so each counter
 # bumped beside a log entry is compared at least once.
 EVERY_SESSION_KIND = (
@@ -452,6 +463,7 @@ def test_pinned_populations_reach_their_sessions():
 @example(REFUSALS_AMONG_THREE)
 @example(EVERY_SESSION_KIND)
 @example(DECLINE_IN_ROUND_TWO)
+@example(TICKS_TIED_OUT_OF_INDEX_ORDER)
 def test_run_matches_the_reference_simulator(scenario):
     assert_matches_reference(scenario)
 

@@ -1,10 +1,13 @@
 """Configuration, attacker behaviour, and the event-driven simulator."""
 
 import dataclasses
+import heapq
 import json
 import math
 import random
 import statistics
+import types
+from unittest import mock
 
 import pytest
 
@@ -469,9 +472,10 @@ class TestRefusalStorm:
     START = TestQuietInstant.START
 
     def test_learning_ticker_refused_one_tick_at_a_time(self):
+        # the ticker's period outlasts the run, so each tick can be its first
         sim = _Simulator([DeviceConfig("refuser", defense=DefenseMode.LEARNING),
                           DeviceConfig("ticker", defense=DefenseMode.LEARNING,
-                                       schedule=MINUTE_SCHEDULE)],
+                                       schedule=Schedule(days(100), 60))],
                          days(100), 0, False)
         refuser, ticker = sim.devices
         refuser.learn_negotiation("ticker", self.START, False, False)
@@ -489,9 +493,11 @@ class TestRefusalStorm:
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
 
         def tick(t):
-            # ``_tick`` takes the tick on top of the heap, as ``run`` leaves it
-            sim.heap[:] = [(t, 0, ticker)]
-            sim._tick(t, ticker)
+            # a run of one tick: the ticker's first, at its phase ``t``,
+            # with the horizon a second later
+            ticker.cfg = dataclasses.replace(ticker.cfg, phase=t)
+            sim.horizon = t + 1
+            sim.run()
 
         tick(midnight - 600)
         assert (refuser.rejections_issued, ticker.initiations_avoided) == (1, 0)
@@ -506,9 +512,10 @@ class TestDecidedTicks:
     one step by ``_pair_run``: busy ticks when the peer is dead, a refusal
     storm while its yes lasts, and batched sessions while its no provably
     stands or when it has no guard.  These steps only save work and change
-    no result, so these tests count the work: the calls of ``_tick``,
-    ``_refuse`` and ``_negotiate`` on one run (every session outside a
-    batch negotiates in one ``_negotiate`` call)."""
+    no result, so these tests count the work: the ticks the loop of
+    ``run`` takes, and the calls of ``_refuse`` and ``_negotiate`` on one
+    run (every session outside a batch negotiates in one ``_negotiate``
+    call)."""
 
     def traced_run(self, devices, horizon, seed, spans=None):
         """Run with the calls traced; each batched span of a learning pair
@@ -518,12 +525,16 @@ class TestDecidedTicks:
         negotiated."""
         sim = _Simulator(devices, horizon, seed, False)
         ticks, refusals, sessions = [], [], []
-        tick, refuse, negotiate = sim._tick, sim._refuse, sim._negotiate
+        refuse, negotiate = sim._refuse, sim._negotiate
         batch, decided, current = sim._negotiate_batch, sim._decided_ticks, [None]
 
-        def traced_tick(t, dev):
-            ticks.append(t)
-            tick(t, dev)
+        def taken(operation):
+            # the loop takes a tick by replacing or popping the top entry, its
+            # one heap operation
+            def traced(heap, *item):
+                ticks.append(heap[0][0])
+                return operation(heap, *item)
+            return traced
 
         def traced_refuse(refuser, dev, refused):
             refusals.append(refused)
@@ -552,9 +563,13 @@ class TestDecidedTicks:
                 span[-1] += out[3][2]   # the learner's rounds
             return out
 
-        sim._tick, sim._refuse, sim._negotiate = traced_tick, traced_refuse, traced_negotiate
+        sim._refuse, sim._negotiate = traced_refuse, traced_negotiate
         sim._negotiate_batch, sim._decided_ticks = traced_batch, traced_decided
-        return sim.run(), ticks, refusals, sessions
+        recorder = types.SimpleNamespace(heappush=heapq.heappush,
+                                         heapreplace=taken(heapq.heapreplace),
+                                         heappop=taken(heapq.heappop))
+        with mock.patch.object(simulation, "heapq", recorder):
+            return sim.run(), ticks, refusals, sessions
 
     # in the second pair the victim ticks too: the survivor's step does
     # not hang on whether its dead partner had a schedule

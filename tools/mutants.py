@@ -76,17 +76,17 @@ MUTANTS = (
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
     # an attacker's declared tie bit
     Mutant("forced_bit_makes_the_attacker_owner", SIM,
-           "bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0",
-           "bit = rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 1",
+           "bit = rng.getrandbits(1) if force is None or rng.random() >= force else 0",
+           "bit = rng.getrandbits(1) if force is None or rng.random() >= force else 1",
            (f"{ATTACKER}full_strength_always_grounds_bit[standard]", ORACLE)),
     Mutant("responder_bit_never_forced", SIM,
-           "bit ^= rng.getrandbits(1) if attack is None or rng.random() >= attack.tbb_strength else 0",
+           "bit ^= rng.getrandbits(1) if force is None or rng.random() >= force else 0",
            "bit ^= rng.getrandbits(1)",
            (f"{ATTACKER}full_strength_always_grounds_bit[committed]",)),
     # the negotiation counter
     # (a pair that does not learn negotiates in the batch loop, so only
     # populations of three or more devices, or with a learner, reach this one)
-    Mutant("retry_cap_one_short", SIM, "quits <= attack.retry_cap", "quits < attack.retry_cap",
+    Mutant("retry_cap_one_short", SIM, "quits <= owner.retries", "quits < owner.retries",
            (ORACLE,)),
     Mutant("group_log_rounds", SIM, '"group", initiator.id, responder.id, owner.id, quits + 1',
            '"group", initiator.id, responder.id, owner.id, quits', (ORACLE, "tests/test_golden.py")),
@@ -97,7 +97,7 @@ MUTANTS = (
            ("tests/test_properties.py::test_tick_ledger", ORACLE)),
     # the pair step
     Mutant("learning_ticker_in_storm", SIM,
-           "if dev.peers is None and self._pair_run(t, dev, peer):", "if self._pair_run(t, dev, peer):",
+           "if dev.peers is None and pair_run(t, dev, peer):", "if pair_run(t, dev, peer):",
            ("tests/test_simulation.py::TestRefusalStorm::"
             "test_learning_ticker_refused_one_tick_at_a_time",)),
     Mutant("no_survivor_finish", SIM, "if not peer.alive:", "if False:",
@@ -106,9 +106,9 @@ MUTANTS = (
            "        if not peer.alive:\n"
            "            dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))\n"
            "            return True\n"
-           "        if peer.schedule is not None:\n"
+           "        if peer.period is not None:\n"
            "            return False\n",
-           "        if peer.schedule is not None:\n"
+           "        if peer.period is not None:\n"
            "            return False\n"
            "        if not peer.alive:\n"
            "            dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))\n"
@@ -213,26 +213,27 @@ MUTANTS = (
     Mutant("bulk_chunk_drops_its_last_session", SIM,
            "ticks[start:start + _BULK_SESSIONS]", "ticks[start:start + _BULK_SESSIONS - 1]",
            BULK_KILLERS),
-    # the tick's one heap operation
+    # the tick's one heap operation, and the order of ticks at one instant
     Mutant("tick_on_the_horizon", SIM,
-           "if dev.alive and nxt < self.horizon:", "if dev.alive and nxt <= self.horizon:",
-           (ORACLE,)),
+           "if dev.alive and nxt < horizon:", "if dev.alive and nxt <= horizon:", (ORACLE,)),
     Mutant("dead_tick_replaced", SIM,
-           "        if dev.alive and nxt < self.horizon:\n"
-           "            self.seq += 1\n"
-           "            heapq.heapreplace(self.heap, (nxt, self.seq, dev))\n"
-           "        else:\n"
-           "            heapq.heappop(self.heap)\n"
+           "            if dev.alive and nxt < horizon:\n"
+           "                self.seq += 1\n"
+           "                replace(heap, (nxt, self.seq, dev))\n"
+           "            else:\n"
+           "                pop(heap)\n"
+           "                if not dev.alive:\n"
+           "                    continue\n",
+           "            if nxt < horizon:\n"
+           "                self.seq += 1\n"
+           "                replace(heap, (nxt, self.seq, dev))\n"
+           "            else:\n"
+           "                pop(heap)\n"
            "            if not dev.alive:\n"
-           "                return\n",
-           "        if nxt < self.horizon:\n"
-           "            self.seq += 1\n"
-           "            heapq.heapreplace(self.heap, (nxt, self.seq, dev))\n"
-           "        else:\n"
-           "            heapq.heappop(self.heap)\n"
-           "        if not dev.alive:\n"
-           "            return\n",
+           "                continue\n",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
+    Mutant("tick_ties_to_the_later_push", SIM,
+           "replace(heap, (nxt, self.seq, dev))", "replace(heap, (nxt, -self.seq, dev))", (ORACLE,)),
     # a group's one booking step
     Mutant("member_booked_at_owner_rate", SIM,
            "member.spent += (client - idle) * span", "member.spent += (go - idle) * span",
@@ -243,7 +244,7 @@ MUTANTS = (
             "test_client_death_that_comes_first_is_found",)),
     # the day on which a learner books a group's time
     Mutant("group_time_on_its_start_day", SIM,
-           "day = end // SECONDS_PER_DAY", "day = start // SECONDS_PER_DAY",
+           "day = end - start, end // SECONDS_PER_DAY", "day = end - start, start // SECONDS_PER_DAY",
            (LONG_ORACLE,)),
     # the order of two deaths in one second
     Mutant("client_before_owner_on_a_tie", SIM,
@@ -300,10 +301,6 @@ EXCLUDED = (
             "if t <= end:\n                # cut short", ()),
      "equivalent: at the idle rate of 1, a device that dies at its group's end has "
      "0 units left and is given back 0, so the rate its death interpolates at does not show"),
-    (Mutant("zero_length_group_recorded", SIM, "if duration > 0:", "if duration >= 0:", ()),
-     "equivalent: a group cut short at the second it opens gives 0 seconds to the day of "
-     "the negotiation that opened it, whose bucket is each learning member's last and "
-     "current one, so no bucket is made and no count moves"),
 )
 
 
