@@ -23,9 +23,11 @@ accepting an owner role.
 
 Energy accounting is an integer ledger.  Every device drains the idle
 rate every second; a group books its members' extra drain and client or
-owner seconds for its whole span when it starts, so the energy left at
-second ``t`` is ``capacity - idle * t - spent``.  A death mid-group gives
-both members back what was booked past it.  A device operates through
+owner seconds for its whole span when it starts.  A device's ``budget``
+is its capacity less the drain booked beyond the idle rate, so the energy
+left at second ``t`` is ``budget - idle * t``; its client and owner
+seconds are booked apart from it.  A death mid-group gives both members
+back what was booked past it, in both records.  A device operates through
 each whole second it can fully fund and leaves service at the first
 second boundary it cannot; its idle seconds are the seconds it lived less
 its client and owner seconds, keeping ``capacity - remaining`` exactly
@@ -194,6 +196,9 @@ class DeviceStats:
 
 
 def energy_conserved(stats: DeviceStats) -> bool:
+    """Whether the energy a device used, ``battery_capacity - remaining``,
+    equals its role seconds weighted by the drain rates: the simulator
+    books the drain and the role seconds as two separate records."""
     idle, client, go = _RATES
     spent = idle * stats.idle_seconds + client * stats.client_seconds + go * stats.go_seconds
     return stats.battery_capacity - stats.remaining == spent
@@ -222,13 +227,14 @@ class SimResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# Roles inside the simulator, as indices into the rate table and each
-# device's role-seconds counters, and the drain per second in each role.
+# Roles inside the simulator, as indices into the rate table, and the
+# drain per second in each role.
 _IDLE, _CLIENT, _GO = 0, 1, 2
 _RATES = (1, 2, 11)
 
-# The counters each device keeps, reported under the same names in DeviceStats.
-_COUNTS = ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_assignments",
+# The counters each device keeps, reported under the same names in
+# DeviceStats; its negotiations and owner wins are derived (``run``).
+_COUNTS = ("peer_quits_observed", "tie_rounds", "go_assignments",
            "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted")
 
 # The 32-bit words drawn for a declared bit with a fixed chance of being
@@ -321,8 +327,9 @@ def _hold(rec: _Peer, rounds: int, t: int, period: int, duration: int) -> int:
 class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_commitment", "period", "duration", "force", "quit_chance",
-        "retries", "remaining", "capacity", "spent", "role_seconds",
-        "alive", "die_at", "depletion_time", "group", "peers", *_COUNTS,
+        "retries", "remaining", "budget", "idle_seconds", "client_seconds",
+        "go_seconds", "alive", "die_at", "depletion_time", "group", "peers", "declines_met",
+        "declines_issued", *_COUNTS,
     )
 
     def __init__(self, index: int, cfg: DeviceConfig):
@@ -337,16 +344,17 @@ class _Device:
             schedule.period, schedule.group_duration)
         self.force, self.quit_chance, self.retries = (None, 0.0, 0) if attack is None else (
             attack.tbb_strength, attack.r_strength, attack.retry_cap if attack.r_strength else 0)
-        self.capacity = cfg.battery_capacity
         self.remaining = cfg.battery_capacity   # settled when the device stops
-        self.spent = 0                  # drain booked beyond the idle rate
-        self.role_seconds = [0, 0, 0]   # indexed by role; idle settled at the stop
+        self.budget = cfg.battery_capacity   # less the drain booked beyond the idle rate
+        self.idle_seconds = self.client_seconds = self.go_seconds = 0   # idle settled at the stop
         self.alive = True
         self.die_at = math.inf          # first second it cannot fund as booked; inf once dead
         self.depletion_time: float | None = None
         self.group: tuple | None = None   # (owner, client, start, end) while in a group
         # the learning guard's records by peer id; None for a device that does not learn
         self.peers: dict[str, _Peer] | None = {} if cfg.defense.uses_learning else None
+        # the tie rounds that ended in a decline, by its side: as member, as owner
+        self.declines_met = self.declines_issued = 0
         for name in _COUNTS:
             setattr(self, name, 0)
 
@@ -386,16 +394,19 @@ class _Simulator:
     Energy is booked, not settled per event.  A group is the tuple
     ``(owner, client, start, end)``.  Every group, a batch's last one
     included, opens in ``_start_group``, which books both members in one
-    step: each member's drain beyond the idle rate and its client or owner
-    seconds up to the group's ``end``, and its death assuming it turns idle
-    there.  ``next_death`` then moves at most once, to the earlier of the
-    two deaths if it comes first.  ``_set_role`` books a device idle: at the
-    start of the run, a death's partner and both devices after a batch whose
-    last session was exhausted.  A death before ``end`` cuts the group
-    short: both members give back what was booked past the death second,
-    and the partner's death is rescheduled at the idle rate.
-    ``_stop`` settles a device's remaining energy and idle seconds at its
-    death or the horizon.
+    step up to the group's ``end``: each member's drain beyond the idle
+    rate off its ``budget``, its client or owner seconds apart from it, and
+    its death assuming it turns idle there.  ``next_death`` then moves at
+    most once, to the earlier of the two deaths if it comes first.
+    ``_set_role`` books a device idle: at the start of the run, a death's
+    partner and both devices after a batch whose last session was
+    exhausted.  A death before ``end`` cuts the group short: both members
+    give back what was booked past the death second, to the budget and to
+    the role seconds, and the partner's death is rescheduled at the idle
+    rate.  ``_stop`` settles a device's remaining energy and idle seconds
+    at its death or the horizon.  ``run`` derives each device's
+    negotiations and owner wins from its tie rounds and owner assignments,
+    less the rounds that ended in a decline.
 
     A group ends without an event of its own.  Every group closes in
     ``_end_group``, when something next touches one of its members: a tick
@@ -449,9 +460,9 @@ class _Simulator:
         self.rng = random.Random(seed)
         self.devices = [_Device(i, cfg) for i, cfg in enumerate(configs)]
         # ticks are ``(time, seq, device)``: ``seq`` is unique, so the
-        # device never takes part in a comparison
+        # device never takes part in a comparison; ``seq()`` gives the next
         self.heap: list[tuple] = []
-        self.seq = 0
+        self.seq = itertools.count(1).__next__
         self.next_death = self.devices[0]   # no device has booked a death yet
         self.sessions: list[tuple] | None = [] if log_sessions else None
         self.pair: tuple | None = None   # what the pair step reads of its one ticker and partner
@@ -459,9 +470,9 @@ class _Simulator:
     def _set_role(self, dev: _Device, now: int) -> None:
         """Book ``dev`` idle from ``now`` on, and set the death instant this implies."""
         idle = _RATES[_IDLE]
-        if dev.capacity - idle * now - dev.spent < 0:
+        if dev.budget - idle * now < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={now}")
-        die_at = dev.die_at = (dev.capacity - dev.spent) // idle
+        die_at = dev.die_at = dev.budget // idle
         if die_at < self.next_death.die_at:
             self.next_death = dev
 
@@ -472,20 +483,23 @@ class _Simulator:
         owner.group = member.group = (owner, member, now, end)
         idle, client, go = _RATES
         span = end - now
-        owner_left = owner.capacity - idle * now - owner.spent
-        member_left = member.capacity - idle * now - member.spent
+        owner_left = owner.budget - idle * now
+        member_left = member.budget - idle * now
         if owner_left < 0 or member_left < 0:
             raise RuntimeError(f"{owner.id}, {member.id}: energy went negative at t={now}")
-        owner.spent += (go - idle) * span
-        owner.role_seconds[_GO] += span
-        member.spent += (client - idle) * span
-        member.role_seconds[_CLIENT] += span
+        owner.budget -= (go - idle) * span
+        owner.go_seconds += span
+        member.budget -= (client - idle) * span
+        member.client_seconds += span
         # a death due at ``end`` itself falls after the switch to idle
-        die_at = now + owner_left // go
-        owner.die_at = die_at if die_at < end else (owner.capacity - owner.spent) // idle
-        die_at = now + member_left // client
-        member.die_at = die_at if die_at < end else (member.capacity - member.spent) // idle
-        first = member if member.die_at < owner.die_at else owner
+        owner_dies = now + owner_left // go
+        if owner_dies >= end:
+            owner_dies = owner.budget // idle
+        member_dies = now + member_left // client
+        if member_dies >= end:
+            member_dies = member.budget // idle
+        owner.die_at, member.die_at = owner_dies, member_dies
+        first = member if member_dies < owner_dies else owner
         if first.die_at < self.next_death.die_at:
             self.next_death = first
 
@@ -525,7 +539,7 @@ class _Simulator:
         """Negotiate the session ``initiator`` starts at ``t`` and open its
         group: return the group's owner, or None for no group."""
         committed = initiator.uses_commitment or responder.uses_commitment
-        rng = self.rng
+        rng, log = self.rng, self.sessions
         quits = 0   # every quit but the last of an exhausted session was retried
         while True:
             # intent values tie at zero, so the tie bit decides ownership:
@@ -550,16 +564,15 @@ class _Simulator:
             # and only the close of a group with a third device came since
             if quits and owner.peers is not None and self._rejects(owner, member, t):
                 owner.rejections_issued += 1
-                if self.sessions is not None:
-                    self.sessions.append((t, "declined", initiator.id, responder.id, owner.id, quits + 1, quits))
+                owner.declines_issued += 1
+                member.declines_met += 1
+                if log is not None:
+                    log.append((t, "declined", initiator.id, responder.id, owner.id, quits + 1, quits))
                 return None
             # an attacker assigned the owner role may walk out, and retries
             # until its cap is spent
             chance = owner.quit_chance
             owner_quit = chance > 0.0 and rng.random() < chance
-            owner.negotiations += 1
-            owner.go_wins += 1
-            member.negotiations += 1
             # only the learning guard reads peer profiles
             if owner.peers is not None:
                 owner.learn_negotiation(member.id, t, True, False)
@@ -571,11 +584,11 @@ class _Simulator:
                 if quits <= owner.retries:
                     continue
                 initiator.sessions_exhausted += 1
-                if self.sessions is not None:
-                    self.sessions.append((t, "exhausted", initiator.id, responder.id, "", quits, quits))
+                if log is not None:
+                    log.append((t, "exhausted", initiator.id, responder.id, "", quits, quits))
                 return None
-            if self.sessions is not None:
-                self.sessions.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
+            if log is not None:
+                log.append((t, "group", initiator.id, responder.id, owner.id, quits + 1, quits))
             end = t + initiator.duration
             self._start_group(t, owner, member, end if end < self.horizon else self.horizon)
             return owner
@@ -667,40 +680,39 @@ class _Simulator:
         rounds = walked[0] + walked[1] + groups[0] + groups[1]
         for bit, dev in enumerate(parties):
             dev.tie_rounds += rounds
-            dev.negotiations += rounds
             dev.go_assignments += walked[bit] + groups[bit]
-            dev.go_wins += walked[bit] + groups[bit]
             dev.peer_quits_observed += walked[1 - bit]
         parties[1].sessions_exhausted += exhausted   # the initiator
         return ones, groups[0], owner, (walked[0] + groups[0], walked[1], rounds), drawn or None
 
-    def _end_group(self, go: _Device, client: _Device, start: int, end: int) -> None:
-        """Close the group ``go`` ran for ``client`` from ``start`` until
-        ``end``: clear both group pointers and give learning members its
-        time, recorded on the day of its ``end``."""
+    def _end_group(self, group: tuple) -> None:
+        """Close ``group``, ``(go, client, start, end)``: clear both group
+        pointers and give learning members its time, recorded on the day
+        of its ``end``."""
+        go, client, start, end = group
         go.group = client.group = None
-        duration, day = end - start, end // SECONDS_PER_DAY
         # a group always follows a negotiation, which made both records
         if go.peers is not None:
-            go.peers[client.id].record_group_time(day, duration, duration)
+            go.peers[client.id].record_group_time(end // SECONDS_PER_DAY, end - start, end - start)
         if client.peers is not None:
-            client.peers[go.id].record_group_time(day, 0, duration)
+            client.peers[go.id].record_group_time(end // SECONDS_PER_DAY, 0, end - start)
 
     def _death(self, t: int, dev: _Device) -> None:
         # the booked death is always current: the battery cannot fund
         # the coming second
-        rate = _RATES[_IDLE]
+        rate = idle = _RATES[_IDLE]
         if dev.group is not None:
             go, client, start, end = dev.group
             if t < end:
                 # cut short: both members give back what was booked past
                 # ``t``, and the partner's pending death moves to the idle rate
-                for member, role in ((go, _GO), (client, _CLIENT)):
-                    member.role_seconds[role] -= end - t
-                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (end - t)
+                go.budget += (_RATES[_GO] - idle) * (end - t)
+                client.budget += (_RATES[_CLIENT] - idle) * (end - t)
+                go.go_seconds -= end - t
+                client.client_seconds -= end - t
                 rate = _RATES[_GO if dev is go else _CLIENT]
                 self._set_role(client if dev is go else go, t)
-            self._end_group(go, client, start, min(t, end))
+            self._end_group((go, client, start, min(t, end)))
         dev.alive = False
         dev.die_at = math.inf
         self._stop(dev, t)
@@ -708,10 +720,10 @@ class _Simulator:
 
     def _stop(self, dev: _Device, t: int) -> None:
         """Settle the books of ``dev`` at ``t``, its death second or the horizon."""
-        dev.remaining = dev.capacity - _RATES[_IDLE] * t - dev.spent
+        dev.remaining = dev.budget - _RATES[_IDLE] * t
         if dev.remaining < 0:
             raise RuntimeError(f"{dev.id}: energy went negative at t={t}")
-        dev.role_seconds[_IDLE] = t - dev.role_seconds[_CLIENT] - dev.role_seconds[_GO]
+        dev.idle_seconds = t - dev.client_seconds - dev.go_seconds
 
     def _decided_ticks(self, dev: _Device, first: int, stop: int) -> range:
         """The instants of ``dev``'s ticks from ``first`` until ``stop`` or
@@ -721,8 +733,7 @@ class _Simulator:
         period = dev.period
         ticks = range(first, min(self.next_death.die_at, stop), period)
         nxt = first + len(ticks) * period
-        self.seq += 1
-        self.heap[:] = [(nxt, self.seq, dev)] if nxt < self.horizon else []
+        self.heap[:] = [(nxt, self.seq(), dev)] if nxt < self.horizon else []
         return ticks
 
     def _pair_run(self, t: int, dev: _Device, peer: _Device) -> bool:
@@ -746,7 +757,7 @@ class _Simulator:
             worst = idle * period + (top - idle) * duration   # the most one period drains
             plan = self.pair = worst, rounds, self._batch_plan(dev, peer)
         worst, rounds, batch = plan
-        left = min(d.capacity - idle * t - d.spent for d in self.devices)
+        left = min(d.budget - idle * t for d in self.devices)
         k = min((self.horizon - t) // period, (left - top * duration) // worst + 1)
         peers = peer.peers
         if peers is not None:
@@ -792,9 +803,9 @@ class _Simulator:
         # every group but the last is booked here; the last opens like any other
         dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)
         for member, go, client in ((dev, dev_groups, peer_groups), (peer, peer_groups, dev_groups)):
-            for role, n in ((_GO, go), (_CLIENT, client)):
-                member.role_seconds[role] += n * duration
-                member.spent += (_RATES[role] - idle) * n * duration
+            member.go_seconds += go * duration
+            member.client_seconds += client * duration
+            member.budget -= ((top - idle) * go + (_RATES[_CLIENT] - idle) * client) * duration
         last = t + (k - 1) * period
         if owner is None:
             for member in self.devices:   # idle after the last session
@@ -813,13 +824,12 @@ class _Simulator:
                 if phase is None:
                     phase = self.rng.randrange(dev.period)
                 if phase < self.horizon:
-                    self.seq += 1
-                    heapq.heappush(self.heap, (phase, self.seq, dev))
+                    heapq.heappush(self.heap, (phase, self.seq(), dev))
         # what the loop reads at every tick, bound once
         heap, horizon, devices, sessions = self.heap, self.horizon, self.devices, self.sessions
         n = len(devices) - 1   # the devices a tick can pick its peer from
         bits, getrandbits = n.bit_length(), self.rng.getrandbits
-        replace, pop = heapq.heapreplace, heapq.heappop
+        replace, pop, seq = heapq.heapreplace, heapq.heappop, self.seq
         rejects, refuse, negotiate = self._rejects, self._refuse, self._negotiate
         end_group, pair_run = self._end_group, self._pair_run
         while True:
@@ -838,8 +848,7 @@ class _Simulator:
             t, _seq, dev = heap[0]
             nxt = t + dev.period
             if dev.alive and nxt < horizon:
-                self.seq += 1
-                replace(heap, (nxt, self.seq, dev))
+                replace(heap, (nxt, seq(), dev))
             else:
                 pop(heap)
                 if not dev.alive:
@@ -849,7 +858,7 @@ class _Simulator:
                 if t < group[3]:
                     dev.skips_busy += 1
                     continue
-                end_group(*group)
+                end_group(group)
             # a uniform pick among the other devices, skipping this one
             if n == 1:
                 peer = devices[1 - dev.index]
@@ -866,10 +875,14 @@ class _Simulator:
                 if sessions is not None:
                     sessions.append((t, "avoided", dev.id, peer.id, "", 0, 0))
                 continue
+            # busy until its group's end, when the group closes, or dead
             group = peer.group
-            if group is not None and group[3] <= t:
-                end_group(*group)
-            if peer.group is not None or not peer.alive:
+            if group is not None:
+                if t < group[3]:
+                    dev.skips_busy += 1
+                    continue
+                end_group(group)
+            elif not peer.alive:
                 dev.skips_busy += 1
                 continue
             if peer.peers is not None and rejects(peer, dev, t):
@@ -880,18 +893,20 @@ class _Simulator:
         for dev in self.devices:
             if dev.alive:
                 self._stop(dev, self.horizon)
-            idle_seconds, client_seconds, go_seconds = dev.role_seconds
-            accounted = idle_seconds + client_seconds + go_seconds
+            accounted = dev.idle_seconds + dev.client_seconds + dev.go_seconds
             stats.append(DeviceStats(
                 device_id=dev.id,
-                battery_capacity=dev.capacity,
+                battery_capacity=dev.cfg.battery_capacity,
                 remaining=dev.remaining,
                 depletion_day=(None if dev.depletion_time is None
                                else dev.depletion_time / SECONDS_PER_DAY),
-                idle_seconds=idle_seconds,
-                client_seconds=client_seconds,
-                go_seconds=go_seconds,
-                go_time_fraction=(go_seconds / accounted if accounted else 0.0),
+                idle_seconds=dev.idle_seconds,
+                client_seconds=dev.client_seconds,
+                go_seconds=dev.go_seconds,
+                go_time_fraction=(dev.go_seconds / accounted if accounted else 0.0),
+                # a declined round is a tie round and an owner assignment, not a negotiation
+                negotiations=dev.tie_rounds - dev.declines_met - dev.declines_issued,
+                go_wins=dev.go_assignments - dev.declines_issued,
                 **{name: getattr(dev, name) for name in _COUNTS},
             ))
         return SimResult(

@@ -5,28 +5,29 @@ ends, deaths and ticks, ordered by time, then in that kind order, then by
 scheduling order), a device's energy is settled at every role change, a
 death is pushed whenever a role change makes one due and is skipped when a
 later change made it stale, and every tick draws its peer from a freshly
-built list.  The learning guard runs the classifier in full at every call,
-round one of a session included.  Nothing is cached, booked ahead or
-finished early.
+built list.  A device's record of a peer is a dict from day to that day's
+counters, every day kept, and the learning guard sums the last 30 days of
+it and runs the classifier in full at every call, round one of a session
+included.  Nothing is cached, booked ahead, expired or finished early.
 
-Only the public types of ``wfdsim.learning`` and the result types of
-``wfdsim.simulation`` are reused, not the loop: the drain rates, the
-guard's constants and the attacker's tie bit are written out here.  So a
-run here and a run of ``run`` with the session log on must give the same
-``SimResult.to_json()`` for equal inputs.  After a run, each device's
-``profiles`` and ``pair_start`` hold the records a learning device of
-``run`` must end with.
+Only the classifier of ``wfdsim.learning`` and the result types of
+``wfdsim.simulation`` are reused, not the loop or the window: the drain
+rates, the window's span, the guard's constants and the attacker's tie
+bit are written out here.  So a run here and a run of ``run`` with the
+session log on must give the same ``SimResult.to_json()`` for equal
+inputs.  After a run, each device's ``profiles`` and ``pair_start`` hold
+the records a learning device of ``run`` must end with.
 """
 
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 from wfdsim.learning import (
     FAIRNESS_THRESHOLD,
     SECONDS_PER_DAY,
     HistoryDepth,
-    PeerProfile,
     assess,
     should_reject,
 )
@@ -44,6 +45,13 @@ MIN_PAIR_AGE_SECONDS = 10 * 3600
 SPARSE_WINDOW_NEGOTIATIONS = 40
 GUARD_Z_SPARSE, GUARD_Z_LIMITED, GUARD_Z_AMPLE = 0.4, 1.0, 3.0
 FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
+# a peer's window: its records of the last this many days, the reading day's included
+WINDOW_DAYS = 30
+# what a day of a peer's record counts, in this order: negotiations, those
+# this device won and those the peer quit, then owner and group seconds
+COUNTERS = ("negotiations", "self_go_wins", "peer_premature_quits", "self_go_seconds",
+            "comm_seconds")
+NONE = (0,) * len(COUNTERS)   # a day without records
 
 
 class Device:
@@ -59,17 +67,24 @@ class Device:
         self.alive = True
         self.depletion_time = None
         self.group = None
-        self.profiles = {}
+        self.profiles = {}   # by peer id, a dict from day to that day's COUNTERS
         self.pair_start = {}
         self.flag_hold = {}
         self.counts = dict.fromkeys(
             ("negotiations", "go_wins", "peer_quits_observed", "tie_rounds", "go_assignments",
              "rejections_issued", "initiations_avoided", "skips_busy", "sessions_exhausted"), 0)
 
-    def profile(self, peer):
-        if peer.id not in self.profiles:
-            self.profiles[peer.id] = PeerProfile(peer.id)
-        return self.profiles[peer.id]
+    def book(self, peer, day, *counts):
+        """Add ``counts``, in COUNTERS order, to the record of ``peer`` on ``day``."""
+        days = self.profiles.setdefault(peer.id, {})
+        days[day] = [old + new for old, new in zip(days.get(day, NONE), counts)]
+
+    def window(self, peer, day):
+        """The totals, in COUNTERS order, of the record of ``peer`` over the
+        window that ends on ``day``."""
+        days = self.profiles.get(peer.id, {})
+        return [sum(column) for column in
+                zip(*(days.get(d, NONE) for d in range(day - WINDOW_DAYS + 1, day + 1)))]
 
 
 class Group:
@@ -116,12 +131,10 @@ class ReferenceSimulator:
             self.push(die_at, DEATH, dev, dev.energy_version)
 
     def record_negotiation(self, dev, peer, t, self_was_go, peer_quit):
-        prof = dev.profile(peer)
         day = t // SECONDS_PER_DAY
-        prof.roll_to(day)
-        if prof.negotiations == 0:
+        if dev.window(peer, day)[0] == 0:
             dev.pair_start[peer.id] = t
-        prof.record_negotiation(day, self_was_go, peer_quit)
+        dev.book(peer, day, 1, int(self_was_go), int(peer_quit), 0, 0)
         dev.counts["negotiations"] += 1
         if self_was_go:
             dev.counts["go_wins"] += 1
@@ -132,14 +145,14 @@ class ReferenceSimulator:
         """Whether ``dev``'s learning guard refuses ``peer`` at ``now``."""
         if now < dev.flag_hold.get(peer.id, 0):
             return True
-        prof = dev.profiles.get(peer.id)
-        if prof is None:
+        if peer.id not in dev.profiles:
             return False
-        prof.roll_to(now // SECONDS_PER_DAY)
-        n = prof.negotiations
+        totals = dev.window(peer, now // SECONDS_PER_DAY)
+        n = totals[0]
         if n == 0 or now - dev.pair_start[peer.id] < MIN_PAIR_AGE_SECONDS:
             return False
-        assessment = assess(prof)
+        # the classifier reads the five totals by name, as a profile holds them
+        assessment = assess(SimpleNamespace(**dict(zip(COUNTERS, totals))))
         depth = assessment.features.depth
         if depth is HistoryDepth.INSUFFICIENT or not should_reject(assessment):
             result = False
@@ -244,8 +257,8 @@ class ReferenceSimulator:
         duration = t - group.start
         if duration > 0:
             day = t // SECONDS_PER_DAY
-            group.go.profile(group.client).record_group_time(day, duration, duration)
-            group.client.profile(group.go).record_group_time(day, 0, duration)
+            group.go.book(group.client, day, 0, 0, 0, duration, duration)
+            group.client.book(group.go, day, 0, 0, 0, 0, duration)
 
     def death(self, t, dev, version):
         if not dev.alive or version != dev.energy_version:

@@ -79,6 +79,7 @@ from wfdsim.learning import (  # noqa: E402
     SECONDS_PER_DAY,
     WINDOW_DAYS,
     ClockRegression,
+    DailyBucket,
     PeerProfile,
 )
 from wfdsim.protocol import (  # noqa: E402
@@ -386,19 +387,20 @@ def assert_matches_reference(scenario):
     # next touches a member: close the groups nothing touched since
     for dev in sim.devices:
         if dev.group is not None:
-            sim._end_group(*dev.group)
+            sim._end_group(dev.group)
     for dev, ref in zip(sim.devices, reference.devices):
         if dev.peers is None:
             continue
         assert dev.peers.keys() == ref.profiles.keys()
         for peer_id, rec in dev.peers.items():
-            profile = ref.profiles[peer_id]
-            # the reference rolls a window at every guard call, ``run`` only
-            # at a full check: roll both to the later day
-            day = max(rec.current_day, profile.current_day)
+            days = ref.profiles[peer_id]
+            # the reference keeps every day, ``run`` the window as of its last
+            # roll: roll it on to the reference's last day, if that is later,
+            # and compare with the reference's days in that window, as buckets
+            day = max(rec.current_day, *days)
             rec.roll_to(day)
-            profile.roll_to(day)
-            assert rec.buckets() == profile.buckets(), (dev.id, peer_id)
+            assert rec.buckets() == [DailyBucket(d, *days[d]) for d in sorted(days)
+                                     if d > day - WINDOW_DAYS], (dev.id, peer_id)
             assert rec.since == ref.pair_start[peer_id], (dev.id, peer_id)
     return result
 
@@ -623,7 +625,7 @@ def test_batch_loop_draws_as_negotiate_does(attack, defense, k, seed):
     assert groups == [owners.count(dev) for dev in called.devices]
     assert getattr(last, "id", None) == getattr(owners[-1], "id", None)
     assert counters(looped) == counters(called)
-    assert tally == (responder.go_wins, responder.peer_quits_observed, responder.negotiations)
+    assert tally == (responder.go_assignments, responder.peer_quits_observed, responder.tie_rounds)
     if plan[-1] is None:
         assert bits is None
     else:

@@ -100,7 +100,9 @@ MUTANTS = (
            "if dev.peers is None and pair_run(t, dev, peer):", "if pair_run(t, dev, peer):",
            ("tests/test_simulation.py::TestRefusalStorm::"
             "test_learning_ticker_refused_one_tick_at_a_time",)),
-    Mutant("no_survivor_finish", SIM, "if not peer.alive:", "if False:",
+    Mutant("no_survivor_finish", SIM,
+           "if not peer.alive:\n            dev.skips_busy += len(",
+           "if False:\n            dev.skips_busy += len(",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
     Mutant("no_survivor_finish_past_a_ticking_partner", SIM,
            "        if not peer.alive:\n"
@@ -218,34 +220,44 @@ MUTANTS = (
            "if dev.alive and nxt < horizon:", "if dev.alive and nxt <= horizon:", (ORACLE,)),
     Mutant("dead_tick_replaced", SIM,
            "            if dev.alive and nxt < horizon:\n"
-           "                self.seq += 1\n"
-           "                replace(heap, (nxt, self.seq, dev))\n"
+           "                replace(heap, (nxt, seq(), dev))\n"
            "            else:\n"
            "                pop(heap)\n"
            "                if not dev.alive:\n"
            "                    continue\n",
            "            if nxt < horizon:\n"
-           "                self.seq += 1\n"
-           "                replace(heap, (nxt, self.seq, dev))\n"
+           "                replace(heap, (nxt, seq(), dev))\n"
            "            else:\n"
            "                pop(heap)\n"
            "            if not dev.alive:\n"
            "                continue\n",
            (f"{DECIDED}lone_survivor_ticks_are_not_popped",)),
     Mutant("tick_ties_to_the_later_push", SIM,
-           "replace(heap, (nxt, self.seq, dev))", "replace(heap, (nxt, -self.seq, dev))", (ORACLE,)),
+           "replace(heap, (nxt, seq(), dev))", "replace(heap, (nxt, -seq(), dev))", (ORACLE,)),
     # a group's one booking step
     Mutant("member_booked_at_owner_rate", SIM,
-           "member.spent += (client - idle) * span", "member.spent += (go - idle) * span",
+           "member.budget -= (client - idle) * span", "member.budget -= (go - idle) * span",
            ("tests/test_golden.py", ORACLE)),
     Mutant("next_death_ignores_an_earlier_member", SIM,
-           "first = member if member.die_at < owner.die_at else owner", "first = owner",
+           "first = member if member_dies < owner_dies else owner", "first = owner",
            ("tests/test_simulation.py::TestDepletionAnchors::"
             "test_client_death_that_comes_first_is_found",)),
     # the day on which a learner books a group's time
     Mutant("group_time_on_its_start_day", SIM,
-           "day = end - start, end // SECONDS_PER_DAY", "day = end - start, start // SECONDS_PER_DAY",
+           "record_group_time(end // SECONDS_PER_DAY, end - start, end - start)\n"
+           "        if client.peers is not None:\n"
+           "            client.peers[go.id].record_group_time(end // SECONDS_PER_DAY,",
+           "record_group_time(start // SECONDS_PER_DAY, end - start, end - start)\n"
+           "        if client.peers is not None:\n"
+           "            client.peers[go.id].record_group_time(start // SECONDS_PER_DAY,",
            (LONG_ORACLE,)),
+    # the declined rounds that ``run`` takes off the tie rounds and owner assignments
+    Mutant("declined_round_left_in_member_negotiations", SIM,
+           "                member.declines_met += 1\n", "",
+           (ORACLE,)),
+    Mutant("decline_left_in_owner_go_wins", SIM,
+           "                owner.declines_issued += 1\n", "",
+           (ORACLE,)),
     # the order of two deaths in one second
     Mutant("client_before_owner_on_a_tie", SIM,
            "                if group is not None and dev is group[1] and group[0].die_at == t:\n"
@@ -254,7 +266,11 @@ MUTANTS = (
                 "tests/test_golden.py::test_run_json_digest[owner_first_on_a_tie]", ORACLE)),
     # energy booking on a death mid-group
     Mutant("no_refund_past_a_death", SIM,
-           "                    member.spent -= (_RATES[role] - _RATES[_IDLE]) * (end - t)\n",
+           "                go.budget += (_RATES[_GO] - idle) * (end - t)\n"
+           "                client.budget += (_RATES[_CLIENT] - idle) * (end - t)\n",
+           "", ("tests/test_golden.py", ORACLE)),
+    Mutant("no_client_seconds_refund_past_a_death", SIM,
+           "                client.client_seconds -= end - t\n",
            "", ("tests/test_golden.py", ORACLE)),
     Mutant("partner_death_not_retimed", SIM,
            "                self._set_role(client if dev is go else go, t)\n",
@@ -265,7 +281,7 @@ MUTANTS = (
            "buckets[0].day <= cutoff", "buckets[0].day < cutoff",
            ("tests/test_learning.py::TestPeerProfileWindow::test_expiry_drops_whole_days",
             "tests/test_learning.py::TestPeerProfileWindow::test_window_totals_match_naive_recompute",
-            "tests/test_golden.py::test_run_json_digest[hour_crowd]")),
+            "tests/test_golden.py::test_run_json_digest[hour_crowd]", LONG_ORACLE)),
     Mutant("population_deviation", CLI,
            "statistics.stdev(self.seed_days)", "statistics.pstdev(self.seed_days)",
            ("tests/test_cli.py::TestResultRow::test_summary_follows_seed_days",
