@@ -6,8 +6,9 @@ The package splits into five layers:
   plus the XOR coin flip they implement.
 * ``protocol``: wire codecs for vendor elements and attributes, the
   owner-election rule, and the three negotiation handshakes.
-* ``learning``: sliding-window peer profiles and the naive-Bayes
-  classifier that scores peers as fair or hostile.
+* ``learning``: sliding-window peer profiles, the naive-Bayes classifier
+  that scores peers as fair or hostile, and the learning guard's record of
+  each peer: its gates before the classifier and the hold of its verdicts.
 * ``simulation``: deterministic discrete-event battery simulator for
   device populations under tie-bit and quit attacks.
 * ``cli``: experiment presets, config parsing, and CSV emission.

@@ -12,14 +12,18 @@ shares are derived from it:
 The shares are discretised into five bands, the window size into three
 history depths, and a small naive-Bayes model turns the result into a
 posterior over five peer dispositions.  A peer is treated as hostile when
-enough posterior mass lands on the two attacker dispositions, and
-rejection additionally requires the owner-time share to exceed the
-fairness bound.
+enough posterior mass lands on the two attacker dispositions.  The
+learning guard's record of a peer (``PeerRecord``) rejects a hostile one
+only past its gates: at least 10 negotiations, a pair at least 10 hours
+old and an owner-time share whose confidence bound exceeds 3/5.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -306,3 +310,136 @@ def assess(profile: PeerProfile) -> PeerAssessment:
 def should_reject(assessment: PeerAssessment) -> bool:
     """Reject a hostile peer only while it is actually treating us unfairly."""
     return assessment.is_attacker and assessment.peer_fairness > FAIRNESS_THRESHOLD
+
+
+# A peer must have been interacting for this long (and have a usable
+# window) before rejection can kick in; rebuilt from scratch whenever the
+# window drains empty.  Ten hours puts a minute-scale schedule past the
+# small-window confidence regimes below before its first evaluation.
+MIN_PAIR_AGE_SECONDS = 10 * 3600
+
+# Rejection fires only when the lower confidence bound of the observed
+# owner-time share clears the fairness threshold.  The margin comes in
+# three regimes: sparse windows (slow schedules never accumulate more
+# than a dozen negotiations per pair, so the bound must stay loose to
+# catch saturated attackers there), mid-size windows (z=1), and ample
+# ones (z=3, keeping borderline-fair peers from locking in on noise).
+# Fast schedules pass the pair-age gate only after leaving the sparse
+# regime, so the loose bound never applies to them.
+SPARSE_WINDOW_NEGOTIATIONS = 40
+GUARD_Z_SPARSE = 0.4
+GUARD_Z_LIMITED = 1.0
+GUARD_Z_AMPLE = 3.0
+
+# Once the guard fires, the rejection is held for a full window span.
+# Without the hold, a window whose records trickled in over many days
+# drains one bucket at a time, dips below the eligibility floor,
+# re-admits a forced session, and oscillates there indefinitely.
+FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
+
+
+def _bound(pf: float, n: int) -> float:
+    """The lower confidence bound of the owner-time share ``pf`` over a
+    window of ``n`` negotiations, with the margin of its regime (above)."""
+    z = (GUARD_Z_SPARSE if n < SPARSE_WINDOW_NEGOTIATIONS
+         else GUARD_Z_LIMITED if n < AMPLE_NEGOTIATIONS else GUARD_Z_AMPLE)
+    return pf - z * math.sqrt(pf * (1.0 - pf) / n)
+
+
+def _top_bound(n: int, top: int, pf: float) -> float:
+    """The highest ``_bound`` over ``n`` to ``top`` negotiations of a share
+    from 1/2 to ``pf``: at ``pf`` and the top ``n`` of each z regime, as the
+    bound rises with both, in floats too: ``1 - pf`` is exact for ``pf >=
+    1/2``, and each later step rounds its moving arguments monotonically."""
+    return max(_bound(pf, min(top, max(n, edge - 1)))
+               for edge in (SPARSE_WINDOW_NEGOTIATIONS, AMPLE_NEGOTIATIONS, top + 1))
+
+
+def _may_flag(rec: PeerProfile, x: int, y: int) -> bool:
+    """Whether a full check of ``rec`` (owner-time share above 3/5) could
+    say yes on its day after at most ``x`` more records and ``y`` more
+    group seconds: a cell they reach is hostile, each share's band lying
+    between those of its least and greatest values, and the bound clears."""
+    n, s, c = rec.negotiations, rec.self_go_seconds, rec.comm_seconds
+    top = n + x
+    cells = itertools.product(
+        range(max(history_depth(n), HistoryDepth.LIMITED), history_depth(top) + 1),
+        *(range(share_band(k, top), share_band(k + x, top) + 1)
+          for k in (rec.self_go_wins, rec.peer_premature_quits)),
+        range(share_band(s, c + y), share_band(s + y, c + y) + 1))
+    return (any(hostile(*cell) for cell in cells)
+            and _top_bound(n, top, (s + y) / (c + y)) > FAIRNESS_THRESHOLD)
+
+
+class PeerRecord(PeerProfile):
+    """A learning device's record of one peer: its profile, when its window
+    last started from empty, and until when the guard's last yes stands (a
+    no is never kept)."""
+
+    __slots__ = ("since", "until")
+
+    def __init__(self, peer_id: str):
+        super().__init__(peer_id)
+        self.since = self.until = 0
+
+    def learn_negotiation(self, t: int, won: int, quit: int, negotiations: int = 1) -> None:
+        """Record ``negotiations`` at the instant ``t`` (``record_negotiation``);
+        when they land in an empty window, the pair's age starts again at ``t``."""
+        self.record_negotiation(t // SECONDS_PER_DAY, won, quit, negotiations)
+        if self.negotiations == negotiations:
+            self.since = t
+
+    def eligible(self, now: int) -> bool:
+        """Whether the gates before the classifier let the guard say yes at
+        ``now``, with the window rolled to its day: a history of at least
+        ``LIMITED_NEGOTIATIONS``, a pair at least ``MIN_PAIR_AGE_SECONDS``
+        old and a confidence bound of the owner-time share above the
+        fairness threshold, which the share itself then exceeds too."""
+        day = now // SECONDS_PER_DAY
+        if day != self.current_day:
+            self.roll_to(day)
+        return (self.negotiations >= LIMITED_NEGOTIATIONS
+                and now - self.since >= MIN_PAIR_AGE_SECONDS
+                and _bound(peer_fairness(self), self.negotiations) > FAIRNESS_THRESHOLD)
+
+    def hold(self, rounds: int, t: int, period: int, duration: int) -> int:
+        """The ticks, one each ``period`` seconds from ``t``, through which the
+        no that the guard gave at ``t`` provably stands.  A tick runs at most
+        ``rounds`` rounds, so a check at the ``i``-th (the reading tick is
+        0), at its start or after a quit, sees at most ``(i + 1) * rounds -
+        1`` more records and ``i * duration`` more group seconds, and one
+        gate proven to stay false holds the no.  With ``slack = 3C - 5S >=
+        0`` (group and owner seconds) the owner-time share stays at most 3/5
+        while ``slack - expired - 2 * i * duration >= 0``, ``expired`` the
+        ``3c - 5s`` of the buckets gone by the tick's day, known now as no
+        record goes to a past day: across midnights, up to the one at which
+        the reading day's bucket, which the span adds to, could expire.
+        Otherwise, up to midnight, when a bucket can expire, the box of
+        windows the tick can reach (``_may_flag``) holds it; the box grows
+        with ``i``, so a bisection finds the first tick that could say yes.
+        Before ``since + MIN_PAIR_AGE_SECONDS`` the pair's age holds any no,
+        as an emptied window only restarts it."""
+        day = t // SECONDS_PER_DAY
+        young = -((t - self.since - MIN_PAIR_AGE_SECONDS) // period)   # ticks before the pair comes of age
+        slack = 3 * self.comm_seconds - 5 * self.self_go_seconds
+        if slack < 0:   # the pair's age, or else the box, up to midnight
+            return young if young > 0 else bisect.bisect(
+                range(-((t - (day + 1) * SECONDS_PER_DAY) // period)), False,
+                key=lambda i: _may_flag(self, (i + 1) * rounds - 1, i * duration))
+        # the buckets oldest first, to the reading day's (None: none yet), which the span adds to
+        taken = 0
+        for bucket in itertools.chain(self._buckets, (None,)):
+            dated = day if bucket is None else bucket.day
+            before = -((t - (dated + WINDOW_DAYS) * SECONDS_PER_DAY) // period)   # ticks before it expires
+            first = max(taken, slack // (2 * duration) + 1)   # the first tick the slack leaves uncovered
+            if first < before or dated == day:
+                return max(young, min(first, before))
+            taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)
+
+
+class PeerRecords(dict):
+    """A learning device's records by peer id; indexing makes a missing one."""
+
+    def __missing__(self, peer_id: str) -> PeerRecord:
+        rec = self[peer_id] = PeerRecord(peer_id)
+        return rec

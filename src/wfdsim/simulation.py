@@ -37,7 +37,6 @@ interpolates the sub-second remainder at the rate of the role it held.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import heapq
 import itertools
@@ -48,50 +47,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .learning import (
-    AMPLE_NEGOTIATIONS,
-    LIMITED_NEGOTIATIONS,
-    SECONDS_PER_DAY,
-    WINDOW_DAYS,
-    FAIRNESS_THRESHOLD,
-    HistoryDepth,
-    PeerProfile,
-    assess,
-    history_depth,
-    hostile,
-    peer_fairness,
-    share_band,
-    should_reject,
-)
+from .learning import FLAG_HOLD_SECONDS, SECONDS_PER_DAY, PeerRecords, assess, should_reject
 
 DEFAULT_CAPACITY = 365 * SECONDS_PER_DAY  # idle-rate units for a 365-day battery
 
 DEFAULT_RETRY_CAP = 16
-
-# A peer must have been interacting for this long (and have a usable
-# window) before rejection can kick in; rebuilt from scratch whenever the
-# window drains empty.  Ten hours puts a minute-scale schedule past the
-# small-window confidence regimes below before its first evaluation.
-MIN_PAIR_AGE_SECONDS = 10 * 3600
-
-# Rejection fires only when the lower confidence bound of the observed
-# owner-time share clears the fairness threshold.  The margin comes in
-# three regimes: sparse windows (slow schedules never accumulate more
-# than a dozen negotiations per pair, so the bound must stay loose to
-# catch saturated attackers there), mid-size windows (z=1), and ample
-# ones (z=3, keeping borderline-fair peers from locking in on noise).
-# Fast schedules pass the pair-age gate only after leaving the sparse
-# regime, so the loose bound never applies to them.
-SPARSE_WINDOW_NEGOTIATIONS = 40
-GUARD_Z_SPARSE = 0.4
-GUARD_Z_LIMITED = 1.0
-GUARD_Z_AMPLE = 3.0
-
-# Once the guard fires, the rejection is held for a full window span.
-# Without the hold, a window whose records trickled in over many days
-# drains one bucket at a time, dips below the eligibility floor,
-# re-admits a forced session, and oscillates there indefinitely.
-FLAG_HOLD_SECONDS = 30 * SECONDS_PER_DAY
 
 
 class InvalidConfig(ValueError):
@@ -244,86 +204,6 @@ _TOP_BIT = bytes(128) + b"\1" * 128   # each byte's top bit, for ``bytes.transla
 _BULK_SESSIONS = 2048   # the most sessions a batch draws in one call
 
 
-class _Peer(PeerProfile):
-    """A learning device's record of one peer: its profile, when its window
-    last started from empty, and until when the guard's last yes stands (a
-    no is never kept)."""
-
-    __slots__ = ("since", "until")
-
-    def __init__(self, peer_id: str):
-        super().__init__(peer_id)
-        self.since = self.until = 0
-
-
-def _bound(pf: float, n: int) -> float:
-    """The lower confidence bound of the owner-time share ``pf`` over a
-    window of ``n`` negotiations, with the margin of its regime (above)."""
-    z = (GUARD_Z_SPARSE if n < SPARSE_WINDOW_NEGOTIATIONS
-         else GUARD_Z_LIMITED if n < AMPLE_NEGOTIATIONS else GUARD_Z_AMPLE)
-    return pf - z * math.sqrt(pf * (1.0 - pf) / n)
-
-
-def _top_bound(n: int, top: int, pf: float) -> float:
-    """The highest ``_bound`` over ``n`` to ``top`` negotiations of a share
-    from 1/2 to ``pf``: at ``pf`` and the top ``n`` of each z regime, as the
-    bound rises with both, in floats too: ``1 - pf`` is exact for ``pf >=
-    1/2``, and each later step rounds its moving arguments monotonically."""
-    return max(_bound(pf, min(top, max(n, edge - 1)))
-               for edge in (SPARSE_WINDOW_NEGOTIATIONS, AMPLE_NEGOTIATIONS, top + 1))
-
-
-def _may_flag(rec: _Peer, x: int, y: int) -> bool:
-    """Whether a full check of ``rec`` (owner-time share above 3/5) could
-    say yes on its day after at most ``x`` more records and ``y`` more
-    group seconds: a cell they reach is hostile, each share's band lying
-    between those of its least and greatest values, and the bound clears."""
-    n, s, c = rec.negotiations, rec.self_go_seconds, rec.comm_seconds
-    top = n + x
-    cells = itertools.product(
-        range(max(history_depth(n), HistoryDepth.LIMITED), history_depth(top) + 1),
-        *(range(share_band(k, top), share_band(k + x, top) + 1)
-          for k in (rec.self_go_wins, rec.peer_premature_quits)),
-        range(share_band(s, c + y), share_band(s + y, c + y) + 1))
-    return (any(hostile(*cell) for cell in cells)
-            and _top_bound(n, top, (s + y) / (c + y)) > FAIRNESS_THRESHOLD)
-
-
-def _hold(rec: _Peer, rounds: int, t: int, period: int, duration: int) -> int:
-    """The ticks, one each ``period`` seconds from ``t``, through which the
-    no that the guard of ``rec`` gave at ``t`` provably stands.  A tick
-    runs at most ``rounds`` rounds, so a check at the ``i``-th (the reading
-    tick is 0), at its start or after a quit, sees at most ``(i + 1) *
-    rounds - 1`` more records and ``i * duration`` more group seconds, and
-    one gate proven to stay false holds the no.  With ``slack = 3C - 5S >=
-    0`` (group and owner seconds) the owner-time share stays at most 3/5
-    while ``slack - expired - 2 * i * duration >= 0``, ``expired`` the ``3c
-    - 5s`` of the buckets gone by the tick's day, known now as no record
-    goes to a past day: across midnights, up to the one at which the
-    reading day's bucket, which the span adds to, could expire.  Otherwise,
-    up to midnight, when a bucket can expire, the box of windows the tick
-    can reach (``_may_flag``) holds it; the box grows with ``i``, so a
-    bisection finds the first tick that could say yes.  Before ``since +
-    MIN_PAIR_AGE_SECONDS`` the pair's age holds any no, as an emptied
-    window only restarts it."""
-    day = t // SECONDS_PER_DAY
-    young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period)   # ticks before the pair comes of age
-    slack = 3 * rec.comm_seconds - 5 * rec.self_go_seconds
-    if slack < 0:   # the pair's age, or else the box, up to midnight
-        return young if young > 0 else bisect.bisect(
-            range(-((t - (day + 1) * SECONDS_PER_DAY) // period)), False,
-            key=lambda i: _may_flag(rec, (i + 1) * rounds - 1, i * duration))
-    # the buckets oldest first, to the reading day's (None: none yet), which the span adds to
-    taken = 0
-    for bucket in (*rec.buckets(), None):
-        dated = day if bucket is None else bucket.day
-        before = -((t - (dated + WINDOW_DAYS) * SECONDS_PER_DAY) // period)   # ticks before it expires
-        first = max(taken, slack // (2 * duration) + 1)   # the first tick the slack leaves uncovered
-        if first < before or dated == day:
-            return max(young, min(first, before))
-        taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)
-
-
 class _Device:
     __slots__ = (
         "index", "cfg", "id", "uses_commitment", "period", "duration", "force", "quit_chance",
@@ -352,23 +232,11 @@ class _Device:
         self.depletion_time: float | None = None
         self.group: tuple | None = None   # (owner, client, start, end) while in a group
         # the learning guard's records by peer id; None for a device that does not learn
-        self.peers: dict[str, _Peer] | None = {} if cfg.defense.uses_learning else None
+        self.peers: PeerRecords | None = PeerRecords() if cfg.defense.uses_learning else None
         # the tie rounds that ended in a decline, by its side: as member, as owner
         self.declines_met = self.declines_issued = 0
         for name in _COUNTS:
             setattr(self, name, 0)
-
-    def learn_negotiation(self, peer_id: str, t: int, won: int, quit: int,
-                          negotiations: int = 1) -> None:
-        """Book ``negotiations`` with ``peer_id`` at ``t``, ``won`` of them
-        won and ``quit`` quit by the peer, in its record, made on first use."""
-        rec = self.peers.get(peer_id)
-        if rec is None:
-            rec = self.peers[peer_id] = _Peer(peer_id)
-        rec.record_negotiation(t // SECONDS_PER_DAY, won, quit, negotiations)
-        if rec.negotiations == negotiations:
-            # the window was empty: the pair's age starts again now
-            rec.since = t
 
 
 class _Simulator:
@@ -422,35 +290,35 @@ class _Simulator:
     busy.  A learner's yes, standing or just said by its guard, refuses
     every tick: each refusal renews the hold past the next tick, unless the
     period is longer than the hold.  Only a yes stands on the learner's
-    record; a no is a full check's, and only ``_hold`` carries it on.  Both
-    runs end at the next pending death or the horizon, spend no energy,
-    change no profile and draw no peer; a tick at the instant of that death
-    stays on the loop, as the death resolves first and makes the tick busy
-    (its peer died) or void (its device died).  A peer without a schedule,
-    and either without a guard or with a no, takes a session at every
-    tick, each group ending by the next tick, and ``k`` such ticks run as
-    one batch (``_negotiate_batch``), its energy and role seconds booked
-    once.  Three bounds on ``k`` keep every
-    outcome decided before the batch starts, the lookahead of conservative
-    simulation (Chandy and Misra, IEEE TSE 5(5), 1979).  Its last group ends
-    by the horizon.  A period drains a device by at most ``worst = idle *
-    period + (top - idle) * group_duration``, ``top`` the owner rate, so
-    tick ``i`` finds at least ``left - i * worst``, ``left`` the lower
-    charge at the first, and all ``(left - top * group_duration) // worst +
-    1`` ticks fund a whole group at ``top``: no death falls before the last
-    group ends.  And it takes only ticks through which a learner's no
-    stands (``_hold``), so the batch reads no guard; one tally a day books
-    its negotiations through ``learn_negotiation``, and the time of its
-    groups, a day's last on the day it ends.  The batch's last group opens
-    in ``_start_group`` and closes like any other, and the deaths booked
-    from its end may fall before the next tick, where the loop resolves
-    them.  A tick whose no covers no batch, or whose batch the energy bound
-    rules out, negotiates alone in ``_negotiate``.  Any other state leaves
-    the tick to the loop: a peer with a schedule, or a learner with no
-    record of the ticker.  A learning ticker's guard can still change its
-    mind or avoid a dead peer, so its ticks stay on the loop, as do those
-    of three or more devices.  ``sessions`` is ``None`` unless the run
-    keeps the log: then no session tuple is built.
+    record; a no is a full check's, and only ``PeerRecord.hold`` carries it
+    on.  Both runs end at the next pending death or the horizon, spend no
+    energy, change no profile and draw no peer; a tick at the instant of
+    that death stays on the loop, as the death resolves first and makes the
+    tick busy (its peer died) or void (its device died).  A peer without a
+    schedule, and either without a guard or with a no, takes a session at
+    every tick, each group ending by the next tick, and ``k`` such ticks run
+    as one batch (``_negotiate_batch``), its energy and role seconds booked
+    once.  Three bounds on ``k`` keep every outcome decided before the batch
+    starts, the lookahead of conservative simulation (Chandy and Misra, IEEE
+    TSE 5(5), 1979).  Its last group ends by the horizon.  A period drains a
+    device by at most ``worst = idle * period + (top - idle) *
+    group_duration``, ``top`` the owner rate, so tick ``i`` finds at least
+    ``left - i * worst``, ``left`` the lower charge at the first, and all
+    ``(left - top * group_duration) // worst + 1`` ticks fund a whole group
+    at ``top``: no death falls before the last group ends.  And it takes
+    only ticks through which a learner's no stands (``PeerRecord.hold``), so
+    the batch reads no guard; one tally a day books its negotiations through
+    the record's ``learn_negotiation``, and the time of its groups, a day's
+    last on the day it ends.  The batch's last group opens in
+    ``_start_group`` and closes like any other, and the deaths booked from
+    its end may fall before the next tick, where the loop resolves them.  A
+    tick whose no covers no batch, or whose batch the energy bound rules
+    out, negotiates alone in ``_negotiate``.  Any other state leaves the
+    tick to the loop: a peer with a schedule, or a learner with no record of
+    the ticker.  A learning ticker's guard can still change its mind or
+    avoid a dead peer, so its ticks stay on the loop, as do those of three
+    or more devices.  ``sessions`` is ``None`` unless the run keeps the log:
+    then no session tuple is built.
     """
 
     def __init__(self, configs: list[DeviceConfig], horizon: int, seed: int,
@@ -504,24 +372,15 @@ class _Simulator:
             self.next_death = first
 
     def _rejects(self, dev: _Device, peer: _Device, now: int) -> bool:
-        """Whether ``dev`` currently refuses to deal with ``peer``: yes while
-        ``now < until``, which a flag or a refusal sets ``FLAG_HOLD_SECONDS``
-        ahead, and otherwise what a full check says.  A no writes nothing."""
+        """Whether ``dev`` currently refuses ``peer``: yes while ``now <
+        until``, which a flag or a refusal sets ``FLAG_HOLD_SECONDS`` ahead, else
+        the record's gates (``PeerRecord.eligible``), then the classifier."""
         rec = dev.peers.get(peer.id)
         if rec is None:
             return False
         if now < rec.until:
             return True
-        day = now // SECONDS_PER_DAY
-        if day != rec.current_day:
-            rec.roll_to(day)
-        # an insufficient history, a young pair, or an owner-time share at or below the
-        # fairness threshold rules rejection out whatever the posterior says
-        if (rec.negotiations >= LIMITED_NEGOTIATIONS
-                and now - rec.since >= MIN_PAIR_AGE_SECONDS
-                and peer_fairness(rec) > FAIRNESS_THRESHOLD
-                and should_reject(assess(rec))
-                and _bound(peer_fairness(rec), rec.negotiations) > FAIRNESS_THRESHOLD):
+        if rec.eligible(now) and should_reject(assess(rec)):
             rec.until = now + FLAG_HOLD_SECONDS
             return True
         return False
@@ -575,9 +434,9 @@ class _Simulator:
             owner_quit = chance > 0.0 and rng.random() < chance
             # only the learning guard reads peer profiles
             if owner.peers is not None:
-                owner.learn_negotiation(member.id, t, True, False)
+                owner.peers[member.id].learn_negotiation(t, True, False)
             if member.peers is not None:
-                member.learn_negotiation(owner.id, t, False, owner_quit)
+                member.peers[owner.id].learn_negotiation(t, False, owner_quit)
             if owner_quit:
                 quits += 1
                 member.peer_quits_observed += 1
@@ -742,8 +601,8 @@ class _Simulator:
         False when that state decides none.  ``dev`` does not learn.  A
         learner's guard is read here: a yes stands on its record until it
         lapses, and a no, which stands on nothing, covers the ticks
-        ``_hold`` counts; when it covers none, or the energy bound leaves
-        none, ``t`` negotiates alone."""
+        ``PeerRecord.hold`` counts; when it covers none, or the energy bound
+        leaves none, ``t`` negotiates alone."""
         if not peer.alive:
             dev.skips_busy += len(self._decided_ticks(dev, t, self.horizon))
             return True
@@ -769,7 +628,7 @@ class _Simulator:
                 stop = self.horizon if period < FLAG_HOLD_SECONDS else t + 1
                 self._refuse(peer, dev, self._decided_ticks(dev, t, stop))
                 return True
-            k = min(k, _hold(rec, rounds, t, period, duration))
+            k = min(k, rec.hold(rounds, t, period, duration))
         if k <= 0:
             self._negotiate(t, dev, peer)   # the tick alone, its guard already read
             return True
@@ -791,7 +650,7 @@ class _Simulator:
                 by_dev = bits.count(1, start, stop)
                 by_peer, day_owner = stop - start - by_dev, (peer, dev)[bits[stop - 1]]
                 tally = by_peer, 0, stop - start
-            peer.learn_negotiation(dev.id, first, *tally)
+            rec.learn_negotiation(first, *tally)
             # the day's last group is booked on the day it ends, the span's once it closes
             end = ticks[stop - 1] + duration
             late = day_owner is not None and (stop == k or end // SECONDS_PER_DAY > day)

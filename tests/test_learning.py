@@ -142,7 +142,8 @@ class TestHostileCells:
 
     def test_no_cell_is_computed_at_import(self):
         # the set-up of a run pays for no cell it does not read
-        probe = "import wfdsim.simulation as s; print(s.hostile.cache_info().currsize)"
+        probe = ("import wfdsim.simulation; from wfdsim.learning import hostile; "
+                 "print(hostile.cache_info().currsize)")
         src = str(Path(learning.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))

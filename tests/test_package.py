@@ -44,3 +44,19 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}: imports {name}"
+
+
+def test_simulation_imports_from_learning_only_what_it_calls():
+    # the learning guard's rules live in ``learning``: ``simulation`` reads
+    # the records, the day and the hold span, and calls the classifier
+    # itself, where the benchmark's trace wraps it
+    tree = ast.parse((PACKAGE_DIR / "simulation.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, "learning"), (0, "wfdsim.learning")):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not {"learning", "wfdsim.learning"} & {alias.name for alias in node.names}
+    assert imported == {"SECONDS_PER_DAY", "FLAG_HOLD_SECONDS", "PeerRecords", "assess",
+                        "should_reject"}

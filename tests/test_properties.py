@@ -50,7 +50,7 @@ roll back in time raises ``ClockRegression``.  A day's records booked as
 one tally leave the same window as the records booked one by one.  A
 learner's window of generated totals or daily buckets, past the pair age,
 gets a full check that says no; any records and group seconds within the
-hold ``_hold`` counts from it leave that no standing: across midnights as
+hold ``PeerRecord.hold`` counts from it leave that no standing: across midnights as
 buckets expire while the owner-time share is at most 3/5, and otherwise
 up to midnight, for windows with counts and owner seconds at band edges
 and negotiations at depth and z-regime edges.  The confidence bound rises
@@ -76,11 +76,16 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from wfdsim.commitment import NONCE_LEN, Opening, decode_opening  # noqa: E402
 from wfdsim.learning import (  # noqa: E402
     AMPLE_NEGOTIATIONS,
+    MIN_PAIR_AGE_SECONDS,
     SECONDS_PER_DAY,
+    SPARSE_WINDOW_NEGOTIATIONS,
     WINDOW_DAYS,
     ClockRegression,
     DailyBucket,
     PeerProfile,
+    _bound,
+    _may_flag,
+    _top_bound,
 )
 from wfdsim.protocol import (  # noqa: E402
     VENDOR_IE_MAX_PAYLOAD,
@@ -94,9 +99,7 @@ from wfdsim.simulation import (  # noqa: E402
     AttackProfile,
     DEFAULT_CAPACITY,
     DEFAULT_RETRY_CAP,
-    MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
-    SPARSE_WINDOW_NEGOTIATIONS,
     DefenseMode,
     DeviceConfig,
     Schedule,
@@ -105,10 +108,6 @@ from wfdsim.simulation import (  # noqa: E402
     _COUNTS,
     _BULK_SESSIONS,
     _Simulator,
-    _bound,
-    _hold,
-    _may_flag,
-    _top_bound,
 )
 
 from reference_sim import ReferenceSimulator  # noqa: E402
@@ -764,7 +763,7 @@ def test_one_tally_books_a_day_of_records(history, gap, records):
     assert window(tally) == window(by_record)
 
 
-# a learner's no after a full check holds for the ticks of ``_hold``: a
+# a learner's no after a full check holds for the ticks of ``PeerRecord.hold``: a
 # check at the last of them sees at most ``ticks * rounds - 1`` more
 # records and ``(ticks - 1) * duration`` more group seconds
 
@@ -785,7 +784,8 @@ def guarded(totals, more=(0, 0, 0, 0, 0)):
                       DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
                      100 * SECONDS_PER_DAY, 0, False)
     victim, attacker = sim.devices
-    victim.learn_negotiation("attacker", GUARD_NOW - MIN_PAIR_AGE_SECONDS, *totals[1:3], totals[0])
+    victim.peers["attacker"].learn_negotiation(GUARD_NOW - MIN_PAIR_AGE_SECONDS,
+                                               *totals[1:3], totals[0])
     rec = victim.peers["attacker"]
     rec.record_group_time(GUARD_DAY, *totals[3:])
     n, won, quit, owned, comm = more
@@ -839,7 +839,7 @@ def test_records_within_the_hold_keep_the_no(totals, rounds, schedule, data):
     duration, period = schedule
     sim, rec = guarded(totals)
     assume(not sim._rejects(*sim.devices, GUARD_NOW))
-    ticks = _hold(rec, rounds, GUARD_NOW, period, duration)
+    ticks = rec.hold(rounds, GUARD_NOW, period, duration)
     midnight = (GUARD_DAY + 1) * SECONDS_PER_DAY
     event("no tick held" if not ticks else
           "held to midnight" if GUARD_NOW + ticks * period >= midnight else "held for a box")
@@ -890,7 +890,7 @@ def windowed(buckets):
                      100 * SECONDS_PER_DAY, 0, False)
     victim = sim.devices[0]
     for day, n, won, quit, owned, comm in buckets:
-        victim.learn_negotiation("attacker", day * SECONDS_PER_DAY, won, quit, n)
+        victim.peers["attacker"].learn_negotiation(day * SECONDS_PER_DAY, won, quit, n)
         victim.peers["attacker"].record_group_time(day, owned, comm)
     return sim, victim.peers["attacker"]
 
@@ -934,7 +934,7 @@ def test_seconds_within_the_slack_budget_keep_the_no(buckets, rounds, schedule, 
     duration, period = schedule
     sim, rec = windowed(buckets)
     assert not sim._rejects(*sim.devices, GUARD_NOW)
-    ticks = _hold(rec, rounds, GUARD_NOW, period, duration)
+    ticks = rec.hold(rounds, GUARD_NOW, period, duration)
 
     def day_of(i):
         return (GUARD_NOW + i * period) // SECONDS_PER_DAY

@@ -13,28 +13,32 @@ import pytest
 
 from wfdsim import simulation
 from wfdsim.cli import build_devices, preset
-from wfdsim.learning import FAIRNESS_THRESHOLD, SECONDS_PER_DAY, WINDOW_DAYS
-from wfdsim.simulation import (
-    AttackProfile,
-    DEFAULT_CAPACITY,
-    DEFAULT_RETRY_CAP,
+from wfdsim.learning import (
+    FAIRNESS_THRESHOLD,
     FLAG_HOLD_SECONDS,
     GUARD_Z_AMPLE,
     GUARD_Z_LIMITED,
     GUARD_Z_SPARSE,
+    MIN_PAIR_AGE_SECONDS,
+    SECONDS_PER_DAY,
+    WINDOW_DAYS,
+    PeerRecord,
+    _bound,
+    _top_bound,
+)
+from wfdsim.simulation import (
+    AttackProfile,
+    DEFAULT_CAPACITY,
+    DEFAULT_RETRY_CAP,
     DefenseMode,
     DeviceConfig,
     HOUR_SCHEDULE,
     InvalidConfig,
-    MIN_PAIR_AGE_SECONDS,
     MINUTE_SCHEDULE,
     Schedule,
     energy_conserved,
     run,
     _Simulator,
-    _bound,
-    _hold,
-    _top_bound,
 )
 
 from test_golden import LEARNING_STORM, LONE_ATTACKER
@@ -379,7 +383,7 @@ class TestQuietInstant:
 
     def test_slack_assumes_a_threshold_of_three_fifths(self):
         assert FAIRNESS_THRESHOLD == 3 / 5, (
-            "_hold's slack = 3C - 5S bounds the owner-time share by 3/5 only; "
+            "PeerRecord.hold's slack = 3C - 5S bounds the owner-time share by 3/5 only; "
             "restate the slack for the new threshold")
 
     def learning_victim(self):
@@ -392,7 +396,7 @@ class TestQuietInstant:
         # 39 negotiations the victim owned: hostile as soon as the
         # owner-time share passes 3/5 by enough for z = 0.4
         for _ in range(39):
-            victim.learn_negotiation("attacker", self.START, True, False)
+            victim.peers["attacker"].learn_negotiation(self.START, True, False)
 
     def test_guard_evaluates_when_owner_seconds_can_pass_three_fifths(self):
         sim, victim, attacker = self.learning_victim()
@@ -411,7 +415,7 @@ class TestQuietInstant:
         sim, victim, attacker = self.learning_victim()
         oldest = self.DAY - WINDOW_DAYS + 1
         # a fair day, the last of the window, with one negotiation the attacker owned
-        victim.learn_negotiation("attacker", oldest * SECONDS_PER_DAY, False, False)
+        victim.peers["attacker"].learn_negotiation(oldest * SECONDS_PER_DAY, False, False)
         record = victim.peers["attacker"]
         record.record_group_time(oldest, 0, 1000)
         self.negotiate(victim)
@@ -439,7 +443,7 @@ class TestQuietInstant:
         # a batch books a learner's negotiations as one tally, under the
         # same rule as one negotiation: an empty window restarts the age
         _, victim, _ = self.learning_victim()
-        victim.learn_negotiation("attacker", self.START, 2, 1, 5)
+        victim.peers["attacker"].learn_negotiation(self.START, 2, 1, 5)
         record = victim.peers["attacker"]
         assert (record.negotiations, record.self_go_wins, record.peer_premature_quits) == (5, 2, 1)
         assert record.since == self.START
@@ -455,7 +459,7 @@ class TestQuietInstant:
         # a fresh negotiation and a group the victim joined as client leave
         # the share at 0, so the guard says no from the lapse on
         lapse = now + FLAG_HOLD_SECONDS
-        victim.learn_negotiation("attacker", lapse, False, False)
+        victim.peers["attacker"].learn_negotiation(lapse, False, False)
         record.record_group_time(lapse // SECONDS_PER_DAY, 0, 60)
         assert not sim._rejects(victim, attacker, lapse)
         assert not sim._rejects(victim, attacker, lapse + 1)
@@ -478,17 +482,17 @@ class TestRefusalStorm:
                                        schedule=Schedule(days(100), 60))],
                          days(100), 0, False)
         refuser, ticker = sim.devices
-        refuser.learn_negotiation("ticker", self.START, False, False)
+        refuser.peers["ticker"].learn_negotiation(self.START, False, False)
         flag = refuser.peers["ticker"]
         flag.until = self.START + FLAG_HOLD_SECONDS
         # a fair old day, the last of the ticker's window, with one
         # negotiation the refuser owned, then 39 negotiations the ticker owned
         oldest = self.DAY - WINDOW_DAYS + 1
-        ticker.learn_negotiation("refuser", oldest * SECONDS_PER_DAY, False, False)
+        ticker.peers["refuser"].learn_negotiation(oldest * SECONDS_PER_DAY, False, False)
         record = ticker.peers["refuser"]
         record.record_group_time(oldest, 0, 10000)
         for _ in range(39):
-            ticker.learn_negotiation("refuser", self.START, True, False)
+            ticker.peers["refuser"].learn_negotiation(self.START, True, False)
         record.record_group_time(self.DAY, 2000, 2000)   # S = 2000, C = 12000
         midnight = (self.DAY + 1) * SECONDS_PER_DAY
 
@@ -664,7 +668,7 @@ class TestDecidedTicks:
                 if 5 * owned > 3 * comm and run_[0] >= since + MIN_PAIR_AGE_SECONDS
                 for t in run_ if t < horizon}
         assert len(held) > 1000   # 9,500 measured
-        monkeypatch.setattr(simulation, "_hold", lambda *args: 0)
+        monkeypatch.setattr(PeerRecord, "hold", lambda *args: 0)
         sim = _Simulator(devices, horizon, 0, False)
         checks, rejects = [], sim._rejects
 
@@ -681,7 +685,7 @@ class TestDecidedTicks:
 
 
 class TestHold:
-    """``_hold`` for a window whose owner-time share is above 3/5: the no
+    """``PeerRecord.hold`` for a window whose owner-time share is above 3/5: the no
     stands up to midnight, or to the first tick whose reachable box holds
     a hostile cell and a confidence bound above 3/5."""
 
@@ -693,7 +697,7 @@ class TestHold:
                           DeviceConfig("attacker", schedule=MINUTE_SCHEDULE)],
                          days(100), 0, False)
         victim, attacker = sim.devices
-        victim.learn_negotiation("attacker", self.NOW - MIN_PAIR_AGE_SECONDS, won, quit, n)
+        victim.peers["attacker"].learn_negotiation(self.NOW - MIN_PAIR_AGE_SECONDS, won, quit, n)
         victim.peers["attacker"].record_group_time(self.NOW // SECONDS_PER_DAY, owned, comm)
         assert not sim._rejects(victim, attacker, self.NOW)
         return sim, victim.peers["attacker"]
@@ -717,7 +721,7 @@ class TestHold:
         # hostile cell with a bound above 3/5 at the next tick, or after a
         # quit at this one
         sim, rec = self.window(9, 6, 3, 70, 100)
-        assert _hold(rec, rounds, self.NOW, 360, 60) == ticks
+        assert rec.hold(rounds, self.NOW, 360, 60) == ticks
         # and so it does: one more won record and an owned group
         rec.record_negotiation(self.NOW // SECONDS_PER_DAY, 1, 0)
         rec.record_group_time(self.NOW // SECONDS_PER_DAY, 60, 60)
@@ -727,7 +731,7 @@ class TestHold:
         # no win and no quit in 100 negotiations: eleven more records leave
         # both shares LOW, and no cell with them is hostile
         _, rec = self.window(100, 0, 0, 1000, 1000)
-        assert _hold(rec, 1, self.NOW, 3600, 60) == -((self.NOW - self.MIDNIGHT) // 3600) == 11
+        assert rec.hold(1, self.NOW, 3600, 60) == -((self.NOW - self.MIDNIGHT) // 3600) == 11
 
 
 class TestBulkDraws:

@@ -71,6 +71,16 @@ MUTANTS = (
     # the guard's standing yes
     Mutant("verdict_stands_at_until", SIM, "if now < rec.until:", "if now <= rec.until:",
            ("tests/test_simulation.py::TestQuietInstant::test_quiet_span_after_a_lapsed_hold_says_no",)),
+    # the gates of a full check before the classifier
+    Mutant("depth_gate_past_ten", LEARNING,
+           "self.negotiations >= LIMITED_NEGOTIATIONS", "self.negotiations > LIMITED_NEGOTIATIONS",
+           (f"{HOLD}no_stands_until_the_history_can_turn_limited", LONG_ORACLE)),
+    Mutant("age_gate_one_second_late", LEARNING,
+           "now - self.since >= MIN_PAIR_AGE_SECONDS", "now - self.since > MIN_PAIR_AGE_SECONDS",
+           (f"{DECIDED}young_pair_sessions_are_batched", LEARNING_PAIR_ORACLE)),
+    Mutant("bound_gate_dropped", LEARNING,
+           "\n                and _bound(peer_fairness(self), self.negotiations) > FAIRNESS_THRESHOLD)",
+           ")", (BOX, LEARNING_PAIR_ORACLE)),
     # the round-one skip
     Mutant("owner_rechecked_from_round_three", SIM, "if quits and", "if quits > 1 and",
            ("tests/test_properties.py::test_pinned_populations_reach_their_sessions", ORACLE)),
@@ -138,44 +148,44 @@ MUTANTS = (
            "return _is_hostile(_posterior(*cell))",
            "return _is_hostile(_posterior(*cell)) != (cell == (2, 4, 0, 3))",
            ("tests/test_learning.py::TestHostileCells::test_each_cell_is_the_classifier_verdict",)),
-    Mutant("box_without_the_depth_range", SIM,
+    Mutant("box_without_the_depth_range", LEARNING,
            "range(max(history_depth(n), HistoryDepth.LIMITED), history_depth(top) + 1)",
            "(history_depth(n),)",
            (f"{HOLD}no_stands_until_the_history_can_turn_limited", BOX)),
-    Mutant("box_one_record_short", SIM,
-           "_may_flag(rec, (i + 1) * rounds - 1,", "_may_flag(rec, (i + 1) * rounds - 2,",
+    Mutant("box_one_record_short", LEARNING,
+           "_may_flag(self, (i + 1) * rounds - 1,", "_may_flag(self, (i + 1) * rounds - 2,",
            (f"{HOLD}no_stands_until_the_history_can_turn_limited", BOX)),
-    Mutant("box_ignores_retry_rounds", SIM,
-           "_may_flag(rec, (i + 1) * rounds - 1,", "_may_flag(rec, i,",
+    Mutant("box_ignores_retry_rounds", LEARNING,
+           "_may_flag(self, (i + 1) * rounds - 1,", "_may_flag(self, i,",
            (f"{HOLD}no_stands_until_the_history_can_turn_limited[2-0]", BOX)),
-    Mutant("box_past_midnight", SIM,
+    Mutant("box_past_midnight", LEARNING,
            "range(-((t - (day + 1) * SECONDS_PER_DAY) // period))",
            "range(-((t - (day + 2) * SECONDS_PER_DAY) // period))",
            (f"{HOLD}a_cleared_no_stands_to_midnight", BOX)),
-    Mutant("top_bound_z_from_the_lower_regime", SIM,
+    Mutant("top_bound_z_from_the_lower_regime", LEARNING,
            "min(top, max(n, edge - 1))", "min(top, max(n, edge))",
            (f"{HOLD}top_bound_takes_the_top_of_each_regime", CORNER)),
-    Mutant("sparse_z_at_forty", SIM,
+    Mutant("sparse_z_at_forty", LEARNING,
            "n < SPARSE_WINDOW_NEGOTIATIONS", "n <= SPARSE_WINDOW_NEGOTIATIONS",
            (f"{HOLD}bound_takes_the_z_of_its_regime",)),
-    Mutant("limited_z_at_a_hundred", SIM,
+    Mutant("limited_z_at_a_hundred", LEARNING,
            "n < AMPLE_NEGOTIATIONS", "n <= AMPLE_NEGOTIATIONS",
            (f"{HOLD}bound_takes_the_z_of_its_regime",)),
-    Mutant("slack_budget_one_tick_long", SIM,
+    Mutant("slack_budget_one_tick_long", LEARNING,
            "slack // (2 * duration) + 1", "slack // (2 * duration) + 2", (SLACK_BUDGET,)),
     # a slack no across midnights
-    Mutant("span_ignores_expiring_days", SIM,
+    Mutant("span_ignores_expiring_days", LEARNING,
            "taken, slack = before, slack - (3 * bucket.comm_seconds - 5 * bucket.self_go_seconds)",
            "taken = before", (SLACK_BUDGET,)),
-    Mutant("span_past_the_window", SIM,
+    Mutant("span_past_the_window", LEARNING,
            "return max(young, min(first, before))", "return max(young, first)",
            (SLACK_BUDGET,)),
     Mutant("span_day_group_on_its_start_day", SIM,
            "rec.record_group_time(end // SECONDS_PER_DAY,", "rec.record_group_time(day,",
            (LEARNING_PAIR_ORACLE,)),
-    Mutant("young_pair_one_tick_long", SIM,
-           "young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period)",
-           "young = -((t - rec.since - MIN_PAIR_AGE_SECONDS) // period) + 1",
+    Mutant("young_pair_one_tick_long", LEARNING,
+           "young = -((t - self.since - MIN_PAIR_AGE_SECONDS) // period)",
+           "young = -((t - self.since - MIN_PAIR_AGE_SECONDS) // period) + 1",
            (f"{DECIDED}young_pair_sessions_are_batched", LEARNING_PAIR_ORACLE)),
     Mutant("batch_books_the_last_group_twice", SIM,
            "        dev_groups, peer_groups = dev_groups - (owner is dev), peer_groups - (owner is peer)\n",
